@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Mapping
 
 from .errors import CheckFailed, UnsupportedRange
@@ -40,6 +41,10 @@ from .hodge import euler_cubic, hodge_cubic
 Key = tuple
 
 PAIRS = ((1, 2), (1, 3), (2, 3))
+
+_ONE = Fraction(1)
+_THIRD = Fraction(1, 3)
+_NINTH = Fraction(1, 9)
 
 
 def _third(a: int, b: int) -> int:
@@ -64,7 +69,11 @@ def primitive_self_pairing(n: int) -> int:
 
 
 class _FormalSum:
-    """Linear combination of basis keys; subclasses define the term products."""
+    """Linear combination of basis keys; subclasses define the term products.
+
+    ``terms`` is a read-only view: instances are shared through caches, so a
+    write would poison every later computation in the process.
+    """
 
     __slots__ = ("n", "terms")
 
@@ -72,10 +81,11 @@ class _FormalSum:
         self.n = n
         clean: dict[Key, Fraction] = {}
         for key, c in (terms or {}).items():
-            c = Fraction(c)
-            if c != 0:
+            if type(c) is not Fraction:
+                c = Fraction(c)
+            if c:
                 clean[key] = c
-        self.terms = clean
+        self.terms = MappingProxyType(clean)
 
     def _check(self, other) -> None:
         if type(self) is not type(other) or self.n != other.n:
@@ -104,11 +114,17 @@ class _FormalSum:
 
     def __mul__(self, other):
         self._check(other)
+        term_mul = self._term_mul
+        right = other.terms.items()
         out: dict[Key, Fraction] = {}
         for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                for key, c in self._term_mul(k1, k2).items():
-                    out[key] = out.get(key, Fraction(0)) + c1 * c2 * c
+            for k2, c2 in right:
+                product = term_mul(k1, k2)
+                if not product:
+                    continue
+                c12 = c1 * c2
+                for key, c in product.items():
+                    _accumulate(out, key, c12 * c)
         return type(self)(self.n, out)
 
     def _term_mul(self, k1: Key, k2: Key) -> dict[Key, Fraction]:
@@ -152,6 +168,12 @@ class _FormalSum:
     @staticmethod
     def _format_key(key: Key) -> str:
         return str(key)
+
+
+def _accumulate(out: dict[Key, Fraction], key: Key, c: Fraction) -> None:
+    """Add ``c`` to ``out[key]`` in place, without a zero to start from."""
+    prev = out.get(key)
+    out[key] = c if prev is None else prev + c
 
 
 def _format_h(slots: dict[int, int]) -> str:
@@ -210,6 +232,25 @@ PRIM = "d"
 SMALL = "D3"
 
 
+def _mono2_mul(n: int, k1: Key, k2: Key) -> dict[Key, Fraction]:
+    """h1^r1 h2^s1 * h1^r2 h2^s2 on X^2; zero above degree n in a slot."""
+    r = k1[1] + k2[1]
+    s = k1[2] + k2[2]
+    if r > n or s > n:
+        return {}
+    return {(MONO, r, s): _ONE}
+
+
+def _mono3_mul(n: int, k1: Key, k2: Key) -> dict[Key, Fraction]:
+    """The same product of monomials on X^3."""
+    i = k1[1] + k2[1]
+    j = k1[2] + k2[2]
+    k = k1[3] + k2[3]
+    if i > n or j > n or k > n:
+        return {}
+    return {(MONO, i, j, k): _ONE}
+
+
 class XXClass(_FormalSum):
     """Chow model of X x X on {h1^r h2^s} and the diagonal ("D",)."""
 
@@ -221,17 +262,13 @@ class XXClass(_FormalSum):
             mono = k2 if k1[0] == DIAG else k1
             _, r, s = mono
             if r + s == 0:
-                return {(DIAG,): Fraction(1)}
+                return {(DIAG,): _ONE}
             return {
-                (MONO, a, n + r + s - a): Fraction(1, 3)
+                (MONO, a, n + r + s - a): _THIRD
                 for a in range(max(0, r + s), n + 1)
                 if n + r + s - a <= n
             }
-        _, r1, s1 = k1
-        _, r2, s2 = k2
-        if r1 + r2 > n or s1 + s2 > n:
-            return {}
-        return {(MONO, r1 + r2, s1 + s2): Fraction(1)}
+        return _mono2_mul(n, k1, k2)
 
     @staticmethod
     def _sort_key(key):
@@ -282,13 +319,9 @@ class CohXXClass(_FormalSum):
             mono = k2 if k1[0] == PRIM else k1
             _, r, s = mono
             if r == s == 0:
-                return {(PRIM,): Fraction(1)}
+                return {(PRIM,): _ONE}
             return {}  # primitive classes are killed by h
-        _, r1, s1 = k1
-        _, r2, s2 = k2
-        if r1 + r2 > n or s1 + s2 > n:
-            return {}
-        return {(MONO, r1 + r2, s1 + s2): Fraction(1)}
+        return _mono2_mul(n, k1, k2)
 
     _sort_key = staticmethod(XXClass._sort_key)
 
@@ -307,13 +340,15 @@ def xx_diagonal_expansion(n: int) -> CohXXClass:
 
 
 def xx_to_coh(a: XXClass) -> CohXXClass:
-    out = CohXXClass(a.n)
+    """Cycle-class map of the model: the diagonal goes to its Kunneth expansion."""
+    out: dict[Key, Fraction] = {}
     for key, c in a.terms.items():
         if key[0] == MONO:
-            out = out + CohXXClass(a.n, {key: c})
+            _accumulate(out, key, c)
         else:
-            out = out + xx_diagonal_expansion(a.n).scale(c)
-    return out
+            for k, v in xx_diagonal_expansion(a.n).terms.items():
+                _accumulate(out, k, c * v)
+    return CohXXClass(a.n, out)
 
 
 # -- X^3: Chow model and cohomological twin --------------------------------------
@@ -322,11 +357,10 @@ def xx_to_coh(a: XXClass) -> CohXXClass:
 def _delta_push(n: int, m: int) -> dict[Key, Fraction]:
     """Small-diagonal pushforward of h^m: (1/9) sum over p+q+r = 2n+m."""
     out: dict[Key, Fraction] = {}
+    total = 2 * n + m
     for p in range(n + 1):
-        for q in range(n + 1):
-            r = 2 * n + m - p - q
-            if 0 <= r <= n:
-                out[(MONO, p, q, r)] = Fraction(1, 9)
+        for q in range(max(0, total - n - p), min(n, total - p) + 1):
+            out[(MONO, p, q, total - p - q)] = _NINTH
     return out
 
 
@@ -339,19 +373,16 @@ class X3Class(_FormalSum):
 
     def _term_mul(self, k1, k2):
         n = self.n
-        if k1[0] == MONO and k2[0] == MONO:
-            exps = tuple(e1 + e2 for e1, e2 in zip(k1[1:], k2[1:]))
-            if any(e > n for e in exps):
-                return {}
-            return {(MONO, *exps): Fraction(1)}
         if k1[0] == MONO:
+            if k2[0] == MONO:
+                return _mono3_mul(n, k1, k2)
             k1, k2 = k2, k1
         if k2[0] == MONO:
             exps = {1: k2[1], 2: k2[2], 3: k2[3]}
             if k1[0] == SMALL:
                 m = sum(exps.values())
                 if m == 0:
-                    return {(SMALL,): Fraction(1)}
+                    return {(SMALL,): _ONE}
                 return _delta_push(n, m)
             _, a, b, m = k1
             c = _third(a, b)
@@ -359,7 +390,7 @@ class X3Class(_FormalSum):
             if s + t == 0:
                 if m + u > n:
                     return {}
-                return {(DIAG, a, b, m + u): Fraction(1)}
+                return {(DIAG, a, b, m + u): _ONE}
             if m + u > n:
                 return {}
             out: dict[Key, Fraction] = {}
@@ -367,7 +398,7 @@ class X3Class(_FormalSum):
                 q = n + s + t - p
                 if 0 <= q <= n:
                     slots = {a: p, b: q, c: m + u}
-                    out[(MONO, slots[1], slots[2], slots[3])] = Fraction(1, 3)
+                    out[(MONO, slots[1], slots[2], slots[3])] = _THIRD
             return out
         if k1[0] == SMALL and k2[0] == SMALL:
             return {}  # codimension 4n > 3n
@@ -388,7 +419,7 @@ class X3Class(_FormalSum):
             return {(MONO, slots[1], slots[2], slots[3]): Fraction(_chi(n), 9)}
         # distinct diagonals meet in the small diagonal; decorations pile onto it
         if m1 + m2 == 0:
-            return {(SMALL,): Fraction(1)}
+            return {(SMALL,): _ONE}
         return _delta_push(n, m1 + m2)
 
     @staticmethod
@@ -446,12 +477,9 @@ class CohX3Class(_FormalSum):
 
     def _term_mul(self, k1, k2):
         n = self.n
-        if k1[0] == MONO and k2[0] == MONO:
-            exps = tuple(e1 + e2 for e1, e2 in zip(k1[1:], k2[1:]))
-            if any(e > n for e in exps):
-                return {}
-            return {(MONO, *exps): Fraction(1)}
         if k1[0] == MONO:
+            if k2[0] == MONO:
+                return _mono3_mul(n, k1, k2)
             k1, k2 = k2, k1
         if k2[0] == MONO:
             _, a, b, m = k1
@@ -461,7 +489,7 @@ class CohX3Class(_FormalSum):
                 return {}  # primitive slots are killed by h
             if m + exps[c] > n:
                 return {}
-            return {(PRIM, a, b, m + exps[c]): Fraction(1)}
+            return {(PRIM, a, b, m + exps[c]): _ONE}
         _, a1, b1, m1 = k1
         _, a2, b2, m2 = k2
         if (a1, b1) == (a2, b2):
@@ -470,7 +498,7 @@ class CohX3Class(_FormalSum):
             return {}  # decorations sit on a primitive slot of the other factor
         shared = ({a1, b1} & {a2, b2}).pop()
         rest = sorted(({a1, b1} | {a2, b2}) - {shared})
-        return {(PRIM, rest[0], rest[1], n): Fraction(1, 3)}
+        return {(PRIM, rest[0], rest[1], n): _THIRD}
 
     @staticmethod
     def _sort_key(key):
@@ -494,8 +522,8 @@ def x3_diagonal_expansion(n: int, a: int, b: int, m: int = 0) -> CohX3Class:
     if m <= n:
         for j in range(n + 1):
             slots = {a: j, b: n - j, c: m}
-            terms[(MONO, slots[1], slots[2], slots[3])] = Fraction(1, 3)
-        terms[(PRIM, a, b, m)] = Fraction(1)
+            terms[(MONO, slots[1], slots[2], slots[3])] = _THIRD
+        terms[(PRIM, a, b, m)] = _ONE
     return CohX3Class(n, terms)
 
 
@@ -509,34 +537,33 @@ def small_diagonal_coh(n: int) -> CohX3Class:
 
 def x3_to_coh(a: X3Class) -> CohX3Class:
     """Cycle-class map of the model: diagonals go to their Kunneth expansions."""
-    out = CohX3Class(a.n)
+    out: dict[Key, Fraction] = {}
     for key, c in a.terms.items():
         if key[0] == MONO:
-            out = out + CohX3Class(a.n, {key: c})
-        elif key[0] == DIAG:
-            out = out + x3_diagonal_expansion(a.n, key[1], key[2], key[3]).scale(c)
+            _accumulate(out, key, c)
+            continue
+        if key[0] == DIAG:
+            image = x3_diagonal_expansion(a.n, key[1], key[2], key[3])
         else:
-            out = out + small_diagonal_coh(a.n).scale(c)
-    return out
+            image = small_diagonal_coh(a.n)
+        for k, v in image.terms.items():
+            _accumulate(out, k, c * v)
+    return CohX3Class(a.n, out)
 
 
 def push13(a: CohX3Class) -> CohXXClass:
     """Pushforward to slots (1, 3): integrate slot 2 (h2^n -> 3, free d -> 0)."""
     out: dict[Key, Fraction] = {}
-
-    def bump(key, c):
-        out[key] = out.get(key, Fraction(0)) + c
-
     for key, c in a.terms.items():
         if key[0] == MONO:
             _, i, j, k = key
             if j == a.n:
-                bump((MONO, i, k), 3 * c)
+                _accumulate(out, (MONO, i, k), 3 * c)
         else:
             _, p, q, m = key
             if (p, q) == (1, 3):
                 if m == a.n:
-                    bump((PRIM,), 3 * c)
+                    _accumulate(out, (PRIM,), 3 * c)
             # primitive slot 2 integrates to zero for the other pairs
     return CohXXClass(a.n, out)
 
@@ -578,13 +605,13 @@ def corrected_small_diagonal(n: int) -> X3Class:
 
 
 @lru_cache(maxsize=None)
-def decomposable_coefficients(n: int) -> dict[tuple[int, int, int], Fraction]:
+def decomposable_coefficients(n: int) -> Mapping[tuple[int, int, int], Fraction]:
     """Coefficients of the corrected small diagonal on the monomial basis.
 
     The primitive terms of the Kunneth expansions must cancel exactly
-    (:class:`CheckFailed` otherwise); the returned table covers every
-    (i, j, k) with i + j + k = 2n and 0 <= i, j, k <= n, including zeros,
-    and is invariant under permutations of the slots.
+    (:class:`CheckFailed` otherwise); the returned read-only table covers
+    every (i, j, k) with i + j + k = 2n and 0 <= i, j, k <= n, including
+    zeros, and is invariant under permutations of the slots.
     """
     image = x3_to_coh(corrected_small_diagonal(n))
     table: dict[tuple[int, int, int], Fraction] = {}
@@ -599,17 +626,17 @@ def decomposable_coefficients(n: int) -> dict[tuple[int, int, int], Fraction]:
                 f"primitive term {CohX3Class._format_key(key)} survives at n={n}"
             )
         table[key[1:]] = c
-    return table
+    return MappingProxyType(table)
 
 
 @lru_cache(maxsize=None)
 def small_diagonal_defect(n: int) -> X3Class:
     """Corrected small diagonal minus its decomposable part; must die in cohomology."""
-    out = corrected_small_diagonal(n)
+    out = dict(corrected_small_diagonal(n).terms)
     for (i, j, k), c in decomposable_coefficients(n).items():
-        if c != 0:
-            out = out - x3_monomial(n, i, j, k, c)
-    return out
+        if c:
+            _accumulate(out, (MONO, i, j, k), -c)
+    return X3Class(n, out)
 
 
 def defect_vanishes_cohomologically(n: int) -> bool:
@@ -642,15 +669,17 @@ def cycle_product(n: int, alpha: FormalCycle, beta: FormalCycle) -> XClass:
     """Product of two formal cycles through the small-diagonal decomposition.
 
     Evaluates the pushforward to the third slot of
-    pi1* alpha * pi2* beta * (corrected small diagonal) term by term:
+    pi1* alpha * pi2* beta * (corrected small diagonal):
 
     * the D12 * h3^n correction integrates alpha * beta over X^2 and dies
       because its codimension n + i + j is below 2n (i + j < n);
     * the D23 / D13 corrections contain alpha * h^n resp. beta * h^n,
       zero above codimension n (i, j > 0);
     * the small-diagonal slot itself is the product being computed, and the
-      vanishing of the defect cycle trades it for the decomposable table,
-      where only (n-i, n-j, i+j) survives the two integrations.
+      vanishing of the defect cycle trades it for the decomposable table.
+      deg(h^r * alpha) is m_alpha for r = n - i and zero otherwise (same for
+      beta), so the only entry that survives the two integrations is
+      (n-i, n-j, i+j); the table holds it, zero or not, for every valid i, j.
     """
     i, j = alpha.codim, beta.codim
     if not (0 < i and 0 < j and i + j < n):
@@ -658,14 +687,7 @@ def cycle_product(n: int, alpha: FormalCycle, beta: FormalCycle) -> XClass:
             f"cycle_product needs 0 < i, 0 < j, i + j < n; got i={i}, j={j}, n={n}"
         )
     table = decomposable_coefficients(n)
-    coeff = Fraction(0)
-    for (r, s, t), a_rst in table.items():
-        if a_rst == 0:
-            continue
-        # deg(h^r * alpha) is m_alpha for r = n - i, zero otherwise; same for beta
-        if r == n - i and s == n - j:
-            assert t == i + j
-            coeff += a_rst * alpha.moment * beta.moment
+    coeff = table[(n - i, n - j, i + j)] * alpha.moment * beta.moment
     out = [Fraction(0)] * (n + 1)
     out[i + j] = coeff
     return XClass(n, tuple(out))

@@ -2,12 +2,17 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cubicchow.checks import REGISTRY
+from cubicchow.cli import RunConfig, run
 from cubicchow.diagonal import (
     PAIRS,
     PRIM,
     CohX3Class,
     FormalCycle,
+    X3Class,
     XClass,
     XXClass,
     coh_pair,
@@ -265,6 +270,32 @@ def test_cycle_product_generic_moments():
                         assert result == expected
 
 
+def _cycle_product_by_scan(n, alpha, beta):
+    """Reference: scan the whole decomposable table for surviving entries."""
+    i, j = alpha.codim, beta.codim
+    coeff = Fraction(0)
+    for (r, s, t), a_rst in decomposable_coefficients(n).items():
+        if a_rst != 0 and r == n - i and s == n - j:
+            assert t == i + j
+            coeff += a_rst * alpha.moment * beta.moment
+    out = [Fraction(0)] * (n + 1)
+    out[i + j] = coeff
+    return XClass(n, tuple(out))
+
+
+def test_cycle_product_lookup_matches_table_scan():
+    moments = (Fraction(3), Fraction(7, 2), Fraction(-5, 3))
+    for n in range(3, 13):
+        for i in range(1, n):
+            for j in range(1, n - i):
+                for ma in moments:
+                    for mb in moments:
+                        alpha, beta = FormalCycle(i, ma), FormalCycle(j, mb)
+                        assert cycle_product(n, alpha, beta) == _cycle_product_by_scan(
+                            n, alpha, beta
+                        ), (n, i, j, ma, mb)
+
+
 def test_cycle_product_image_has_rank_one():
     # outputs for many formal cycles all lie on the line spanned by h^(i+j)
     n, i, j = 7, 2, 3
@@ -308,3 +339,83 @@ def test_canonical_print_forms():
         "1/9*h1*h2 + 1/9*h1*h3 + 1/9*h2*h3 "
         "+ 1/3*d12*h3 + 1/3*d13*h2 + 1/3*d23*h1"
     )
+
+
+def _run_check(check_id, n):
+    (check,) = [c for c in REGISTRY if c.check_id == check_id]
+    return check.fn(n)
+
+
+def test_cached_diagonal_values_are_read_only():
+    table = decomposable_coefficients(4)
+    with pytest.raises(TypeError):
+        table[(3, 3, 2)] = 5
+    small = small_diagonal_coh(3)
+    with pytest.raises(TypeError):
+        small.terms[("m", 0, 0, 0)] = Fraction(1)
+    with pytest.raises(TypeError):
+        del small.terms[(PRIM, 1, 2, 3)]
+    # the attempted writes changed nothing that later checks read
+    assert decomposable_coefficients(4)[(3, 3, 2)] == Fraction(1, 9)
+    for check_id, n in (
+        ("diagonal.product_rank_one", 4),
+        ("diagonal.symmetry", 4),
+        ("diagonal.projector_law", 3),
+    ):
+        computed, expected = _run_check(check_id, n)
+        assert computed == expected, check_id
+
+
+def test_diagonal_suite_passes_up_to_24():
+    results = run(RunConfig(1, 24, ("diagonal",)))
+    assert [r for r in results if r.status == "fail"] == []
+    assert sum(r.status == "pass" for r in results) > 0
+
+
+# -- property tests: the cycle-class maps are linear, xx_to_coh multiplicative --
+
+_COEFFS = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+_PROPERTY_SETTINGS = settings(
+    derandomize=True, database=None, deadline=None, max_examples=60
+)
+
+
+def _x3_basis(n):
+    span = range(n + 1)
+    keys = [("m", i, j, k) for i in span for j in span for k in span]
+    keys += [("D", a, b, m) for a, b in PAIRS for m in range(n + 1)]
+    keys.append(("D3",))
+    return keys
+
+
+@st.composite
+def _classes(draw, cls, basis, count):
+    n = draw(st.integers(min_value=1, max_value=5))
+    keys = basis(n)
+    return [
+        cls(n, draw(st.dictionaries(st.sampled_from(keys), _COEFFS, max_size=6)))
+        for _ in range(count)
+    ]
+
+
+@_PROPERTY_SETTINGS
+@given(_classes(X3Class, _x3_basis, 2), _COEFFS)
+def test_x3_to_coh_is_linear(classes, c):
+    a, b = classes
+    assert x3_to_coh(a + b) == x3_to_coh(a) + x3_to_coh(b)
+    assert x3_to_coh(a.scale(c)) == x3_to_coh(a).scale(c)
+
+
+@_PROPERTY_SETTINGS
+@given(_classes(XXClass, xx_basis, 2), _COEFFS)
+def test_xx_to_coh_is_linear(classes, c):
+    a, b = classes
+    assert xx_to_coh(a + b) == xx_to_coh(a) + xx_to_coh(b)
+    assert xx_to_coh(a.scale(c)) == xx_to_coh(a).scale(c)
+
+
+@_PROPERTY_SETTINGS
+@given(_classes(XXClass, xx_basis, 2))
+def test_xx_to_coh_is_multiplicative(classes):
+    a, b = classes
+    assert xx_to_coh(a * b) == xx_to_coh(a) * xx_to_coh(b)
