@@ -18,7 +18,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 from .checks import SUITES, Check, checks_for
@@ -57,18 +56,13 @@ def _execute(check: Check, n: int) -> CheckResult:
     return CheckResult(check.check_id, n, status, computed, expected, elapsed)
 
 
-def run(config: RunConfig, jobs: int = 1) -> list[CheckResult]:
+def run(config: RunConfig) -> list[CheckResult]:
     """Execute the configured suites; deterministic up to elapsed_ms."""
-    pairs = [
-        (check, n)
+    results = [
+        _execute(check, n)
         for check in checks_for(set(config.suites))
         for n in range(config.n_min, config.n_max + 1)
     ]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda p: _execute(*p), pairs))
-    else:
-        results = [_execute(check, n) for check, n in pairs]
     return sorted(results, key=lambda r: (r.check_id, r.n))
 
 

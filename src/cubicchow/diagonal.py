@@ -71,21 +71,25 @@ def primitive_self_pairing(n: int) -> int:
 class _FormalSum:
     """Linear combination of basis keys; subclasses define the term products.
 
-    ``terms`` is a read-only view: instances are shared through caches, so a
-    write would poison every later computation in the process.
+    Instances are immutable and ``terms`` is a read-only view: they are
+    shared through caches, so a write would poison every later computation
+    in the process.
     """
 
     __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms: Mapping[Key, Fraction | int] | None = None):
-        self.n = n
         clean: dict[Key, Fraction] = {}
         for key, c in (terms or {}).items():
             if type(c) is not Fraction:
                 c = Fraction(c)
             if c:
                 clean[key] = c
-        self.terms = MappingProxyType(clean)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "terms", MappingProxyType(clean))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def _check(self, other) -> None:
         if type(self) is not type(other) or self.n != other.n:

@@ -7,7 +7,10 @@ Two independent models of A*(Gr(2, n+2)) are provided:
   symmetric polynomials h_(n+1) and h_(n+2), with each graded piece reduced
   to a monomial basis by exact row reduction;
 * a Schubert-calculus oracle on partitions (a, b) in the n x 2 box, with
-  multiplication given by the Pieri rule.
+  integer coefficients and multiplication given by the Pieri rule.  Its
+  intersection numbers are read off by Poincare duality,
+  deg(sigma_(a,b) * sigma_mu) = [mu = (n-b, n-a)], so the oracle never
+  touches the quotient ring.
 
 The two are tied together by c1 = sigma_1, c2 = sigma_(1,1) and the
 Giambelli determinant sigma_(a,b) = h_a*h_b - h_(a+1)*h_(b-1); the degree
@@ -23,7 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from .errors import NotTopDegree, UnsupportedRange
 from .linalg import MatQ, rref
@@ -44,7 +48,7 @@ class Partition2(NamedTuple):
         return self.a + self.b
 
 
-SchubertSum = dict[Partition2, Fraction]
+SchubertSum = dict[Partition2, int]
 
 
 @lru_cache(maxsize=None)
@@ -77,12 +81,16 @@ def partitions_in_box(n: int, k: int) -> list[Partition2]:
 
 @dataclass(frozen=True)
 class GRing:
-    """Quotient-ring presentation of A*(Gr(2, n+2)), all degrees 0..2n."""
+    """Quotient-ring presentation of A*(Gr(2, n+2)), all degrees 0..2n.
+
+    ``reducers`` are read-only views: rings are shared through the
+    ``build_ring`` cache, so a write would poison every later check.
+    """
 
     n: int
     gens: tuple[WPoly, WPoly]
     bases: tuple[tuple[Exponents, ...], ...]
-    reducers: tuple[dict[Exponents, tuple[Fraction, ...]], ...]
+    reducers: tuple[Mapping[Exponents, tuple[Fraction, ...]], ...]
     point_scale: Fraction
 
     def dim(self, k: int) -> int:
@@ -135,7 +143,7 @@ def build_ring(n: int) -> GRing:
         raise UnsupportedRange("build_ring needs n >= 1")
     g1, g2 = complete_symmetric(n + 1), complete_symmetric(n + 2)
     bases: list[tuple[Exponents, ...]] = []
-    reducers: list[dict[Exponents, tuple[Fraction, ...]]] = []
+    reducers: list[Mapping[Exponents, tuple[Fraction, ...]]] = []
     for k in range(2 * n + 1):
         monos = weight_monomials(k)
         index = {m: i for i, m in enumerate(monos)}
@@ -166,7 +174,7 @@ def build_ring(n: int) -> GRing:
                 f"degree {k}: basis size {len(basis)} != partition count"
             )
         bases.append(basis)
-        reducers.append(reducer)
+        reducers.append(MappingProxyType(reducer))
     if len(bases[2 * n]) != 1:
         raise AssertionError("top degree is not one-dimensional")
     point_coords = reducers[2 * n][(0, n)]
@@ -222,12 +230,10 @@ def pieri_mul(n: int, part: Partition2, p: int) -> SchubertSum:
     Out-of-box partitions contribute zero; for p = 0 this is the identity.
     """
     a, b = part
-    out: SchubertSum = {}
-    for a2 in range(a, n + 1):
-        b2 = a + b + p - a2
-        if b <= b2 <= a:
-            out[Partition2(a2, b2)] = Fraction(1)
-    return out
+    return {
+        Partition2(a2, a + b + p - a2): 1
+        for a2 in range(max(a, b + p), min(n, a + p) + 1)
+    }
 
 
 def pieri_mul11(n: int, part: Partition2) -> SchubertSum:
@@ -235,60 +241,82 @@ def pieri_mul11(n: int, part: Partition2) -> SchubertSum:
     a, b = part
     if a + 1 > n:
         return {}
-    return {Partition2(a + 1, b + 1): Fraction(1)}
+    return {Partition2(a + 1, b + 1): 1}
 
 
-def _sum_scale(total: SchubertSum, part_sum: SchubertSum, c: Fraction) -> None:
+def _sum_scale(total: SchubertSum, part_sum: SchubertSum, c: int) -> None:
     for key, v in part_sum.items():
-        total[key] = total.get(key, Fraction(0)) + c * v
-        if total[key] == 0:
-            del total[key]
+        value = total.get(key, 0) + c * v
+        if value:
+            total[key] = value
+        else:
+            total.pop(key, None)
 
 
 def schubert_mul(n: int, s1: SchubertSum, s2: SchubertSum) -> SchubertSum:
-    """Product of Schubert sums: factor sigma_(c,d) = sigma_(1,1)^d * sigma_(c-d)."""
+    """Product of Schubert sums: sigma_(a,b) * sigma_(c,d) in one pass.
+
+    sigma_(c,d) = sigma_(1,1)^d * sigma_(c-d): the Pieri rule for sigma_(c-d)
+    gives (a2, a+b+c-d-a2) for max(a, b+c-d) <= a2 <= a+c-d, and the shift by
+    (d, d) keeps those with a2 + d <= n.
+    """
     out: SchubertSum = {}
+    get = out.get
     for (c, d), coeff2 in s2.items():
-        for part1, coeff1 in s1.items():
-            expanded = pieri_mul(n, part1, c - d)
-            for _ in range(d):
-                shifted: SchubertSum = {}
-                for part, v in expanded.items():
-                    _sum_scale(shifted, pieri_mul11(n, part), v)
-                expanded = shifted
-            _sum_scale(out, expanded, coeff1 * coeff2)
-    return out
+        p = c - d
+        for (a, b), coeff1 in s1.items():
+            coeff = coeff1 * coeff2
+            size = a + b + c + d
+            for top in range(max(a, b + p) + d, min(n, a + p + d) + 1):
+                key = Partition2(top, size - top)
+                out[key] = get(key, 0) + coeff
+    return {key: v for key, v in out.items() if v}
 
 
 @lru_cache(maxsize=None)
-def monomial_schubert(n: int, a: int, b: int) -> tuple[tuple[Partition2, Fraction], ...]:
+def monomial_schubert(n: int, a: int, b: int) -> tuple[tuple[Partition2, int], ...]:
     """Expansion of c1^a * c2^b in the Schubert basis (cached, immutably)."""
     if b > 0:
-        prev = dict(monomial_schubert(n, a, b - 1))
+        prev = monomial_schubert(n, a, b - 1)
         out: SchubertSum = {}
-        for part, v in prev.items():
+        for part, v in prev:
             _sum_scale(out, pieri_mul11(n, part), v)
     elif a > 0:
-        prev = dict(monomial_schubert(n, a - 1, 0))
+        prev = monomial_schubert(n, a - 1, 0)
         out = {}
-        for part, v in prev.items():
+        for part, v in prev:
             _sum_scale(out, pieri_mul(n, part, 1), v)
     else:
-        out = {Partition2(0, 0): Fraction(1)}
+        out = {Partition2(0, 0): 1}
     return tuple(sorted(out.items()))
 
 
 def poly_schubert(n: int, p: WPoly) -> SchubertSum:
-    """Expansion of a polynomial in (c1, c2) in the Schubert basis."""
+    """Expansion of a polynomial in (c1, c2) in the Schubert basis.
+
+    Integral coefficients become ``int``, so integral input gives an
+    integral sum.
+    """
     out: SchubertSum = {}
     for (a, b), c in p.terms.items():
+        if c.denominator == 1:
+            c = c.numerator
         _sum_scale(out, dict(monomial_schubert(n, a, b)), c)
     return out
 
 
-def schubert_degree(n: int, s: SchubertSum) -> Fraction:
+def schubert_degree(n: int, s: SchubertSum) -> int:
     """Coefficient of the point class sigma_(n,n)."""
-    return s.get(Partition2(n, n), Fraction(0))
+    return s.get(Partition2(n, n), 0)
+
+
+def schubert_pairing(n: int, s1: SchubertSum, s2: SchubertSum) -> int:
+    """deg(s1 * s2) by Poincare duality, without forming the product.
+
+    deg(sigma_(a,b) * sigma_mu) is 1 when mu = (n-b, n-a) and 0 otherwise.
+    """
+    get = s2.get
+    return sum(c * get((n - b, n - a), 0) for (a, b), c in s1.items())
 
 
 def giambelli(part: Partition2) -> WPoly:

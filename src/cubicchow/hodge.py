@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb
+from types import MappingProxyType
 from typing import Mapping
 
 from .errors import CheckFailed, NonIntegralResult, UnsupportedRange
@@ -36,7 +37,9 @@ class HodgeDiamond:
     """Multiplicity table (k, p, q) -> integer; zero entries are dropped.
 
     Intermediate bookkeeping may hold negative multiplicities; diamonds of
-    actual varieties are validated with :meth:`is_effective`.
+    actual varieties are validated with :meth:`is_effective`.  Diamonds are
+    shared through caches, so they are immutable and ``entries`` is a
+    read-only view.
     """
 
     __slots__ = ("entries",)
@@ -48,7 +51,10 @@ class HodgeDiamond:
                 raise ValueError(f"entry ({k},{p},{q}) violates p + q = k")
             if m != 0:
                 clean[(k, p, q)] = int(m)
-        self.entries = clean
+        object.__setattr__(self, "entries", MappingProxyType(clean))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("HodgeDiamond is immutable")
 
     def get(self, k: int, p: int, q: int) -> int:
         return self.entries.get((k, p, q), 0)

@@ -1,15 +1,17 @@
 """Exact dense linear algebra over the rationals.
 
-Matrices are small here (graded pieces of quotient rings, pairing tables),
-so plain Gaussian elimination over ``Fraction`` is used; every result is
-exact.  Kernel bases and solutions are deterministic: pivots are chosen as
-the first nonzero entry in column order.
+Matrices are small here (graded pieces of quotient rings, pairing tables).
+Row reduction is fraction-free: rows are scaled to primitive integer rows
+and eliminated over the integers, with one division by each pivot at the
+end; every result is exact.  Kernel bases and solutions are deterministic:
+pivots are chosen as the first nonzero entry in column order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
@@ -59,30 +61,46 @@ class MatQ:
         return len(pivots)
 
 
+def _primitive(row: list[int]) -> list[int]:
+    g = gcd(*row)
+    return row if g <= 1 else [x // g for x in row]
+
+
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    m = [list(row) for row in rows]
+    """Reduced row echelon form; returns (rows, pivot column indices).
+
+    Each row is cleared of denominators and eliminated over the integers,
+    kept primitive by dividing out its content; the pivots are divided out
+    only at the end.  The reduced form is unique, so this is the same result
+    as Gauss-Jordan over ``Fraction``.
+    """
+    m: list[list[int]] = []
+    for row in rows:
+        den = lcm(*(x.denominator for x in row))
+        m.append(_primitive([x.numerator * (den // x.denominator) for x in row]))
     if not m:
         return [], []
     n_rows, n_cols = len(m), len(m[0])
     pivots: list[int] = []
     r = 0
     for c in range(n_cols):
-        pivot_row = next((i for i in range(r, n_rows) if m[i][c] != 0), None)
+        pivot_row = next((i for i in range(r, n_rows) if m[i][c]), None)
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
+        prow = m[r]
+        p = prow[c]
         for i in range(n_rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+            f = m[i][c]
+            if i != r and f:
+                m[i] = _primitive([p * a - f * b for a, b in zip(m[i], prow)])
         pivots.append(c)
         r += 1
         if r == n_rows:
             break
-    return m[:r], pivots
+    return [
+        [Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)
+    ], pivots
 
 
 def kernel_basis(matrix: MatQ) -> list[Vector]:

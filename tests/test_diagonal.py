@@ -355,6 +355,10 @@ def test_cached_diagonal_values_are_read_only():
         small.terms[("m", 0, 0, 0)] = Fraction(1)
     with pytest.raises(TypeError):
         del small.terms[(PRIM, 1, 2, 3)]
+    with pytest.raises(AttributeError):
+        small.terms = {}
+    with pytest.raises(AttributeError):
+        small.n = 4
     # the attempted writes changed nothing that later checks read
     assert decomposable_coefficients(4)[(3, 3, 2)] == Fraction(1, 9)
     for check_id, n in (

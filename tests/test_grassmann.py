@@ -4,7 +4,11 @@ from math import comb
 
 import pytest
 
+import cubicchow.grassmann as grassmann
+import cubicchow.linalg as linalg
+from cubicchow.checks import REGISTRY
 from cubicchow.errors import NotTopDegree, UnsupportedRange
+from cubicchow.fano import fano_pairing
 from cubicchow.grassmann import (
     Partition2,
     build_ring,
@@ -18,11 +22,13 @@ from cubicchow.grassmann import (
     normal_form,
     pairing_matrix,
     partition_count,
+    partitions_in_box,
     pieri_mul,
     pieri_mul11,
     poly_schubert,
     schubert_degree,
     schubert_mul,
+    schubert_pairing,
     sym_power_chern,
     weight_monomials,
 )
@@ -222,3 +228,87 @@ def test_poly_schubert_of_fano_poly():
     assert schubert_degree(n, paired) == 27
     assert sum(sch.values(), Fraction(0)) != 0
     assert direct  # sanity: schubert_mul produces something
+
+
+def test_schubert_pairing_is_degree_of_product():
+    # Poincare duality readout against the full product, every pair of
+    # Schubert classes and every complementary pair of monomials
+    for n in range(1, 9):
+        classes = [
+            {part: 1} for k in range(2 * n + 1) for part in partitions_in_box(n, k)
+        ]
+        for s1 in classes:
+            for s2 in classes:
+                assert schubert_pairing(n, s1, s2) == schubert_degree(
+                    n, schubert_mul(n, s1, s2)
+                ), (n, s1, s2)
+        for k in range(2 * n + 1):
+            for m1 in weight_monomials(k):
+                s1 = dict(monomial_schubert(n, *m1))
+                for m2 in weight_monomials(2 * n - k):
+                    s2 = dict(monomial_schubert(n, *m2))
+                    assert schubert_pairing(n, s1, s2) == schubert_degree(
+                        n, schubert_mul(n, s1, s2)
+                    ), (n, m1, m2)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the Schubert route reached the quotient ring")
+
+
+def test_schubert_route_is_independent_of_the_quotient_ring(monkeypatch):
+    entries = {}
+    with monkeypatch.context() as patch:
+        for module, name in (
+            (grassmann, "build_ring"),
+            (grassmann, "normal_form"),
+            (grassmann, "rref"),
+            (linalg, "rref"),
+        ):
+            patch.setattr(module, name, _refuse)
+        grassmann.monomial_schubert.cache_clear()
+        for n in range(2, 7):
+            f_sch = grassmann.poly_schubert(n, fano_poly())
+            for k in range(2 * (n - 2) + 1):
+                for ml in weight_monomials(k):
+                    left = schubert_mul(n, dict(monomial_schubert(n, *ml)), f_sch)
+                    for mr in weight_monomials(2 * (n - 2) - k):
+                        right = dict(monomial_schubert(n, *mr))
+                        entries[(n, ml, mr)] = schubert_pairing(n, left, right)
+    # the same numbers by the quotient ring
+    for n in range(2, 7):
+        for k in range(2 * (n - 2) + 1):
+            pairing = fano_pairing(n, k)
+            for i, ml in enumerate(pairing.left_basis):
+                for j, mr in enumerate(pairing.right_basis):
+                    assert entries[(n, ml, mr)] == pairing.matrix.entries[i][j]
+
+
+def test_schubert_sums_have_int_coefficients():
+    for n in range(1, 7):
+        sums = [
+            dict(monomial_schubert(n, *m))
+            for k in range(2 * n + 1)
+            for m in weight_monomials(k)
+        ]
+        for s in sums:
+            assert all(type(c) is int for c in s.values())
+        for s1 in sums[:8]:
+            for s2 in sums[-8:]:
+                assert all(type(c) is int for c in schubert_mul(n, s1, s2).values())
+        f_sch = poly_schubert(n, fano_poly())
+        assert all(type(c) is int for c in f_sch.values())
+    half = poly_schubert(3, WPoly({(1, 0): Fraction(1, 2)}))
+    assert half == {Partition2(1, 0): Fraction(1, 2)}
+
+
+def test_cached_ring_reducers_are_read_only():
+    ring = build_ring(3)
+    with pytest.raises(TypeError):
+        ring.reducers[6][(6, 0)] = (Fraction(6),)
+    with pytest.raises(TypeError):
+        del ring.reducers[6][(6, 0)]
+    # the attempted writes changed nothing that later checks read
+    assert build_ring(3).reducers[6][(6, 0)] == (Fraction(5),)
+    (check,) = [c for c in REGISTRY if c.check_id == "grassmann.degree_catalan"]
+    assert check.fn(3) == ("5", "5")

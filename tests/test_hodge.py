@@ -2,6 +2,7 @@ from math import comb
 
 import pytest
 
+from cubicchow.checks import REGISTRY
 from cubicchow.errors import UnsupportedRange
 from cubicchow.hodge import (
     EPoly,
@@ -208,3 +209,19 @@ def test_jacobian_ring_hilbert_series():
             if n % 2 == 0 and q == n // 2:
                 middle_entry -= 1
             assert middle_entry == expected
+
+
+def test_cached_diamonds_are_immutable():
+    diamond = hodge_cubic(3)
+    with pytest.raises(TypeError):
+        diamond.entries[(3, 2, 1)] = 6
+    with pytest.raises(TypeError):
+        del diamond.entries[(3, 2, 1)]
+    with pytest.raises(AttributeError):
+        diamond.entries = {}
+    # the attempted writes changed nothing that later checks read
+    assert hodge_cubic(3).get(3, 2, 1) == 5
+    euler_cubic.cache_clear()
+    assert euler_cubic(3) == -6
+    (check,) = [c for c in REGISTRY if c.check_id == "hodge.euler_consistency"]
+    assert check.fn(3) == ("-6", "-6")

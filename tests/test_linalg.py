@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cubicchow.linalg import MatQ, kernel_basis, solve_linear
+from cubicchow.linalg import MatQ, kernel_basis, rref, solve_linear
 
 
 def test_kernel_of_identity_is_empty():
@@ -91,3 +93,60 @@ def test_empty_matrix_needs_column_count():
     m = MatQ.from_rows([], cols=3)
     assert m.rank() == 0
     assert len(kernel_basis(m)) == 3
+
+
+# -- property test: fraction-free rref against Gauss-Jordan over Fraction --
+
+
+def _rref_over_fractions(rows):
+    """Reference: textbook Gauss-Jordan with every entry a Fraction."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    if not m:
+        return [], []
+    n_rows, n_cols = len(m), len(m[0])
+    pivots = []
+    r = 0
+    for c in range(n_cols):
+        pivot_row = next((i for i in range(r, n_rows) if m[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(n_rows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == n_rows:
+            break
+    return m[:r], pivots
+
+
+_ENTRIES = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-30, max_value=30, max_denominator=12),
+)
+
+
+@st.composite
+def _matrices(draw):
+    cols = draw(st.integers(min_value=0, max_value=6))
+    row = st.lists(_ENTRIES, min_size=cols, max_size=cols)
+    rows = draw(st.lists(row, min_size=0, max_size=6))
+    if rows and draw(st.booleans()):  # a duplicate, a multiple and a zero row
+        rows.append(list(rows[0]))
+        rows.append([Fraction(-7, 3) * x for x in rows[-1]])
+        rows.insert(draw(st.integers(0, len(rows))), [Fraction(0)] * cols)
+    return rows
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(_matrices())
+def test_rref_matches_gauss_jordan_over_fractions(rows):
+    reduced, pivots = rref(rows)
+    expected_rows, expected_pivots = _rref_over_fractions(rows)
+    assert pivots == expected_pivots
+    assert reduced == expected_rows
+    assert all(type(x) is Fraction for row in reduced for x in row)
