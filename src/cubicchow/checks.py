@@ -395,21 +395,22 @@ def _interior_coefficient(n: int):
 def _product_rank_one(n: int):
     failures = []
     moments = (Fraction(3), Fraction(7, 2), Fraction(-5, 3))
+    # cycles[s][c]: codimension c, moment moments[s]; moment 3 is h^c itself
+    cycles = [
+        [None] + [diagonal.FormalCycle(c, m) for c in range(1, n)] for m in moments
+    ]
+    scaled = [[Fraction(1, 9) * ma * mb for mb in moments] for ma in moments]
+    units = cycles[0]
     for i in range(1, n):
         for j in range(1, n - i):
-            unit = diagonal.cycle_product(
-                n, diagonal.FormalCycle(i, 3), diagonal.FormalCycle(j, 3)
-            )
-            if unit.coeffs[i + j] != 1 or any(
-                c != 0 for idx, c in enumerate(unit.coeffs) if idx != i + j
-            ):
+            coeffs = diagonal.cycle_product(n, units[i], units[j]).coeffs
+            if coeffs[i + j] != 1 or any(coeffs[: i + j]) or any(coeffs[i + j + 1 :]):
                 failures.append(f"h^{i} * h^{j} != h^{i + j}")
-            for ma in moments:
-                for mb in moments:
-                    out = diagonal.cycle_product(
-                        n, diagonal.FormalCycle(i, ma), diagonal.FormalCycle(j, mb)
-                    )
-                    if out.coeffs[i + j] != Fraction(1, 9) * ma * mb:
+            for alphas, row in zip(cycles, scaled):
+                alpha = alphas[i]
+                for betas, expected in zip(cycles, row):
+                    out = diagonal.cycle_product(n, alpha, betas[j])
+                    if out.coeffs[i + j] != expected:
                         failures.append(f"moment scaling fails at ({i},{j})")
     return _ok(failures)
 
@@ -417,11 +418,11 @@ def _product_rank_one(n: int):
 @_register("diagonal.model_compatibility", "diagonal", 1, 6)
 def _model_compatibility(n: int):
     keys = diagonal.xx_basis(n)
+    classes = {k: diagonal.XXClass(n, {k: 1}) for k in keys}
+    images = {k: diagonal.xx_to_coh(a) for k, a in classes.items()}
     failures = []
     for k1, k2 in itertools.combinations_with_replacement(keys, 2):
-        a = diagonal.XXClass(n, {k1: 1})
-        b = diagonal.XXClass(n, {k2: 1})
-        if diagonal.xx_to_coh(a * b) != diagonal.xx_to_coh(a) * diagonal.xx_to_coh(b):
+        if diagonal.xx_to_coh(classes[k1] * classes[k2]) != images[k1] * images[k2]:
             failures.append(f"not a ring map at {k1} * {k2}")
     return _ok(failures)
 

@@ -20,6 +20,10 @@ contractions follow d_ab * d_bc = (1/3) h_b^n d_ac (no sign bookkeeping:
 the projector law is verified, not assumed).  Same-pair products d * d
 never arise on X^3 and are rejected.
 
+Degrees on X^3 are read off by Poincare duality: ``x3_pair(a, b)`` sums
+only the term pairs whose codimensions add up to 3n, without forming the
+product a * b.
+
 On top of the models: the decomposable coefficients of the small diagonal
 after removing its axis corrections, the vanishing of the resulting
 defect cycle, and the symbolic evaluator showing that the product of two
@@ -42,6 +46,7 @@ Key = tuple
 
 PAIRS = ((1, 2), (1, 3), (2, 3))
 
+_ZERO = Fraction(0)
 _ONE = Fraction(1)
 _THIRD = Fraction(1, 3)
 _NINTH = Fraction(1, 9)
@@ -89,6 +94,9 @@ class _FormalSum:
         object.__setattr__(self, "terms", MappingProxyType(clean))
 
     def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def _check(self, other) -> None:
@@ -362,7 +370,7 @@ def _delta_push(n: int, m: int) -> dict[Key, Fraction]:
     """Small-diagonal pushforward of h^m: (1/9) sum over p+q+r = 2n+m."""
     out: dict[Key, Fraction] = {}
     total = 2 * n + m
-    for p in range(n + 1):
+    for p in range(max(0, total - 2 * n), n + 1):
         for q in range(max(0, total - n - p), min(n, total - p) + 1):
             out[(MONO, p, q, total - p - q)] = _NINTH
     return out
@@ -473,7 +481,45 @@ def x3_degree(a: X3Class) -> Fraction:
 
 
 def x3_pair(a: X3Class, b: X3Class) -> Fraction:
-    return x3_degree(a * b)
+    """deg(a * b), read off by Poincare duality without forming the product.
+
+    The model is graded (a key has codimension i + j + k, n + m or 2n) and
+    only the (n, n, n) entry of the product is read, so each term of the
+    smaller operand meets few terms of the larger one.  A monomial of
+    degree d meets its complementary monomial (one lookup, value one), the
+    decorated diagonals D_ab * h_c^(2n - d) and, for d = n, D3; a diagonal
+    term meets every term.  The diagonal pairs go through
+    ``X3Class._term_mul``, so the product rules stay in one place.
+    """
+    a._check(b)
+    if len(a.terms) < len(b.terms):
+        a, b = b, a
+    n = a.n
+    top = (MONO, n, n, n)
+    big = a.terms
+    term_mul = a._term_mul
+    total = _ZERO
+    for k2, c2 in b.terms.items():
+        if k2[0] == MONO:
+            _, i, j, k = k2
+            c1 = big.get((MONO, n - i, n - j, n - k))
+            if c1 is not None:
+                total += c1 * c2
+            m = 2 * n - i - j - k
+            if not 0 <= m <= n:
+                continue
+            partners = [(DIAG, p, q, m) for p, q in PAIRS]
+            if m == n:
+                partners.append((SMALL,))
+        else:
+            partners = big
+        for k1 in partners:
+            c1 = big.get(k1)
+            if c1 is not None:
+                v = term_mul(k1, k2).get(top)
+                if v is not None:
+                    total += c1 * c2 * v
+    return 27 * total
 
 
 class CohX3Class(_FormalSum):
@@ -666,7 +712,8 @@ class FormalCycle:
     def __post_init__(self):
         if self.codim <= 0:
             raise ValueError("formal cycles must have positive codimension")
-        object.__setattr__(self, "moment", Fraction(self.moment))
+        if type(self.moment) is not Fraction:
+            object.__setattr__(self, "moment", Fraction(self.moment))
 
 
 def cycle_product(n: int, alpha: FormalCycle, beta: FormalCycle) -> XClass:
@@ -692,6 +739,6 @@ def cycle_product(n: int, alpha: FormalCycle, beta: FormalCycle) -> XClass:
         )
     table = decomposable_coefficients(n)
     coeff = table[(n - i, n - j, i + j)] * alpha.moment * beta.moment
-    out = [Fraction(0)] * (n + 1)
+    out = [_ZERO] * (n + 1)
     out[i + j] = coeff
     return XClass(n, tuple(out))

@@ -56,6 +56,9 @@ class HodgeDiamond:
     def __setattr__(self, name, value):
         raise AttributeError("HodgeDiamond is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("HodgeDiamond is immutable")
+
     def get(self, k: int, p: int, q: int) -> int:
         return self.entries.get((k, p, q), 0)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 Exponents = tuple[int, ...]
@@ -29,7 +30,11 @@ _FACTOR_RE = re.compile(r"([A-Za-z]\w*)(?:\^(\d+))?")
 
 
 class WPoly:
-    """Immutable sparse polynomial with a weighted grading."""
+    """Immutable sparse polynomial with a weighted grading.
+
+    ``terms`` is a read-only view: polynomials are shared through caches,
+    so a write would poison every later computation in the process.
+    """
 
     __slots__ = ("vars", "weights", "terms")
 
@@ -54,9 +59,12 @@ class WPoly:
             clean[exps] = c
         object.__setattr__(self, "vars", tuple(vars))
         object.__setattr__(self, "weights", tuple(weights))
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", MappingProxyType(clean))
 
     def __setattr__(self, name, value):
+        raise AttributeError("WPoly is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("WPoly is immutable")
 
     # -- constructors ------------------------------------------------------
@@ -180,7 +188,7 @@ class WPoly:
             and self.terms == other.terms
         )
 
-    __hash__ = None  # mutable-dict payload; not hashable
+    __hash__ = None
 
     # -- canonical text form -------------------------------------------------
 

@@ -1,10 +1,13 @@
 import itertools
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cubicchow.diagonal as diagonal
 from cubicchow.checks import REGISTRY
 from cubicchow.cli import RunConfig, run
 from cubicchow.diagonal import (
@@ -41,7 +44,10 @@ from cubicchow.diagonal import (
     xx_to_coh,
 )
 from cubicchow.errors import UnsupportedRange
+from cubicchow.grassmann import complete_symmetric
 from cubicchow.hodge import euler_cubic, hodge_cubic
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
 
 def test_diagonal_times_hyperplane_example():
@@ -370,10 +376,71 @@ def test_cached_diagonal_values_are_read_only():
         assert computed == expected, check_id
 
 
+def test_cached_values_refuse_attribute_deletion():
+    poly = complete_symmetric(4)
+    diamond = hodge_cubic(3)
+    small = small_diagonal_coh(3)
+    for obj, name in ((poly, "terms"), (diamond, "entries"), (small, "terms")):
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    # the attempted deletions changed nothing that later checks read
+    assert poly.terms and diamond.get(3, 2, 1) == 5
+    computed, expected = _run_check("diagonal.projector_law", 3)
+    assert computed == expected
+
+
+def test_product_rank_one_catches_a_stray_coefficient(monkeypatch):
+    honest = diagonal.cycle_product
+
+    def stray(n, alpha, beta):
+        coeffs = list(honest(n, alpha, beta).coeffs)
+        coeffs[0] += 1
+        return XClass(n, tuple(coeffs))
+
+    monkeypatch.setattr(diagonal, "cycle_product", stray)
+    computed, expected = _run_check("diagonal.product_rank_one", 4)
+    assert computed != expected
+    assert "h^1 * h^1 != h^2" in computed
+
+
+def test_defect_pairing_catches_a_perturbed_defect(monkeypatch):
+    honest = diagonal.small_diagonal_defect
+    n = 4
+    monkeypatch.setattr(
+        diagonal,
+        "small_diagonal_defect",
+        lambda n: honest(n) + x3_monomial(n, n, n, 0, Fraction(1, 9)),
+    )
+    computed, expected = _run_check("diagonal.defect_pairing", n)
+    assert computed != expected
+    assert f"monomial dual (0,0,{n})" in computed
+
+
 def test_diagonal_suite_passes_up_to_24():
+    # the report-equivalence gate of perfbench/run.py: a row the reference
+    # executed must still run, pass and print the same strings
     results = run(RunConfig(1, 24, ("diagonal",)))
+    reference = json.loads((REFERENCE / "diagonal_1_24.json").read_text(encoding="utf-8"))
+    got = {(r.check_id, r.n): r for r in results}
     assert [r for r in results if r.status == "fail"] == []
     assert sum(r.status == "pass" for r in results) > 0
+    for expected in reference:
+        if expected["status"] == "skipped":
+            continue
+        key = (expected["check_id"], expected["n"])
+        row = got.get(key)
+        assert row is not None and row.status == "pass", key
+        assert (row.computed, row.expected) == (expected["computed"], expected["expected"]), key
+
+
+def test_x3_pair_matches_product_degree_on_basis():
+    for n in (1, 2, 3):
+        keys = _x3_basis(n)
+        for k1 in keys:
+            a = X3Class(n, {k1: 1})
+            for k2 in keys:
+                b = X3Class(n, {k2: 1})
+                assert x3_pair(a, b) == x3_degree(a * b), (n, k1, k2)
 
 
 # -- property tests: the cycle-class maps are linear, xx_to_coh multiplicative --
@@ -423,3 +490,11 @@ def test_xx_to_coh_is_linear(classes, c):
 def test_xx_to_coh_is_multiplicative(classes):
     a, b = classes
     assert xx_to_coh(a * b) == xx_to_coh(a) * xx_to_coh(b)
+
+
+@_PROPERTY_SETTINGS
+@given(_classes(X3Class, _x3_basis, 2))
+def test_x3_pair_is_the_degree_of_the_product(classes):
+    a, b = classes
+    assert x3_pair(a, b) == x3_degree(a * b)
+    assert x3_pair(b, a) == x3_degree(b * a)

@@ -312,3 +312,16 @@ def test_cached_ring_reducers_are_read_only():
     assert build_ring(3).reducers[6][(6, 0)] == (Fraction(5),)
     (check,) = [c for c in REGISTRY if c.check_id == "grassmann.degree_catalan"]
     assert check.fn(3) == ("5", "5")
+
+
+def test_cached_polynomial_terms_are_read_only():
+    h4 = complete_symmetric(4)
+    before = dict(h4.terms)
+    with pytest.raises(TypeError):
+        h4.terms[(4, 0)] = Fraction(2)
+    with pytest.raises(TypeError):
+        del h4.terms[(4, 0)]
+    # the attempted writes changed nothing that later checks read
+    assert complete_symmetric(4).terms == before
+    (check,) = [c for c in REGISTRY if c.check_id == "grassmann.degree_catalan"]
+    assert check.fn(3) == ("5", "5")
