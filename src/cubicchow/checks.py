@@ -76,7 +76,7 @@ def _poincare(n: int):
     ring = grassmann.build_ring(n)
     failures = []
     for k in range(2 * n + 1):
-        matrix = grassmann.pairing_matrix(ring, k)
+        matrix = grassmann.pairing(ring, k)
         if matrix.rows != matrix.cols or matrix.rank() != matrix.rows:
             failures.append(f"degenerate pairing at k={k}")
     return _ok(failures)

@@ -737,8 +737,13 @@ def cycle_product(n: int, alpha: FormalCycle, beta: FormalCycle) -> XClass:
         raise UnsupportedRange(
             f"cycle_product needs 0 < i, 0 < j, i + j < n; got i={i}, j={j}, n={n}"
         )
-    table = decomposable_coefficients(n)
-    coeff = table[(n - i, n - j, i + j)] * alpha.moment * beta.moment
+    entry = decomposable_coefficients(n)[(n - i, n - j, i + j)]
+    ma, mb = alpha.moment, beta.moment
+    # one normalization of the integer products, not two Fraction products
+    coeff = Fraction(
+        entry.numerator * ma.numerator * mb.numerator,
+        entry.denominator * ma.denominator * mb.denominator,
+    )
     out = [_ZERO] * (n + 1)
     out[i + j] = coeff
     return XClass(n, tuple(out))

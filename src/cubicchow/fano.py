@@ -3,7 +3,9 @@
 The variety of lines F sits in Gr(2, n+2) with class [F] = 18*c1^2*c2 +
 9*c2^2.  Its numerical tautological ring is probed through pairing
 matrices of intersection numbers deg(x_i * y_j * [F]) on the ambient
-Grassmannian; their ranks are the graded dimensions.
+Grassmannian; their ranks are the graded dimensions.  Each entry is read
+off the top reducer of the quotient ring, one lookup per term of [F]
+(``grassmann.pairing``); no product is formed.
 
 ``extra_relation`` finds the polynomial relation of weighted degree n-1
 that holds on F but not on the ambient ring (the kernel of multiplication
@@ -19,12 +21,12 @@ from functools import lru_cache
 
 from .errors import CheckFailed, UnsupportedRange
 from .grassmann import (
-    GRing,
     build_ring,
     complete_symmetric,
-    degree_of_poly,
     fano_class,
+    fano_poly,
     normal_form,
+    pairing,
     weight_monomials,
 )
 from .linalg import MatQ, kernel_basis, solve_linear
@@ -51,11 +53,6 @@ class ExtraRelation:
     kernel_dim: int
 
 
-def _fano_rep(ring: GRing) -> WPoly:
-    # canonical representative of [F] in the quotient; single source of truth
-    return fano_class(ring).to_poly()
-
-
 @lru_cache(maxsize=None)
 def fano_pairing(n: int, k: int) -> FanoPairing:
     if n < 2:
@@ -64,17 +61,8 @@ def fano_pairing(n: int, k: int) -> FanoPairing:
     if not 0 <= k <= top:
         raise UnsupportedRange(f"k must lie in 0..{top}")
     ring = build_ring(n)
-    f_poly = _fano_rep(ring)
-    left = ring.bases[k]
-    right = ring.bases[top - k]
-    rows = []
-    for ml in left:
-        row = []
-        for mr in right:
-            prod = WPoly.monomial(ml) * WPoly.monomial(mr) * f_poly
-            row.append(degree_of_poly(ring, prod))
-        rows.append(row)
-    return FanoPairing(n, k, left, right, MatQ.from_rows(rows, cols=len(right)))
+    matrix = pairing(ring, k, fano_poly())
+    return FanoPairing(n, k, ring.bases[k], ring.bases[top - k], matrix)
 
 
 def taut_rank_F(n: int, k: int) -> int:
@@ -92,7 +80,7 @@ def extra_relation(n: int) -> ExtraRelation:
     if n < 3:
         raise UnsupportedRange("extra_relation needs n >= 3 (A^(n+3) empty below)")
     ring = build_ring(n)
-    f_poly = _fano_rep(ring)
+    f_poly = fano_class(ring).to_poly()
     source = ring.bases[n - 1]
     target_dim = ring.dim(n + 3)
     columns = []

@@ -4,8 +4,12 @@ Two independent models of A*(Gr(2, n+2)) are provided:
 
 * a quotient-ring model: Q[x, y] (x = c1, y = c2, the Chern classes of the
   dual tautological subbundle) modulo the ideal generated by the complete
-  symmetric polynomials h_(n+1) and h_(n+2), with each graded piece reduced
-  to a monomial basis by exact row reduction;
+  symmetric polynomials h_(n+1) and h_(n+2).  The elements y^j * h_(n+1-j)
+  of the ideal form a Groebner basis, so the basis monomials x^a y^b
+  (a + b <= n) and the integer reducer of every monomial are filled degree
+  by degree, without elimination.  The top degree is spanned by c2^n, so
+  every intersection number of monomials is one read of the top reducer
+  (``pairing``);
 * a Schubert-calculus oracle on partitions (a, b) in the n x 2 box, with
   integer coefficients and multiplication given by the Pieri rule.  Its
   intersection numbers are read off by Poincare duality,
@@ -13,8 +17,8 @@ Two independent models of A*(Gr(2, n+2)) are provided:
   touches the quotient ring.
 
 The two are tied together by c1 = sigma_1, c2 = sigma_(1,1) and the
-Giambelli determinant sigma_(a,b) = h_a*h_b - h_(a+1)*h_(b-1); the degree
-map is normalized so the point class sigma_(n,n) = c2^n has degree 1.
+Giambelli determinant sigma_(a,b) = h_a*h_b - h_(a+1)*h_(b-1); the point
+class sigma_(n,n) = c2^n has degree 1.
 
 Also here: Chern classes of symmetric powers of a rank-2 bundle via the
 splitting principle, and the class of the locus of lines on a cubic,
@@ -30,7 +34,7 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 from .errors import NotTopDegree, UnsupportedRange
-from .linalg import MatQ, rref
+from .linalg import MatQ, rref  # rref: rebound to a guard by the route-independence tests
 from .wpoly import Exponents, WPoly
 
 X = WPoly.variable("x")
@@ -90,8 +94,7 @@ class GRing:
     n: int
     gens: tuple[WPoly, WPoly]
     bases: tuple[tuple[Exponents, ...], ...]
-    reducers: tuple[Mapping[Exponents, tuple[Fraction, ...]], ...]
-    point_scale: Fraction
+    reducers: tuple[Mapping[Exponents, tuple[int, ...]], ...]
 
     def dim(self, k: int) -> int:
         return len(self.bases[k])
@@ -134,54 +137,55 @@ class GClass:
 
 @lru_cache(maxsize=None)
 def build_ring(n: int) -> GRing:
-    """Reduce every graded piece of Q[x, y]/(h_(n+1), h_(n+2)) to a basis.
+    """Reduce every graded piece of Q[x, y]/(h_(n+1), h_(n+2)) to a basis, in integers.
 
-    The relations live in degrees n+1 and n+2, forced by dim Gr(2, n+2) = 2n;
-    the resulting dimensions are checked against the partition count.
+    The ideal holds e_j = y^j * h_(n+1-j): e_0 = h_(n+1), e_1 = x*h_(n+1) - h_(n+2)
+    and e_(j+1) = x*e_j - y*e_(j-1).  As h_m is monic in x, e_j leads with
+    x^(n+1-j) * y^j in lex order, so the standard monomials are the x^a y^b
+    with a + b <= n (as many as the partitions, so the e_j are a Groebner
+    basis).  A standard monomial reduces to its unit vector; any other one
+    (a >= 1) to x times the reducer of x^(a-1) y^b, with the boundary
+    monomial x^(n+1-j) y^j replaced by its remainder x^(n+1-j) y^j - e_j.
     """
     if n < 1:
         raise UnsupportedRange("build_ring needs n >= 1")
     g1, g2 = complete_symmetric(n + 1), complete_symmetric(n + 2)
+    if any(c.denominator != 1 for g in (g1, g2) for c in g.terms.values()):
+        raise AssertionError("h_(n+1) and h_(n+2) need integral coefficients")
+    # elem is e_j and lower is y*e_(j-1) (h_(n+2) for j = 0), keyed by the y exponent
+    elem, lower = ({b: c.numerator for (_, b), c in g.terms.items()} for g in (g1, g2))
     bases: list[tuple[Exponents, ...]] = []
-    reducers: list[Mapping[Exponents, tuple[Fraction, ...]]] = []
+    reducers: list[Mapping[Exponents, tuple[int, ...]]] = []
     for k in range(2 * n + 1):
-        monos = weight_monomials(k)
-        index = {m: i for i, m in enumerate(monos)}
-        ideal_rows = []
-        for gen, gdeg in ((g1, n + 1), (g2, n + 2)):
-            if k < gdeg:
-                continue
-            for cof in weight_monomials(k - gdeg):
-                elem = WPoly.monomial(cof) * gen
-                ideal_rows.append([elem.coefficient(m) for m in monos])
-        reduced, pivots = rref(ideal_rows)
-        pivot_set = set(pivots)
-        free = [i for i in range(len(monos)) if i not in pivot_set]
-        basis = tuple(monos[i] for i in free)
-        free_pos = {i: j for j, i in enumerate(free)}
-        reducer: dict[Exponents, tuple[Fraction, ...]] = {}
-        for i, mono in enumerate(monos):
-            coords = [Fraction(0)] * len(free)
-            if i in free_pos:
-                coords[free_pos[i]] = Fraction(1)
-            else:
-                row = reduced[pivots.index(i)]
-                for f in free:
-                    coords[free_pos[f]] = -row[f]
-            reducer[mono] = tuple(coords)
+        lo = max(0, k - n)  # x^(k-2b) y^b is standard iff b >= lo
+        basis = tuple((k - 2 * b, b) for b in range(lo, k // 2 + 1))
         if len(basis) != partition_count(n, k):
             raise AssertionError(
                 f"degree {k}: basis size {len(basis)} != partition count"
             )
+        reducer: dict[Exponents, tuple[int, ...]] = {}
+        if lo:  # k = n+1+j with j = lo-1: reduce by e_j, then step to e_(j+1)
+            if elem.get(lo - 1) != 1:
+                raise AssertionError(f"e_{lo - 1} does not lead with coefficient 1")
+            tail = [(b - lo, -c) for b, c in elem.items() if b >= lo]
+            for b in range(lo):
+                # x times the basis of degree k-1: the first becomes the boundary
+                head, *coords = reducers[k - 1][(k - 1 - 2 * b, b)]
+                coords += [0] * (len(basis) - len(coords))
+                for i, t in tail:
+                    coords[i] += head * t
+                reducer[(k - 2 * b, b)] = tuple(coords)
+            elem, lower = (
+                {b: elem.get(b, 0) - lower.get(b, 0) for b in elem.keys() | lower.keys()},
+                {b + 1: c for b, c in elem.items()},
+            )
+        for i, mono in enumerate(basis):
+            reducer[mono] = tuple(int(i == j) for j in range(len(basis)))
         bases.append(basis)
         reducers.append(MappingProxyType(reducer))
     if len(bases[2 * n]) != 1:
         raise AssertionError("top degree is not one-dimensional")
-    point_coords = reducers[2 * n][(0, n)]
-    scale = point_coords[0]
-    if scale == 0:
-        raise AssertionError("point class c2^n reduced to zero")
-    return GRing(n, (g1, g2), tuple(bases), tuple(reducers), scale)
+    return GRing(n, (g1, g2), tuple(bases), tuple(reducers))
 
 
 def _reduce(ring: GRing, p: WPoly, k: int) -> tuple[Fraction, ...]:
@@ -211,10 +215,10 @@ def normal_form(ring: GRing, p: WPoly, degree: int | None = None) -> GClass:
 
 
 def degree(ring: GRing, c: GClass) -> Fraction:
-    """Integral of a top-degree class, normalized so degree(c2^n) = 1."""
+    """Integral of a top-degree class: c2^n spans the top degree, with degree 1."""
     if c.degree != 2 * ring.n:
         raise NotTopDegree(f"degree map needs codimension {2 * ring.n}")
-    return c.coords[0] / ring.point_scale
+    return Fraction(c.coords[0])
 
 
 def degree_of_poly(ring: GRing, p: WPoly) -> Fraction:
@@ -386,18 +390,24 @@ def fano_class(ring: GRing) -> GClass:
     return normal_form(ring, fano_poly())
 
 
-def pairing_matrix(ring: GRing, k: int) -> MatQ:
-    """Poincare pairing deg(x_i * y_j) between degrees k and 2n - k."""
-    n = ring.n
-    if not 0 <= k <= 2 * n:
-        raise UnsupportedRange(f"k must lie in 0..{2 * n}")
-    left = ring.bases[k]
-    right = ring.bases[2 * n - k]
-    rows = []
-    for ml in left:
-        row = []
-        for mr in right:
-            prod = WPoly.monomial(ml) * WPoly.monomial(mr)
-            row.append(degree_of_poly(ring, prod))
-        rows.append(row)
+def pairing(ring: GRing, k: int, weight: WPoly | None = None) -> MatQ:
+    """deg(x_i * y_j * weight) between degree k and 2n - k - deg(weight).
+
+    No weight means 1.  Each entry is sum c * reducers[2n][m_i + m_j + e][0]
+    over the terms c * x^e of the weight: one read of the top reducer per
+    term, and any representative of the weight in the quotient will do.
+    """
+    terms = [((0, 0), 1)] if weight is None else list(weight.terms.items())
+    top = 2 * ring.n - (0 if weight is None else weight.homogeneous_degree())
+    if not 0 <= k <= top:
+        raise UnsupportedRange(f"k must lie in 0..{top}")
+    point = ring.reducers[2 * ring.n]
+    right = ring.bases[top - k]
+    rows = [
+        [
+            sum(c * point[(a1 + a2 + e1, b1 + b2 + e2)][0] for (e1, e2), c in terms)
+            for a2, b2 in right
+        ]
+        for a1, b1 in ring.bases[k]
+    ]
     return MatQ.from_rows(rows, cols=len(right))

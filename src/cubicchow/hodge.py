@@ -111,14 +111,25 @@ class HodgeDiamond:
 
 
 class EPoly:
-    """Signed Hodge multiplicity polynomial: sum (-1)^k h^(p,q)(H^k) u^p v^q."""
+    """Signed Hodge multiplicity polynomial: sum (-1)^k h^(p,q)(H^k) u^p v^q.
+
+    E-polynomials are shared through caches, so they are immutable and
+    ``coeffs`` is a read-only view.
+    """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Mapping[tuple[int, int], int] | None = None):
-        self.coeffs = {
+        clean = {
             (int(p), int(q)): int(c) for (p, q), c in (coeffs or {}).items() if c != 0
         }
+        object.__setattr__(self, "coeffs", MappingProxyType(clean))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("EPoly is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("EPoly is immutable")
 
     def get(self, p: int, q: int) -> int:
         return self.coeffs.get((p, q), 0)

@@ -7,7 +7,8 @@ Most of the package works in Q[x, y] with weights (1, 2), where x and y
 stand for the first and second Chern class of a rank-2 bundle.
 
 The canonical text form sorts terms by descending graded-lex order, e.g.
-``18*x^2*y + 9*y^2``; :meth:`WPoly.parse` inverts it exactly.
+``18*x^2*y + 9*y^2``; :meth:`WPoly.parse` inverts it exactly and rejects
+every other text with ``ValueError``.
 """
 
 from __future__ import annotations
@@ -22,9 +23,12 @@ Exponents = tuple[int, ...]
 CHERN_VARS = ("x", "y")
 CHERN_WEIGHTS = (1, 2)
 
+# the canonical text form: magnitudes are positive and reduced, factors are
+# name or name^e, terms are joined by " + " and " - "
+_SEP_RE = re.compile(r" ([+-]) ")
 _TERM_RE = re.compile(
-    r"(?P<coeff>-?\d+(?:/\d+)?)?"
-    r"(?P<factors>(?:\*?[A-Za-z]\w*(?:\^\d+)?)*)$"
+    r"(?:(?P<coeff>[1-9]\d*(?:/[1-9]\d*)?)(?:\*|$))?"
+    r"(?P<mono>[A-Za-z]\w*(?:\^\d+)?(?:\*[A-Za-z]\w*(?:\^\d+)?)*)?"
 )
 _FACTOR_RE = re.compile(r"([A-Za-z]\w*)(?:\^(\d+))?")
 
@@ -95,12 +99,6 @@ class WPoly:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def weighted_degree(self) -> int | None:
-        """Maximum weighted degree of the support; ``None`` for zero."""
-        if not self.terms:
-            return None
-        return max(self.wdeg(e) for e in self.terms)
 
     def is_homogeneous(self) -> bool:
         degrees = {self.wdeg(e) for e in self.terms}
@@ -230,32 +228,33 @@ class WPoly:
 
     @classmethod
     def parse(cls, text: str, vars=CHERN_VARS, weights=CHERN_WEIGHTS) -> "WPoly":
-        """Parse the canonical text form produced by ``str``."""
-        text = text.strip()
+        """Parse the canonical text form produced by ``str``.
+
+        Anything else raises ``ValueError``: ``parse(text)`` succeeds exactly
+        when ``str`` of the result gives ``text`` back.
+        """
         if text == "0":
             return cls.zero(vars, weights)
-        # normalize "a - b" to "a + -b" then split on "+"
-        text = text.replace("- ", "+ -").replace(" ", "")
+        pieces = _SEP_RE.split(text)
+        first = pieces[0]
+        signs = ["-" if first.startswith("-") else "+"] + pieces[1::2]
+        chunks = [first[1:] if first.startswith("-") else first] + pieces[2::2]
         out: dict[Exponents, Fraction] = {}
-        for chunk in text.split("+"):
-            if not chunk:
-                continue
-            sign = Fraction(1)
-            if chunk.startswith("-"):
-                sign = Fraction(-1)
-                chunk = chunk[1:]
-            m = _TERM_RE.match(chunk)
-            if not m:
-                raise ValueError(f"cannot parse term {chunk!r}")
-            coeff = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
+        for sign, chunk in zip(signs, chunks):
+            m = _TERM_RE.fullmatch(chunk)
+            if not m or not (m["coeff"] or m["mono"]):
+                raise ValueError(f"cannot parse term {chunk!r} of {text!r}")
             exps = [0] * len(vars)
-            for name, power in _FACTOR_RE.findall(m.group("factors") or ""):
+            for name, power in _FACTOR_RE.findall(m["mono"] or ""):
                 if name not in vars:
-                    raise ValueError(f"unknown variable {name!r}")
+                    raise ValueError(f"unknown variable {name!r} in {text!r}")
                 exps[vars.index(name)] += int(power) if power else 1
-            key = tuple(exps)
-            out[key] = out.get(key, Fraction(0)) + sign * coeff
-        return cls(out, vars, weights)
+            coeff = Fraction(m["coeff"] or 1)
+            out[tuple(exps)] = coeff if sign == "+" else -coeff
+        poly = cls(out, vars, weights)
+        if str(poly) != text:
+            raise ValueError(f"not in canonical form: {text!r}")
+        return poly
 
 
 def poly_mul(a: WPoly, b: WPoly) -> WPoly:

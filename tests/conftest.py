@@ -1,0 +1,30 @@
+import json
+from pathlib import Path
+
+import pytest
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+
+
+def assert_rows_match_reference(results, workload):
+    """The report-equivalence gate of perfbench/run.py.
+
+    No row fails, and a row that ``perfbench/reference/<workload>.json``
+    executed must still run, pass and print the same strings.
+    """
+    reference = json.loads((REFERENCE / f"{workload}.json").read_text(encoding="utf-8"))
+    got = {(r.check_id, r.n): r for r in results}
+    assert [r for r in results if r.status == "fail"] == []
+    assert sum(r.status == "pass" for r in results) > 0
+    for expected in reference:
+        if expected["status"] == "skipped":
+            continue
+        key = (expected["check_id"], expected["n"])
+        row = got.get(key)
+        assert row is not None and row.status == "pass", key
+        assert (row.computed, row.expected) == (expected["computed"], expected["expected"]), key
+
+
+@pytest.fixture
+def report_gate():
+    return assert_rows_match_reference

@@ -139,3 +139,15 @@ def test_failure_exit_code_via_stub(monkeypatch):
     stub = [CheckResult("stub.check", 1, "fail", "0", "1", 0)]
     monkeypatch.setattr(cli, "run", lambda config: stub)
     assert cli.main(["--n-min", "1", "--n-max", "1", "--suite", "all", "--format", "json", "--out", "/dev/null"]) == 1
+
+
+@pytest.mark.parametrize(
+    "workload, config",
+    [
+        ("suite_1_10", RunConfig(1, 10, ("all",))),
+        ("single_n16", RunConfig(16, 16, ("all",))),
+    ],
+)
+def test_benchmark_reports_match_reference(report_gate, workload, config):
+    # the diagonal_1_24 workload is gated in test_diagonal.py
+    report_gate(run(config), workload)

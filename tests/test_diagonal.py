@@ -1,7 +1,5 @@
 import itertools
-import json
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -46,8 +44,6 @@ from cubicchow.diagonal import (
 from cubicchow.errors import UnsupportedRange
 from cubicchow.grassmann import complete_symmetric
 from cubicchow.hodge import euler_cubic, hodge_cubic
-
-REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
 
 def test_diagonal_times_hyperplane_example():
@@ -416,21 +412,10 @@ def test_defect_pairing_catches_a_perturbed_defect(monkeypatch):
     assert f"monomial dual (0,0,{n})" in computed
 
 
-def test_diagonal_suite_passes_up_to_24():
+def test_diagonal_suite_passes_up_to_24(report_gate):
     # the report-equivalence gate of perfbench/run.py: a row the reference
     # executed must still run, pass and print the same strings
-    results = run(RunConfig(1, 24, ("diagonal",)))
-    reference = json.loads((REFERENCE / "diagonal_1_24.json").read_text(encoding="utf-8"))
-    got = {(r.check_id, r.n): r for r in results}
-    assert [r for r in results if r.status == "fail"] == []
-    assert sum(r.status == "pass" for r in results) > 0
-    for expected in reference:
-        if expected["status"] == "skipped":
-            continue
-        key = (expected["check_id"], expected["n"])
-        row = got.get(key)
-        assert row is not None and row.status == "pass", key
-        assert (row.computed, row.expected) == (expected["computed"], expected["expected"]), key
+    report_gate(run(RunConfig(1, 24, ("diagonal",))), "diagonal_1_24")
 
 
 def test_x3_pair_matches_product_degree_on_basis():

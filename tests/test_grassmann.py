@@ -20,7 +20,7 @@ from cubicchow.grassmann import (
     giambelli,
     monomial_schubert,
     normal_form,
-    pairing_matrix,
+    pairing,
     partition_count,
     partitions_in_box,
     pieri_mul,
@@ -161,7 +161,7 @@ def test_poincare_pairing_invertible():
     for n in range(1, 7):
         ring = build_ring(n)
         for k in range(2 * n + 1):
-            matrix = pairing_matrix(ring, k)
+            matrix = pairing(ring, k)
             assert matrix.rows == matrix.cols
             assert matrix.rank() == matrix.rows
 
@@ -325,3 +325,119 @@ def test_cached_polynomial_terms_are_read_only():
     assert complete_symmetric(4).terms == before
     (check,) = [c for c in REGISTRY if c.check_id == "grassmann.degree_catalan"]
     assert check.fn(3) == ("5", "5")
+
+
+# -- the Groebner fill and the top-reducer pairing -------------------------------
+
+
+def _eliminated_reducers(n):
+    """Reference: reduce each graded piece by row reduction of the ideal rows."""
+    g1, g2 = complete_symmetric(n + 1), complete_symmetric(n + 2)
+    out = []
+    for k in range(2 * n + 1):
+        monos = weight_monomials(k)
+        rows = [
+            [(WPoly.monomial(cof) * gen).coefficient(m) for m in monos]
+            for gen, gdeg in ((g1, n + 1), (g2, n + 2))
+            if k >= gdeg
+            for cof in weight_monomials(k - gdeg)
+        ]
+        reduced, pivots = linalg.rref(rows)
+        free = [i for i in range(len(monos)) if i not in pivots]
+        reducer = {}
+        for i, mono in enumerate(monos):
+            if i in free:
+                reducer[mono] = tuple(Fraction(int(f == i)) for f in free)
+            else:
+                row = reduced[pivots.index(i)]
+                reducer[mono] = tuple(-row[f] for f in free)
+        out.append((tuple(monos[i] for i in free), reducer))
+    return out
+
+
+def test_groebner_fill_matches_elimination():
+    for n in range(1, 15):
+        ring = build_ring(n)
+        for k, (basis, reducer) in enumerate(_eliminated_reducers(n)):
+            assert ring.bases[k] == basis, (n, k)
+            assert dict(ring.reducers[k]) == reducer, (n, k)
+            assert all(type(c) is int for v in ring.reducers[k].values() for c in v)
+
+
+def test_degree_is_an_exact_fraction():
+    for n in (1, 2, 5):
+        ring = build_ring(n)
+        value = degree(ring, normal_form(ring, WPoly.monomial((2 * n, 0))))
+        assert type(value) is Fraction
+        assert value == comb(2 * n, n) // (n + 1)
+        assert type(degree_of_poly(ring, WPoly.monomial((0, n)))) is Fraction
+
+
+def _product_pairing(ring, k, weight):
+    # reference: form each triple product and reduce it to the top degree
+    top = 2 * ring.n - weight.homogeneous_degree()
+    return [
+        [
+            degree_of_poly(ring, WPoly.monomial(ml) * WPoly.monomial(mr) * weight)
+            for mr in ring.bases[top - k]
+        ]
+        for ml in ring.bases[k]
+    ]
+
+
+def test_pairing_matches_triple_products():
+    for n in range(1, 9):
+        ring = build_ring(n)
+        one = WPoly.constant(1)
+        for k in range(2 * n + 1):
+            assert pairing(ring, k).entries == pairing(ring, k, one).entries
+            assert [list(r) for r in pairing(ring, k).entries] == _product_pairing(ring, k, one)
+        if n < 2:
+            continue
+        weights = (fano_poly(), fano_class(ring).to_poly(), WPoly({(1, 0): Fraction(1, 2)}))
+        for weight in weights:
+            for k in range(2 * ring.n - weight.homogeneous_degree() + 1):
+                expected = _product_pairing(ring, k, weight)
+                assert [list(r) for r in pairing(ring, k, weight).entries] == expected
+
+
+def test_pairing_range_errors():
+    ring = build_ring(3)
+    with pytest.raises(UnsupportedRange):
+        pairing(ring, 7)
+    with pytest.raises(UnsupportedRange):
+        pairing(ring, 3, fano_poly())
+
+
+def _refuse_schubert(*args, **kwargs):
+    raise AssertionError("the quotient route reached the Schubert oracle")
+
+
+def test_quotient_route_is_independent_of_the_schubert_oracle(monkeypatch):
+    with monkeypatch.context() as patch:
+        for name in (
+            "schubert_mul",
+            "pieri_mul",
+            "pieri_mul11",
+            "monomial_schubert",
+            "poly_schubert",
+        ):
+            patch.setattr(grassmann, name, _refuse_schubert)
+        build_ring.cache_clear()
+        fano_pairing.cache_clear()
+        for n in range(1, 9):
+            ring = build_ring(n)
+            for k in range(2 * n + 1):
+                assert pairing(ring, k).rank() == ring.dim(k)
+            for k in range(2 * (n - 2) + 1):
+                assert fano_pairing(n, k).matrix.rows == ring.dim(k)
+    # the same numbers by the Schubert oracle
+    for n in range(2, 9):
+        f_sch = poly_schubert(n, fano_poly())
+        for k in range(2 * (n - 2) + 1):
+            pairing_k = fano_pairing(n, k)
+            for i, ml in enumerate(pairing_k.left_basis):
+                left = schubert_mul(n, dict(monomial_schubert(n, *ml)), f_sch)
+                for j, mr in enumerate(pairing_k.right_basis):
+                    right = dict(monomial_schubert(n, *mr))
+                    assert schubert_pairing(n, left, right) == pairing_k.matrix.entries[i][j]

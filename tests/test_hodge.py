@@ -225,3 +225,24 @@ def test_cached_diamonds_are_immutable():
     assert euler_cubic(3) == -6
     (check,) = [c for c in REGISTRY if c.check_id == "hodge.euler_consistency"]
     assert check.fn(3) == ("-6", "-6")
+
+
+def test_cached_e_polynomials_are_immutable():
+    e = e_fano(3)
+    before = dict(e.coeffs)
+    with pytest.raises(TypeError):
+        e.coeffs[(0, 0)] = 99
+    with pytest.raises(TypeError):
+        del e.coeffs[(0, 0)]
+    with pytest.raises(AttributeError):
+        e.coeffs = {}
+    with pytest.raises(AttributeError):
+        del e.coeffs
+    # the attempted writes changed nothing that later checks read
+    assert e_fano(3).coeffs == before
+    fano_diamond.cache_clear()
+    fano_hodge_decomposition.cache_clear()
+    for check_id in ("hodge.hilb2_identity", "hodge.decomposition_a0", "hodge.decomposition_tate"):
+        (check,) = [c for c in REGISTRY if c.check_id == check_id]
+        computed, expected = check.fn(3)
+        assert computed == expected, check_id

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubicchow.wpoly import WPoly, graded_component, poly_mul
 
@@ -85,3 +87,37 @@ def test_zero_coefficients_dropped():
     assert p.is_zero()
     assert p.terms == {}
     assert str(p) == "0"
+
+
+# -- strict parsing ------------------------------------------------------------
+
+_COEFFS = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+_POLYS = st.dictionaries(
+    st.tuples(st.integers(0, 6), st.integers(0, 6)), _COEFFS, max_size=6
+).map(WPoly)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(_POLYS)
+def test_parse_inverts_str(p):
+    assert WPoly.parse(str(p)) == p
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=50)
+@given(st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)), _COEFFS, max_size=4))
+def test_parse_inverts_str_on_other_variables(terms):
+    p = WPoly(terms, ("u", "v"), (1, 1))
+    assert WPoly.parse(str(p), ("u", "v"), (1, 1)) == p
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "- - x", "x +", "", "1/0", "-", "+ x", " x", "x ", "x - -y", "-0",
+        "0 + x", "3*", "x^", "z", "x + x", "x - x", "1*x", "x^1", "x*x",
+        "2/4*x", "5/1", "07", "x + y", "x^2*y^0", "x  + 1", "x+1", "1 + x",
+    ],
+)
+def test_parse_rejects_junk(text):
+    with pytest.raises(ValueError):
+        WPoly.parse(text)
