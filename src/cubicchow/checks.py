@@ -99,18 +99,17 @@ def _top_norm(n: int):
     return f"{quotient},{schubert}", "1,1"
 
 
-def _integral(coords) -> tuple:
-    return tuple(c.numerator if c.denominator == 1 else c for c in coords)
-
-
 @_register("grassmann.pieri_oracle", "grassmann", 1, 12)
 def _pieri_oracle(n: int):
     ring = grassmann.build_ring(n)
     # Giambelli table: the quotient coordinates of every Schubert class
     back_table = {
-        part: _integral(grassmann.normal_form(ring, grassmann.giambelli(part)).coords)
+        part: grassmann.giambelli_coords(ring, part)
         for k in range(2 * n + 1)
         for part in grassmann.partitions_in_box(n, k)
+    }
+    expansions = {
+        m: dict(grassmann.monomial_schubert(n, *m)) for basis in ring.bases for m in basis
     }
     failures = []
     for k1 in range(2 * n + 1):
@@ -118,13 +117,11 @@ def _pieri_oracle(n: int):
             reducer = ring.reducers[k1 + k2]
             dim = ring.dim(k1 + k2)
             for m1 in ring.bases[k1]:
-                s1 = dict(grassmann.monomial_schubert(n, *m1))
+                s1 = expansions[m1]
                 for m2 in ring.bases[k2]:
                     # a monomial times a monomial is a monomial: its reducer row
                     direct = reducer[(m1[0] + m2[0], m1[1] + m2[1])]
-                    sch = grassmann.schubert_mul(
-                        n, s1, dict(grassmann.monomial_schubert(n, *m2))
-                    )
+                    sch = grassmann.schubert_mul(n, s1, expansions[m2])
                     back = [0] * dim
                     for part, c in sch.items():
                         for i, x in enumerate(back_table[part]):
@@ -417,13 +414,16 @@ def _product_rank_one(n: int):
 
 @_register("diagonal.model_compatibility", "diagonal", 1, 6)
 def _model_compatibility(n: int):
-    keys = diagonal.xx_basis(n)
-    classes = {k: diagonal.XXClass(n, {k: 1}) for k in keys}
+    # both models are associative and xx_to_coh is linear and unital, so
+    # f(g * b) = f(g) * f(b) for the generators g = h1, h2, D and every basis
+    # class b makes it a ring map (induct on words in the generators)
+    classes = {k: diagonal.XXClass(n, {k: 1}) for k in diagonal.xx_basis(n)}
     images = {k: diagonal.xx_to_coh(a) for k, a in classes.items()}
     failures = []
-    for k1, k2 in itertools.combinations_with_replacement(keys, 2):
-        if diagonal.xx_to_coh(classes[k1] * classes[k2]) != images[k1] * images[k2]:
-            failures.append(f"not a ring map at {k1} * {k2}")
+    for g in ((diagonal.MONO, 1, 0), (diagonal.MONO, 0, 1), (diagonal.DIAG,)):
+        for k, b in classes.items():
+            if diagonal.xx_to_coh(classes[g] * b) != images[g] * images[k]:
+                failures.append(f"not a ring map at {g} * {k}")
     return _ok(failures)
 
 

@@ -305,10 +305,6 @@ def xx_diagonal(n: int) -> XXClass:
     return XXClass(n, {(DIAG,): Fraction(1)})
 
 
-def xx_mul(a: XXClass, b: XXClass) -> XXClass:
-    return a * b
-
-
 def xx_degree(a: XXClass) -> Fraction:
     """Integral of the codimension-2n piece; deg(h1^n h2^n) = 9."""
     return 9 * a.coefficient((MONO, a.n, a.n))
@@ -469,10 +465,6 @@ def x3_diagonal(n: int, a: int, b: int, m: int = 0, coeff=1) -> X3Class:
 
 def x3_small_diagonal(n: int, coeff=1) -> X3Class:
     return X3Class(n, {(SMALL,): Fraction(coeff)})
-
-
-def x3_mul(a: X3Class, b: X3Class) -> X3Class:
-    return a * b
 
 
 def x3_degree(a: X3Class) -> Fraction:

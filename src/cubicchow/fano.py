@@ -11,7 +11,8 @@ off the top reducer of the quotient ring, one lookup per term of [F]
 that holds on F but not on the ambient ring (the kernel of multiplication
 by [F] from degree n-1 to degree n+3), and ``ideal_decomposition`` checks
 ideal membership in degree n+3 by an independent linear solve against the
-two relation generators.
+two relation generators, whose columns are the shifted coefficients of
+h_(n+1) and h_(n+2) (no product is formed).
 """
 
 from __future__ import annotations
@@ -70,6 +71,7 @@ def taut_rank_F(n: int, k: int) -> int:
     return fano_pairing(n, k).matrix.rank()
 
 
+@lru_cache(maxsize=None)
 def extra_relation(n: int) -> ExtraRelation:
     """Kernel element of multiplication by [F]: A^(n-1) -> A^(n+3).
 
@@ -115,15 +117,12 @@ def ideal_decomposition(n: int, relation: WPoly) -> tuple[WPoly, WPoly] | None:
     if not relation.is_homogeneous() or relation.homogeneous_degree() != n + 3:
         raise ValueError("ideal_decomposition needs homogeneous input of degree n+3")
     g1, g2 = complete_symmetric(n + 1), complete_symmetric(n + 2)
-    generators = [
-        (WPoly.monomial((2, 0)), g1),
-        (WPoly.monomial((0, 1)), g1),
-        (WPoly.monomial((1, 0)), g2),
-    ]
+    # columns x^2*h_(n+1), y*h_(n+1), x*h_(n+2): shifted coefficients
+    shifts = ((g1, 2, 0), (g1, 0, 1), (g2, 1, 0))
     monos = weight_monomials(n + 3)
     matrix = MatQ.from_rows(
-        [[(cof * gen).coefficient(m) for cof, gen in generators] for m in monos],
-        cols=len(generators),
+        [[gen.coefficient((a - da, b - db)) for gen, da, db in shifts] for a, b in monos],
+        cols=len(shifts),
     )
     target = [relation.coefficient(m) for m in monos]
     solution = solve_linear(matrix, target)

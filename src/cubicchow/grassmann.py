@@ -17,8 +17,9 @@ Two independent models of A*(Gr(2, n+2)) are provided:
   touches the quotient ring.
 
 The two are tied together by c1 = sigma_1, c2 = sigma_(1,1) and the
-Giambelli determinant sigma_(a,b) = h_a*h_b - h_(a+1)*h_(b-1); the point
-class sigma_(n,n) = c2^n has degree 1.
+Giambelli determinant sigma_(a,b) = h_a*h_b - h_(a+1)*h_(b-1), whose
+quotient coordinates are read off the integer reducers term pair by term
+pair (``giambelli_coords``); the point class sigma_(n,n) = c2^n has degree 1.
 
 Also here: Chern classes of symmetric powers of a rank-2 bundle via the
 splitting principle, and the class of the locus of lines on a cubic,
@@ -264,7 +265,7 @@ def schubert_mul(n: int, s1: SchubertSum, s2: SchubertSum) -> SchubertSum:
     gives (a2, a+b+c-d-a2) for max(a, b+c-d) <= a2 <= a+c-d, and the shift by
     (d, d) keeps those with a2 + d <= n.
     """
-    out: SchubertSum = {}
+    out: dict[tuple[int, int], int] = {}
     get = out.get
     for (c, d), coeff2 in s2.items():
         p = c - d
@@ -272,9 +273,9 @@ def schubert_mul(n: int, s1: SchubertSum, s2: SchubertSum) -> SchubertSum:
             coeff = coeff1 * coeff2
             size = a + b + c + d
             for top in range(max(a, b + p) + d, min(n, a + p + d) + 1):
-                key = Partition2(top, size - top)
+                key = (top, size - top)
                 out[key] = get(key, 0) + coeff
-    return {key: v for key, v in out.items() if v}
+    return {Partition2._make(key): v for key, v in out.items() if v}
 
 
 @lru_cache(maxsize=None)
@@ -330,6 +331,24 @@ def giambelli(part: Partition2) -> WPoly:
     if b >= 1:
         det = det - complete_symmetric(a + 1) * complete_symmetric(b - 1)
     return det
+
+
+def giambelli_coords(ring: GRing, part: Partition2) -> tuple[int, ...]:
+    """Quotient coordinates of ``giambelli(part)``, in integers.
+
+    Each term pair c*x^e of h_a and d*x^f of h_b adds c*d times the integer
+    reducer row of x^(e+f); no polynomial product is formed.
+    """
+    a, b = part
+    reducer = ring.reducers[a + b]
+    coords = [0] * ring.dim(a + b)
+    for i, j, sign in ((a, b, 1), (a + 1, b - 1, -1)) if b else ((a, b, 1),):
+        for (e1, e2), c in complete_symmetric(i).terms.items():
+            for (f1, f2), d in complete_symmetric(j).terms.items():
+                coeff = sign * c.numerator * d.numerator
+                for k, r in enumerate(reducer[(e1 + f1, e2 + f2)]):
+                    coords[k] += coeff * r
+    return tuple(coords)
 
 
 # -- symmetric powers and the lines-on-a-cubic class -------------------------

@@ -12,6 +12,7 @@ from cubicchow.diagonal import (
     PAIRS,
     PRIM,
     CohX3Class,
+    CohXXClass,
     FormalCycle,
     X3Class,
     XClass,
@@ -29,7 +30,6 @@ from cubicchow.diagonal import (
     x3_degree,
     x3_diagonal,
     x3_monomial,
-    x3_mul,
     x3_pair,
     x3_small_diagonal,
     x3_to_coh,
@@ -38,7 +38,6 @@ from cubicchow.diagonal import (
     xx_diagonal,
     xx_diagonal_expansion,
     xx_monomial,
-    xx_mul,
     xx_to_coh,
 )
 from cubicchow.errors import UnsupportedRange
@@ -48,27 +47,27 @@ from cubicchow.hodge import euler_cubic, hodge_cubic
 
 def test_diagonal_times_hyperplane_example():
     n = 2
-    result = xx_mul(xx_diagonal(n), xx_monomial(n, 1, 0))
+    result = xx_diagonal(n) * xx_monomial(n, 1, 0)
     expected = xx_monomial(n, 2, 1, Fraction(1, 3)) + xx_monomial(n, 1, 2, Fraction(1, 3))
     assert result == expected
 
 
 def test_diagonal_times_top_monomial_vanishes():
     for n in (1, 2, 3):
-        assert xx_mul(xx_diagonal(n), xx_monomial(n, n, n)).is_zero()
+        assert (xx_diagonal(n) * xx_monomial(n, n, n)).is_zero()
 
 
 def test_diagonal_self_intersection_is_euler():
     for n in range(1, 11):
         d = xx_diagonal(n)
-        assert xx_degree(xx_mul(d, d)) == euler_cubic(n)
+        assert xx_degree(d * d) == euler_cubic(n)
 
 
 def test_diagonal_acts_as_identity_correspondence():
     # (pi_2)_*(D * pi_1^* h^i) = h^i: check the coefficient bookkeeping
     n = 3
     for i in range(1, n + 1):
-        product = xx_mul(xx_diagonal(n), xx_monomial(n, i, 0))
+        product = xx_diagonal(n) * xx_monomial(n, i, 0)
         # slot-1 integration: only the h1^n term survives, with weight 3
         coefficient = product.coefficient(("m", n, i))
         assert coefficient == Fraction(1, 3)
@@ -91,13 +90,44 @@ def test_xx_commutative_and_associative_exhaustive():
                     assert ab * cls[k3] == cls[k1] * table[(k2, k3)], (n, k1, k2, k3)
 
 
+def test_coh_xx_commutative_and_associative_exhaustive():
+    # with the XXClass test above: the generator form of model_compatibility
+    # needs both models associative
+    for n in range(1, 7):
+        keys = [k for k in xx_basis(n) if k[0] == "m"] + [(PRIM,)]
+        cls = {k: CohXXClass(n, {k: 1}) for k in keys}
+        table = {(k1, k2): cls[k1] * cls[k2] for k1 in keys for k2 in keys}
+        for k1, k2 in itertools.combinations(keys, 2):
+            assert table[(k1, k2)] == table[(k2, k1)], (n, k1, k2)
+        for k1 in keys:
+            for k2 in keys:
+                ab = table[(k1, k2)]
+                for k3 in keys:
+                    assert ab * cls[k3] == cls[k1] * table[(k2, k3)], (n, k1, k2, k3)
+
+
+def test_model_compatibility_catches_a_perturbed_diagonal_product(monkeypatch):
+    honest = XXClass._term_mul
+
+    def perturbed(self, k1, k2):
+        out = honest(self, k1, k2)
+        if {k1, k2} == {("D",), ("m", 1, 1)}:
+            out = {key: 2 * c for key, c in out.items()}
+        return out
+
+    monkeypatch.setattr(XXClass, "_term_mul", perturbed)
+    computed, expected = _run_check("diagonal.model_compatibility", 4)
+    assert computed != expected
+    assert "not a ring map at ('D',) * ('m', 1, 1)" in computed
+
+
 def test_cycle_class_map_is_ring_map_on_basis():
     for n in range(1, 7):
         keys = xx_basis(n)
         for k1, k2 in itertools.combinations_with_replacement(keys, 2):
             a = XXClass(n, {k1: 1})
             b = XXClass(n, {k2: 1})
-            assert xx_to_coh(xx_mul(a, b)) == xx_to_coh(a) * xx_to_coh(b), (n, k1, k2)
+            assert xx_to_coh(a * b) == xx_to_coh(a) * xx_to_coh(b), (n, k1, k2)
 
 
 def test_cycle_class_map_injective_on_basis():
@@ -122,19 +152,19 @@ def test_primitive_self_pairing_matches_hodge_data():
 
 def test_x3_product_of_distinct_diagonals_is_small_diagonal():
     for n in (1, 2, 3, 5):
-        assert x3_mul(x3_diagonal(n, 1, 2), x3_diagonal(n, 2, 3)) == x3_small_diagonal(n)
-        assert x3_mul(x3_diagonal(n, 1, 2), x3_diagonal(n, 1, 3)) == x3_small_diagonal(n)
+        assert x3_diagonal(n, 1, 2) * x3_diagonal(n, 2, 3) == x3_small_diagonal(n)
+        assert x3_diagonal(n, 1, 2) * x3_diagonal(n, 1, 3) == x3_small_diagonal(n)
 
 
 def test_x3_diagonal_times_free_slot_is_basis_element():
     n = 3
-    result = x3_mul(x3_diagonal(n, 1, 2), x3_monomial(n, 0, 0, 1))
+    result = x3_diagonal(n, 1, 2) * x3_monomial(n, 0, 0, 1)
     assert result == x3_diagonal(n, 1, 2, 1)
 
 
 def test_x3_diagonal_times_own_slot_reduces():
     n = 2
-    result = x3_mul(x3_diagonal(n, 1, 2), x3_monomial(n, 1, 0, 0))
+    result = x3_diagonal(n, 1, 2) * x3_monomial(n, 1, 0, 0)
     expected = x3_monomial(n, 2, 1, 0, Fraction(1, 3)) + x3_monomial(
         n, 1, 2, 0, Fraction(1, 3)
     )
@@ -161,7 +191,7 @@ def test_x3_grading_additive():
             (ka,) = a.terms
             (kb,) = b.terms
             total = codim(ka, n) + codim(kb, n)
-            for key in x3_mul(a, b).terms:
+            for key in (a * b).terms:
                 assert codim(key, n) == total
 
 
@@ -333,7 +363,7 @@ def test_canonical_print_forms():
     n = 2
     d = xx_diagonal(n)
     assert str(d) == "D"
-    assert str(xx_mul(d, xx_monomial(n, 1, 0))) == "1/3*h1^2*h2 + 1/3*h1*h2^2"
+    assert str(d * xx_monomial(n, 1, 0)) == "1/3*h1^2*h2 + 1/3*h1*h2^2"
     gamma = corrected_small_diagonal(n)
     assert str(gamma) == "-1/3*D12*h3^2 - 1/3*D13*h2^2 - 1/3*D23*h1^2 + D3"
     small = small_diagonal_coh(1)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import cubicchow.fano as fano
 from cubicchow.errors import UnsupportedRange
 from cubicchow.fano import (
     extra_relation,
@@ -132,3 +133,35 @@ def test_ideal_decomposition_input_validation():
         ideal_decomposition(3, WPoly.variable("x"))
     zero_a, zero_b = ideal_decomposition(3, WPoly.zero())
     assert zero_a.is_zero() and zero_b.is_zero()
+
+
+def test_ideal_matrix_equals_the_product_built_one(monkeypatch):
+    # the shifted-coefficient columns against x^2*h_(n+1), y*h_(n+1), x*h_(n+2)
+    seen = []
+    monkeypatch.setattr(
+        fano, "solve_linear", lambda matrix, target: seen.append(matrix)
+    )
+    for n in range(1, 13):
+        seen.clear()
+        assert ideal_decomposition(n, WPoly.monomial((n + 3, 0))) is None
+        (matrix,) = seen
+        g1, g2 = complete_symmetric(n + 1), complete_symmetric(n + 2)
+        products = (
+            WPoly.monomial((2, 0)) * g1,
+            WPoly.monomial((0, 1)) * g1,
+            WPoly.monomial((1, 0)) * g2,
+        )
+        expected = [
+            [p.coefficient(m) for p in products] for m in weight_monomials(n + 3)
+        ]
+        assert [list(row) for row in matrix.entries] == expected, n
+
+
+def test_extra_relation_is_cached_and_frozen():
+    relation = extra_relation(4)
+    assert extra_relation(4) is relation
+    with pytest.raises(AttributeError):
+        relation.poly = WPoly.zero()
+    with pytest.raises(TypeError):
+        relation.poly.terms[(3, 0)] = Fraction(2)
+    assert relation.poly.coefficient((3, 0)) == 1

@@ -3,10 +3,13 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cubicchow.grassmann as grassmann
 import cubicchow.linalg as linalg
 from cubicchow.checks import REGISTRY
+from cubicchow.cli import RunConfig, run
 from cubicchow.errors import NotTopDegree, UnsupportedRange
 from cubicchow.fano import fano_pairing
 from cubicchow.grassmann import (
@@ -18,6 +21,7 @@ from cubicchow.grassmann import (
     fano_class,
     fano_poly,
     giambelli,
+    giambelli_coords,
     monomial_schubert,
     normal_form,
     pairing,
@@ -441,3 +445,90 @@ def test_quotient_route_is_independent_of_the_schubert_oracle(monkeypatch):
                 for j, mr in enumerate(pairing_k.right_basis):
                     right = dict(monomial_schubert(n, *mr))
                     assert schubert_pairing(n, left, right) == pairing_k.matrix.entries[i][j]
+
+
+# -- the integer Giambelli table and tuple-keyed Schubert products --------------
+
+
+def test_giambelli_coords_are_the_normal_form_in_integers():
+    for n in range(1, 13):
+        ring = build_ring(n)
+        for k in range(2 * n + 1):
+            for part in partitions_in_box(n, k):
+                coords = giambelli_coords(ring, part)
+                assert coords == normal_form(ring, giambelli(part)).coords, (n, part)
+                assert all(type(c) is int for c in coords), (n, part)
+
+
+def _schubert_mul_reference(n, s1, s2):
+    """The product as written before the tuple keys: a Partition2 per term."""
+    out = {}
+    get = out.get
+    for (c, d), coeff2 in s2.items():
+        p = c - d
+        for (a, b), coeff1 in s1.items():
+            coeff = coeff1 * coeff2
+            size = a + b + c + d
+            for top in range(max(a, b + p) + d, min(n, a + p + d) + 1):
+                key = Partition2(top, size - top)
+                out[key] = get(key, 0) + coeff
+    return {key: v for key, v in out.items() if v}
+
+
+def test_schubert_mul_matches_reference_on_monomials():
+    for n in range(1, 9):
+        sums = [
+            dict(monomial_schubert(n, *m))
+            for k in range(2 * n + 1)
+            for m in weight_monomials(k)
+        ]
+        for s1 in sums:
+            for s2 in sums:
+                got = schubert_mul(n, s1, s2)
+                assert got == _schubert_mul_reference(n, s1, s2), (n, s1, s2)
+                assert all(type(key) is Partition2 for key in got), (n, s1, s2)
+
+
+@st.composite
+def _schubert_sums(draw):
+    n = draw(st.integers(min_value=1, max_value=8))
+    parts = [part for k in range(2 * n + 1) for part in partitions_in_box(n, k)]
+    coeffs = st.integers(min_value=-5, max_value=5)
+    s1, s2 = (
+        draw(st.dictionaries(st.sampled_from(parts), coeffs, max_size=6))
+        for _ in range(2)
+    )
+    return n, s1, s2
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(_schubert_sums())
+def test_schubert_mul_matches_reference_on_inhomogeneous_sums(case):
+    n, s1, s2 = case
+    got = schubert_mul(n, s1, s2)
+    assert got == _schubert_mul_reference(n, s1, s2)
+    assert all(type(key) is Partition2 for key in got)
+
+
+def test_pieri_oracle_catches_a_perturbed_giambelli_entry(monkeypatch):
+    honest = grassmann.giambelli_coords
+
+    def perturbed(ring, part):
+        coords = honest(ring, part)
+        if part == Partition2(2, 1):
+            return (coords[0] + 1,) + coords[1:]
+        return coords
+
+    monkeypatch.setattr(grassmann, "giambelli_coords", perturbed)
+    (check,) = [c for c in REGISTRY if c.check_id == "grassmann.pieri_oracle"]
+    computed, expected = check.fn(4)
+    assert computed != expected
+    assert "mismatch at (2, 0)*(1, 0)" in computed
+
+
+def test_pieri_oracle_rows_above_the_benchmark_range_pass():
+    # n = 11..12 lie below the cap and above every benchmark workload
+    results = run(RunConfig(11, 12, ("grassmann",)))
+    rows = [r for r in results if r.check_id == "grassmann.pieri_oracle"]
+    assert [(r.n, r.status) for r in rows] == [(11, "pass"), (12, "pass")]
+    assert all((r.computed, r.expected) == ("ok", "ok") for r in rows)
