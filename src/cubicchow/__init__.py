@@ -8,7 +8,7 @@ that pins the product structure of the cycle ring down to rank one.
 """
 
 from .errors import CheckFailed, NonIntegralResult, NotTopDegree, UnsupportedRange
-from .wpoly import WPoly, graded_component, poly_mul
+from .wpoly import WPoly
 from .linalg import MatQ, kernel_basis, solve_linear
 from .grassmann import (
     GClass,
@@ -28,16 +28,15 @@ from .grassmann import (
 )
 from .fano import ExtraRelation, FanoPairing, extra_relation, fano_pairing, ideal_decomposition, taut_rank_F
 from .hodge import (
-    EPoly,
     HodgeDiamond,
-    e_fano,
-    e_hilb2,
     euler_cubic,
     fano_diamond,
     fano_hodge_decomposition,
+    hilb2_diamond,
     hodge_cubic,
     sym2_diamond,
     taut_rank_FX,
+    times_projective,
 )
 from .diagonal import (
     FormalCycle,

@@ -167,13 +167,17 @@ def _surface_c2(n: int):
 @_register("fano.pairing_oracle", "fano", 2)
 def _pairing_oracle(n: int):
     f_sch = grassmann.poly_schubert(n, grassmann.fano_poly())
+    pairings = [fano.fano_pairing(n, k) for k in range(2 * (n - 2) + 1)]
+    # every basis monomial is on the left of some pairing: expand each once
+    expansions = {
+        m: dict(grassmann.monomial_schubert(n, *m)) for p in pairings for m in p.left_basis
+    }
     failures = []
-    for k in range(2 * (n - 2) + 1):
-        pairing = fano.fano_pairing(n, k)
+    for k, pairing in enumerate(pairings):
         for i, ml in enumerate(pairing.left_basis):
-            left = grassmann.schubert_mul(n, dict(grassmann.monomial_schubert(n, *ml)), f_sch)
+            left = grassmann.schubert_mul(n, expansions[ml], f_sch)
             for j, mr in enumerate(pairing.right_basis):
-                right = dict(grassmann.monomial_schubert(n, *mr))
+                right = expansions[mr]
                 if pairing.matrix.entries[i][j] != grassmann.schubert_pairing(n, left, right):
                     failures.append(f"entry ({k},{i},{j})")
     return _ok(failures)
@@ -249,9 +253,9 @@ def _euler_spot(n: int):
 
 @_register("hodge.hilb2_identity", "hodge", 2)
 def _hilb2_identity(n: int):
-    lhs = hodge.e_hilb2(n)
-    rhs = hodge.e_cubic(n) * hodge.e_projective(n) + hodge.e_fano(n).shift(2)
-    return str(lhs), str(rhs)
+    lhs = hodge.hilb2_diamond(n)
+    rhs = hodge.times_projective(hodge.hodge_cubic(n), n) + hodge.fano_diamond(n).shift(2)
+    return lhs.e_text(), rhs.e_text()
 
 
 @_register("hodge.fano_dimension", "hodge", 2)

@@ -41,6 +41,7 @@ from typing import Mapping
 
 from .errors import CheckFailed, UnsupportedRange
 from .hodge import euler_cubic, hodge_cubic
+from .wpoly import Frozen, format_monomial, signed_sum
 
 Key = tuple
 
@@ -73,7 +74,7 @@ def primitive_self_pairing(n: int) -> int:
 # -- shared formal-sum plumbing ------------------------------------------------
 
 
-class _FormalSum:
+class _FormalSum(Frozen):
     """Linear combination of basis keys; subclasses define the term products.
 
     Instances are immutable and ``terms`` is a read-only view: they are
@@ -92,12 +93,6 @@ class _FormalSum:
                 clean[key] = c
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "terms", MappingProxyType(clean))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def _check(self, other) -> None:
         if type(self) is not type(other) or self.n != other.n:
@@ -153,22 +148,11 @@ class _FormalSum:
             type(self) is type(other) and self.n == other.n and self.terms == other.terms
         )
 
-    __hash__ = None
-
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        pieces = []
-        for key in sorted(self.terms, key=self._sort_key):
-            c = self.terms[key]
-            body = self._format_key(key)
-            mag = abs(c)
-            text = body if (body and mag == 1) else (f"{mag}*{body}" if body else str(mag))
-            if not pieces:
-                pieces.append(text if c > 0 else f"-{text}")
-            else:
-                pieces.append(f"+ {text}" if c > 0 else f"- {text}")
-        return " ".join(pieces)
+        return signed_sum(
+            (self._format_key(key), self.terms[key])
+            for key in sorted(self.terms, key=self._sort_key)
+        )
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(n={self.n}, {self})"
@@ -188,13 +172,7 @@ def _accumulate(out: dict[Key, Fraction], key: Key, c: Fraction) -> None:
     out[key] = c if prev is None else prev + c
 
 
-def _format_h(slots: dict[int, int]) -> str:
-    parts = []
-    for slot in sorted(slots):
-        e = slots[slot]
-        if e:
-            parts.append(f"h{slot}" if e == 1 else f"h{slot}^{e}")
-    return "*".join(parts)
+_H_NAMES = ("h1", "h2", "h3")  # the hyperplane class on each factor
 
 
 # -- the hypersurface itself ---------------------------------------------------
@@ -291,7 +269,7 @@ class XXClass(_FormalSum):
     @staticmethod
     def _format_key(key):
         if key[0] == MONO:
-            return _format_h({1: key[1], 2: key[2]})
+            return format_monomial(_H_NAMES, key[1:])
         return "D"
 
 
@@ -336,7 +314,7 @@ class CohXXClass(_FormalSum):
     @staticmethod
     def _format_key(key):
         if key[0] == MONO:
-            return _format_h({1: key[1], 2: key[2]})
+            return format_monomial(_H_NAMES, key[1:])
         return "d"
 
 
@@ -441,10 +419,10 @@ class X3Class(_FormalSum):
     @staticmethod
     def _format_key(key):
         if key[0] == MONO:
-            return _format_h({1: key[1], 2: key[2], 3: key[3]})
+            return format_monomial(_H_NAMES, key[1:])
         if key[0] == DIAG:
             _, a, b, m = key
-            tail = _format_h({_third(a, b): m})
+            tail = format_monomial((f"h{_third(a, b)}",), (m,))
             return f"D{a}{b}" + (f"*{tail}" if tail else "")
         return "D3"
 
@@ -551,9 +529,9 @@ class CohX3Class(_FormalSum):
     @staticmethod
     def _format_key(key):
         if key[0] == MONO:
-            return _format_h({1: key[1], 2: key[2], 3: key[3]})
+            return format_monomial(_H_NAMES, key[1:])
         _, a, b, m = key
-        tail = _format_h({_third(a, b): m})
+        tail = format_monomial((f"h{_third(a, b)}",), (m,))
         return f"d{a}{b}" + (f"*{tail}" if tail else "")
 
 

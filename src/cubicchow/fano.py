@@ -9,7 +9,8 @@ off the top reducer of the quotient ring, one lookup per term of [F]
 
 ``extra_relation`` finds the polynomial relation of weighted degree n-1
 that holds on F but not on the ambient ring (the kernel of multiplication
-by [F] from degree n-1 to degree n+3), and ``ideal_decomposition`` checks
+by [F] from degree n-1 to degree n+3, whose columns are read off the
+reducers of degree n+3 in the same way), and ``ideal_decomposition`` checks
 ideal membership in degree n+3 by an independent linear solve against the
 two relation generators, whose columns are the shifted coefficients of
 h_(n+1) and h_(n+2) (no product is formed).
@@ -24,9 +25,7 @@ from .errors import CheckFailed, UnsupportedRange
 from .grassmann import (
     build_ring,
     complete_symmetric,
-    fano_class,
     fano_poly,
-    normal_form,
     pairing,
     weight_monomials,
 )
@@ -82,15 +81,15 @@ def extra_relation(n: int) -> ExtraRelation:
     if n < 3:
         raise UnsupportedRange("extra_relation needs n >= 3 (A^(n+3) empty below)")
     ring = build_ring(n)
-    f_poly = fano_class(ring).to_poly()
     source = ring.bases[n - 1]
-    target_dim = ring.dim(n + 3)
-    columns = []
-    for mono in source:
-        image = normal_form(ring, WPoly.monomial(mono) * f_poly)
-        columns.append(image.coords)
+    # column of x^a y^b: sum c * reducers[n+3][(a, b) + e] over the terms c * x^e of [F]
+    terms = fano_poly().terms.items()
+    reducer = ring.reducers[n + 3]
     matrix = MatQ.from_rows(
-        [[columns[j][i] for j in range(len(source))] for i in range(target_dim)],
+        [
+            [sum(c * reducer[(a + e1, b + e2)][i] for (e1, e2), c in terms) for a, b in source]
+            for i in range(ring.dim(n + 3))
+        ],
         cols=len(source),
     )
     kernel = kernel_basis(matrix)

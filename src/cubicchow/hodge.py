@@ -6,18 +6,21 @@ h^(n-q, q) = binom(n+2, 3q+1-n), the Hilbert function (1+t)^(n+2) of the
 ring of a cubic evaluated in the Griffiths degrees); everything downstream
 is bookkeeping with bigraded multiplicity tables.
 
-The unsigned :class:`HodgeDiamond` is the primary representation; the
-signed two-variable :class:`EPoly` is derived from it, so degree parity is
-never reconstructed from signs.  The chain
+The unsigned :class:`HodgeDiamond` is the only representation.  Every
+diamond here is pure (p + q = k), so the signed E-polynomial
+sum (-1)^k h^(p,q)(H^k) u^p v^q carries nothing the diamond lacks: it exists
+only as text (:meth:`HodgeDiamond.e_text`), and degree parity is never
+reconstructed from signs.  Multiplying by E(P^m) is a sum of Tate shifts
+(``times_projective``), so the chain
 
     E(Hilb^2 X) = E(Sym^2 X) + (sum_(k=1)^(n-1) (uv)^k) * E(X)
     E(F) = (E(Hilb^2 X) - E(X) * E(P^n)) / (uv)^2
 
-recovers the cohomology of the variety of lines F exactly; the division
-must be exact and the result must be a genuine diamond of dimension
-2(n-2).  ``fano_hodge_decomposition`` then peels off the symmetric square
-of the primitive middle cohomology and its n-1 Tate shifts, leaving pure
-(k, k) Tate multiplicities.
+runs on diamonds and recovers the cohomology of the variety of lines F
+exactly; the division must be exact and the result must be a genuine
+diamond of dimension 2(n-2).  ``fano_hodge_decomposition`` then peels off
+the symmetric square of the primitive middle cohomology and its n-1 Tate
+shifts, leaving pure (k, k) Tate multiplicities.
 """
 
 from __future__ import annotations
@@ -29,11 +32,12 @@ from typing import Mapping
 
 from .errors import CheckFailed, NonIntegralResult, UnsupportedRange
 from .fano import taut_rank_F
+from .wpoly import Frozen, format_monomial, signed_sum
 
 Entry = tuple[int, int, int]  # (cohomological degree k, p, q) with p + q = k
 
 
-class HodgeDiamond:
+class HodgeDiamond(Frozen):
     """Multiplicity table (k, p, q) -> integer; zero entries are dropped.
 
     Intermediate bookkeeping may hold negative multiplicities; diamonds of
@@ -52,12 +56,6 @@ class HodgeDiamond:
             if m != 0:
                 clean[(k, p, q)] = int(m)
         object.__setattr__(self, "entries", MappingProxyType(clean))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HodgeDiamond is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("HodgeDiamond is immutable")
 
     def get(self, k: int, p: int, q: int) -> int:
         return self.entries.get((k, p, q), 0)
@@ -92,106 +90,21 @@ class HodgeDiamond:
     def __eq__(self, other) -> bool:
         return isinstance(other, HodgeDiamond) and self.entries == other.entries
 
-    __hash__ = None
-
     def is_effective(self) -> bool:
         return all(m > 0 for m in self.entries.values())
 
     def is_symmetric(self) -> bool:
         return all(self.get(k, q, p) == m for (k, p, q), m in self.entries.items())
 
-    def e_poly(self) -> "EPoly":
-        out: dict[tuple[int, int], int] = {}
-        for (k, p, q), m in self.entries.items():
-            out[(p, q)] = out.get((p, q), 0) + (-1) ** k * m
-        return EPoly(out)
+    def e_text(self) -> str:
+        """The E-polynomial sum (-1)^k h^(p,q)(H^k) u^p v^q in canonical text."""
+        return signed_sum(
+            (format_monomial(("u", "v"), (p, q)), (-1) ** k * m)
+            for (k, p, q), m in sorted(self.entries.items(), reverse=True)
+        )
 
     def __repr__(self) -> str:
         return f"HodgeDiamond({dict(sorted(self.entries.items()))})"
-
-
-class EPoly:
-    """Signed Hodge multiplicity polynomial: sum (-1)^k h^(p,q)(H^k) u^p v^q.
-
-    E-polynomials are shared through caches, so they are immutable and
-    ``coeffs`` is a read-only view.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Mapping[tuple[int, int], int] | None = None):
-        clean = {
-            (int(p), int(q)): int(c) for (p, q), c in (coeffs or {}).items() if c != 0
-        }
-        object.__setattr__(self, "coeffs", MappingProxyType(clean))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EPoly is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("EPoly is immutable")
-
-    def get(self, p: int, q: int) -> int:
-        return self.coeffs.get((p, q), 0)
-
-    def __add__(self, other: "EPoly") -> "EPoly":
-        out = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            out[key] = out.get(key, 0) + c
-        return EPoly(out)
-
-    def __sub__(self, other: "EPoly") -> "EPoly":
-        out = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            out[key] = out.get(key, 0) - c
-        return EPoly(out)
-
-    def __mul__(self, other: "EPoly") -> "EPoly":
-        out: dict[tuple[int, int], int] = {}
-        for (p1, q1), c1 in self.coeffs.items():
-            for (p2, q2), c2 in other.coeffs.items():
-                key = (p1 + p2, q1 + q2)
-                out[key] = out.get(key, 0) + c1 * c2
-        return EPoly(out)
-
-    def shift(self, k: int) -> "EPoly":
-        """Multiply by (uv)^k."""
-        return EPoly({(p + k, q + k): c for (p, q), c in self.coeffs.items()})
-
-    def eval_ones(self) -> int:
-        """Value at u = v = 1: the topological Euler characteristic."""
-        return sum(self.coeffs.values())
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, EPoly) and self.coeffs == other.coeffs
-
-    __hash__ = None
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        def fmt(p, q):
-            parts = []
-            if p:
-                parts.append("u" if p == 1 else f"u^{p}")
-            if q:
-                parts.append("v" if q == 1 else f"v^{q}")
-            return "*".join(parts)
-        pieces = []
-        for (p, q), c in sorted(
-            self.coeffs.items(), key=lambda t: (t[0][0] + t[0][1], t[0]), reverse=True
-        ):
-            mono = fmt(p, q)
-            mag = abs(c)
-            body = mono if (mono and mag == 1) else (f"{mag}*{mono}" if mono else str(mag))
-            if not pieces:
-                pieces.append(body if c > 0 else f"-{body}")
-            else:
-                pieces.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(pieces)
-
-    def __repr__(self) -> str:
-        return f"EPoly({self})"
 
 
 # -- the cubic hypersurface ---------------------------------------------------
@@ -290,72 +203,49 @@ def sym2_diamond(diamond: HodgeDiamond) -> HodgeDiamond:
     return HodgeDiamond(out)
 
 
-def e_cubic(n: int) -> EPoly:
-    return hodge_cubic(n).e_poly()
-
-
-def e_projective(n: int) -> EPoly:
-    """E(P^n) = 1 + uv + ... + (uv)^n."""
-    return EPoly({(k, k): 1 for k in range(n + 1)})
+def times_projective(d: HodgeDiamond, m: int) -> HodgeDiamond:
+    """Diamond of d x P^m: the sum of the shifts d.shift(t), 0 <= t <= m."""
+    return sum((d.shift(t) for t in range(m + 1)), HodgeDiamond())
 
 
 @lru_cache(maxsize=None)
-def e_hilb2(n: int) -> EPoly:
-    """E-polynomial of the Hilbert square of the cubic.
+def hilb2_diamond(n: int) -> HodgeDiamond:
+    """Diamond of the Hilbert square of the cubic.
 
     Blow-up of Sym^2 X along the diagonal: the exceptional P^(n-1)-bundle
-    contributes (sum_(k=1)^(n-1) (uv)^k) * E(X) on top of E(Sym^2 X).
+    contributes sum_(k=1)^(n-1) X(-k) on top of Sym^2 X.
     """
     if n < 1:
-        raise UnsupportedRange("e_hilb2 needs n >= 1")
-    e_x = e_cubic(n)
-    e_sym2 = sym2_diamond(hodge_cubic(n)).e_poly()
-    total = e_sym2
-    for k in range(1, n):
-        total = total + e_x.shift(k)
-    return total
-
-
-@lru_cache(maxsize=None)
-def e_fano(n: int) -> EPoly:
-    """E-polynomial of the variety of lines, from the Hilbert-square relation.
-
-    E(F) = (E(Hilb^2 X) - E(X) * E(P^n)) / (uv)^2.  The division must be
-    exact (:class:`NonIntegralResult` otherwise) and the result must be the
-    E-polynomial of a genuine diamond of dimension 2(n-2): sign-stripping
-    by degree parity yields nonnegative numbers, and the top coefficient is
-    1 for n >= 3 (for n = 2 it is 27, one per point of F).
-    """
-    if n < 2:
-        raise UnsupportedRange("e_fano needs n >= 2")
-    numerator = e_hilb2(n) - e_cubic(n) * e_projective(n)
-    if any(p < 2 or q < 2 for (p, q) in numerator.coeffs):
-        raise NonIntegralResult(f"(uv)^2 does not divide the numerator at n={n}")
-    result = EPoly({(p - 2, q - 2): c for (p, q), c in numerator.coeffs.items()})
-    _validate_fano_epoly(n, result)
-    return result
-
-
-def _validate_fano_epoly(n: int, e: EPoly) -> None:
-    dim = 2 * (n - 2)
-    for (p, q), c in e.coeffs.items():
-        if (-1) ** (p + q) * c < 0:
-            raise CheckFailed(f"negative multiplicity at (p,q)=({p},{q}) for n={n}")
-        if p > dim or q > dim:
-            raise CheckFailed(f"entry ({p},{q}) beyond dimension {dim} for n={n}")
-    top = e.get(dim, dim)
-    expected_top = 27 if n == 2 else 1
-    if top != expected_top:
-        raise CheckFailed(f"top coefficient {top} != {expected_top} at n={n}")
+        raise UnsupportedRange("hilb2_diamond needs n >= 1")
+    x = hodge_cubic(n)
+    return sym2_diamond(x) + times_projective(x, n - 2).shift(1)
 
 
 @lru_cache(maxsize=None)
 def fano_diamond(n: int) -> HodgeDiamond:
-    """Unsigned diamond of F recovered from e_fano by degree parity."""
-    e = e_fano(n)
-    diamond = HodgeDiamond(
-        {(p + q, p, q): (-1) ** (p + q) * c for (p, q), c in e.coeffs.items()}
-    )
+    """Diamond of the variety of lines, from the Hilbert-square relation.
+
+    (uv)^2 * E(F) = E(Hilb^2 X) - E(X) * E(P^n).  The division must be exact
+    (:class:`NonIntegralResult` otherwise) and the result must be a genuine
+    diamond of dimension 2(n-2): nonnegative entries, and the top entry is
+    1 for n >= 3 (for n = 2 it is 27, one per point of F).
+    """
+    if n < 2:
+        raise UnsupportedRange("fano_diamond needs n >= 2")
+    numerator = hilb2_diamond(n) - times_projective(hodge_cubic(n), n)
+    if any(p < 2 or q < 2 for (_, p, q) in numerator.entries):
+        raise NonIntegralResult(f"(uv)^2 does not divide the numerator at n={n}")
+    diamond = numerator.shift(-2)
+    dim = 2 * (n - 2)
+    for (_, p, q), m in diamond.entries.items():
+        if m < 0:
+            raise CheckFailed(f"negative multiplicity at (p,q)=({p},{q}) for n={n}")
+        if p > dim or q > dim:
+            raise CheckFailed(f"entry ({p},{q}) beyond dimension {dim} for n={n}")
+    top = diamond.get(2 * dim, dim, dim)
+    expected_top = 27 if n == 2 else 1
+    if top != expected_top:
+        raise CheckFailed(f"top coefficient {top} != {expected_top} at n={n}")
     if not diamond.is_effective() or not diamond.is_symmetric():
         raise CheckFailed(f"invalid diamond for the variety of lines at n={n}")
     return diamond
@@ -374,9 +264,7 @@ def fano_hodge_decomposition(n: int) -> tuple[int, ...]:
     if n < 2:
         raise UnsupportedRange("fano_hodge_decomposition needs n >= 2")
     middle = primitive_middle(n)
-    accounted = sym2_diamond(middle)
-    for k in range(0, n - 1):
-        accounted = accounted + middle.shift(k)
+    accounted = sym2_diamond(middle) + times_projective(middle, n - 2)
     remainder = fano_diamond(n) - accounted
     top = 2 * (n - 2)
     values = [0] * (top + 1)

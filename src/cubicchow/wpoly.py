@@ -8,7 +8,10 @@ stand for the first and second Chern class of a rank-2 bundle.
 
 The canonical text form sorts terms by descending graded-lex order, e.g.
 ``18*x^2*y + 9*y^2``; :meth:`WPoly.parse` inverts it exactly and rejects
-every other text with ``ValueError``.
+every other text with ``ValueError``.  Its printer, ``signed_sum`` over
+``format_monomial`` bodies, also prints the diagonal model classes and the
+E-polynomials of Hodge diamonds, and :class:`Frozen` is the immutable base
+of every value type shared through caches.
 """
 
 from __future__ import annotations
@@ -33,7 +36,50 @@ _TERM_RE = re.compile(
 _FACTOR_RE = re.compile(r"([A-Za-z]\w*)(?:\^(\d+))?")
 
 
-class WPoly:
+class Frozen:
+    """Base of the value types shared through caches: no attribute writes.
+
+    A write to a cached value would poison every later computation in the
+    process, so attributes are set once with ``object.__setattr__`` and
+    rebinding or deleting one raises ``AttributeError``.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __hash__ = None
+
+
+def format_monomial(names: Iterable[str], exps: Iterable[int]) -> str:
+    """``x^2*y`` for the exponents (2, 1) of ("x", "y"); "" for the unit."""
+    return "*".join(
+        name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e
+    )
+
+
+def signed_sum(terms: Iterable[tuple[str, object]]) -> str:
+    """Canonical text of nonzero (body, coefficient) pairs, in the given order.
+
+    A magnitude 1 is left out before a nonempty body; the first term carries
+    a bare ``-`` and later ones `` + `` or `` - ``; no terms print ``0``.
+    """
+    pieces = []
+    for body, c in terms:
+        mag = abs(c)
+        text = body if (body and mag == 1) else (f"{mag}*{body}" if body else str(mag))
+        if pieces:
+            pieces.append(f"+ {text}" if c > 0 else f"- {text}")
+        else:
+            pieces.append(text if c > 0 else f"-{text}")
+    return " ".join(pieces) if pieces else "0"
+
+
+class WPoly(Frozen):
     """Immutable sparse polynomial with a weighted grading.
 
     ``terms`` is a read-only view: polynomials are shared through caches,
@@ -64,12 +110,6 @@ class WPoly:
         object.__setattr__(self, "vars", tuple(vars))
         object.__setattr__(self, "weights", tuple(weights))
         object.__setattr__(self, "terms", MappingProxyType(clean))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WPoly is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("WPoly is immutable")
 
     # -- constructors ------------------------------------------------------
 
@@ -186,8 +226,6 @@ class WPoly:
             and self.terms == other.terms
         )
 
-    __hash__ = None
-
     # -- canonical text form -------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
@@ -196,32 +234,10 @@ class WPoly:
             self.terms.items(), key=lambda t: (self.wdeg(t[0]), t[0]), reverse=True
         )
 
-    def _format_monomial(self, exps: Exponents) -> str:
-        parts = []
-        for name, e in zip(self.vars, exps):
-            if e == 0:
-                continue
-            parts.append(name if e == 1 else f"{name}^{e}")
-        return "*".join(parts)
-
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        pieces = []
-        for exps, c in self.sorted_terms():
-            mono = self._format_monomial(exps)
-            mag = abs(c)
-            if mono and mag == 1:
-                body = mono
-            elif mono:
-                body = f"{mag}*{mono}"
-            else:
-                body = str(mag)
-            if not pieces:
-                pieces.append(body if c > 0 else f"-{body}")
-            else:
-                pieces.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(pieces)
+        return signed_sum(
+            (format_monomial(self.vars, exps), c) for exps, c in self.sorted_terms()
+        )
 
     def __repr__(self) -> str:
         return f"WPoly({self})"
@@ -255,12 +271,3 @@ class WPoly:
         if str(poly) != text:
             raise ValueError(f"not in canonical form: {text!r}")
         return poly
-
-
-def poly_mul(a: WPoly, b: WPoly) -> WPoly:
-    """Exact product; raises ``ValueError`` on mismatched variable sets."""
-    return a * b
-
-
-def graded_component(p: WPoly, d: int) -> WPoly:
-    return p.graded_component(d)

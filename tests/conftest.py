@@ -2,6 +2,11 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
+
+# property tests are reproducible: a fixed seed, no example database, no deadline
+settings.register_profile("exact", derandomize=True, database=None, deadline=None)
+settings.load_profile("exact")
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 

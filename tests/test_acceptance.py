@@ -50,7 +50,7 @@ def test_criterion_02_fano_surface():
     assert grassmann.degree_of_poly(ring, WPoly.monomial((2, 0)) * grassmann.fano_poly()) == 45
     assert grassmann.degree_of_poly(ring, WPoly.monomial((0, 1)) * grassmann.fano_poly()) == 27
     diamond = hodge.fano_diamond(3)
-    assert hodge.e_fano(3).eval_ones() == 27
+    assert diamond.euler() == 27
     assert diamond.betti(1) == 10
     assert diamond.betti(2) == 45
     # third pipeline: the structural decomposition exhausts b2 by the
@@ -82,10 +82,10 @@ def test_criterion_04_euler():
 @criterion(5, "Hilbert-square relation: exact division and exact recomposition, n <= 10")
 def test_criterion_05_hilb2_identity():
     for n in range(2, 11):
-        e_f = hodge.e_fano(n)  # raises on inexact division or negativity
-        assert hodge.fano_diamond(n).is_effective()
-        lhs = hodge.e_hilb2(n)
-        rhs = hodge.e_cubic(n) * hodge.e_projective(n) + e_f.shift(2)
+        diamond = hodge.fano_diamond(n)  # raises on inexact division or negativity
+        assert diamond.is_effective()
+        lhs = hodge.hilb2_diamond(n)
+        rhs = hodge.times_projective(hodge.hodge_cubic(n), n) + diamond.shift(2)
         assert lhs == rhs
 
 

@@ -461,9 +461,7 @@ def test_x3_pair_matches_product_degree_on_basis():
 # -- property tests: the cycle-class maps are linear, xx_to_coh multiplicative --
 
 _COEFFS = st.fractions(min_value=-4, max_value=4, max_denominator=6)
-_PROPERTY_SETTINGS = settings(
-    derandomize=True, database=None, deadline=None, max_examples=60
-)
+_PROPERTY_SETTINGS = settings(max_examples=60)
 
 
 def _x3_basis(n):

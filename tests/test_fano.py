@@ -14,10 +14,12 @@ from cubicchow.fano import (
 from cubicchow.grassmann import (
     build_ring,
     complete_symmetric,
+    fano_class,
     fano_poly,
     normal_form,
     weight_monomials,
 )
+from cubicchow.linalg import kernel_basis
 from cubicchow.wpoly import WPoly
 
 
@@ -165,3 +167,24 @@ def test_extra_relation_is_cached_and_frozen():
     with pytest.raises(TypeError):
         relation.poly.terms[(3, 0)] = Fraction(2)
     assert relation.poly.coefficient((3, 0)) == 1
+
+
+def test_extra_relation_matrix_equals_the_product_built_one(monkeypatch):
+    # columns read off reducers[n+3] against normal forms of x^a y^b * [F]
+    seen = []
+    monkeypatch.setattr(
+        fano, "kernel_basis", lambda matrix: seen.append(matrix) or kernel_basis(matrix)
+    )
+    for n in range(3, 13):
+        seen.clear()
+        relation = extra_relation.__wrapped__(n)
+        (matrix,) = seen
+        ring = build_ring(n)
+        f_poly = fano_class(ring).to_poly()
+        columns = [
+            normal_form(ring, WPoly.monomial(mono) * f_poly).coords
+            for mono in ring.bases[n - 1]
+        ]
+        expected = [list(row) for row in zip(*columns)]
+        assert [list(row) for row in matrix.entries] == expected, n
+        assert relation == extra_relation(n)

@@ -501,7 +501,7 @@ def _schubert_sums(draw):
     return n, s1, s2
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@settings(max_examples=150)
 @given(_schubert_sums())
 def test_schubert_mul_matches_reference_on_inhomogeneous_sums(case):
     n, s1, s2 = case

@@ -1,23 +1,22 @@
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cubicchow.checks import REGISTRY
 from cubicchow.errors import UnsupportedRange
 from cubicchow.hodge import (
-    EPoly,
     HodgeDiamond,
-    e_cubic,
-    e_fano,
-    e_hilb2,
-    e_projective,
     euler_cubic,
     fano_diamond,
     fano_hodge_decomposition,
+    hilb2_diamond,
     hodge_cubic,
     primitive_middle,
     sym2_diamond,
     taut_rank_FX,
+    times_projective,
 )
 
 
@@ -63,27 +62,42 @@ def test_sym2_middle_cohomology_cubic_threefold():
     assert (s.get(6, 4, 2), s.get(6, 3, 3), s.get(6, 2, 4)) == (10, 25, 10)
 
 
-def test_sym2_against_adams_identity():
+# pure diamonds with odd degrees and negative (virtual) multiplicities
+_DIAMONDS = st.dictionaries(
+    st.tuples(st.integers(0, 4), st.integers(0, 4)), st.integers(-6, 6), max_size=8
+).map(lambda terms: HodgeDiamond({(p + q, p, q): m for (p, q), m in terms.items()}))
+
+
+@settings(max_examples=200)
+@example(hodge_cubic(1))
+@example(hodge_cubic(2))
+@example(hodge_cubic(3))
+@example(hodge_cubic(4))
+@example(hodge_cubic(5))
+@example(hodge_cubic(6))
+@example(hodge_cubic(7))
+@given(_DIAMONDS)
+def test_sym2_against_adams_identity(diamond):
     # graded Sym^2 must satisfy 2*Sym^2 = D (x) D + psi_2(D)
-    for n in range(1, 8):
-        diamond = hodge_cubic(n)
-        sym = sym2_diamond(diamond)
-        tensor: dict = {}
-        for (k1, p1, q1), m1 in diamond.entries.items():
-            for (k2, p2, q2), m2 in diamond.entries.items():
-                key = (k1 + k2, p1 + p2, q1 + q2)
-                tensor[key] = tensor.get(key, 0) + m1 * m2
-        for (k, p, q), m in diamond.entries.items():
-            key = (2 * k, 2 * p, 2 * q)
-            tensor[key] = tensor.get(key, 0) + (-1) ** k * m
-        assert HodgeDiamond({k: v // 2 for k, v in tensor.items()}) == sym
-        assert all(v % 2 == 0 for v in tensor.values())
+    sym = sym2_diamond(diamond)
+    tensor: dict = {}
+    for (k1, p1, q1), m1 in diamond.entries.items():
+        for (k2, p2, q2), m2 in diamond.entries.items():
+            key = (k1 + k2, p1 + p2, q1 + q2)
+            tensor[key] = tensor.get(key, 0) + m1 * m2
+    for (k, p, q), m in diamond.entries.items():
+        key = (2 * k, 2 * p, 2 * q)
+        tensor[key] = tensor.get(key, 0) + (-1) ** k * m
+    assert HodgeDiamond({k: v // 2 for k, v in tensor.items()}) == sym
+    assert all(v % 2 == 0 for v in tensor.values())
 
 
 def test_e_hilb2_cubic_surface_frozen():
-    expected = EPoly({(0, 0): 1, (1, 1): 8, (2, 2): 36, (3, 3): 8, (4, 4): 1})
-    assert e_hilb2(2) == expected
-    assert str(e_hilb2(2)) == "u^4*v^4 + 8*u^3*v^3 + 36*u^2*v^2 + 8*u*v + 1"
+    expected = HodgeDiamond(
+        {(0, 0, 0): 1, (2, 1, 1): 8, (4, 2, 2): 36, (6, 3, 3): 8, (8, 4, 4): 1}
+    )
+    assert hilb2_diamond(2) == expected
+    assert hilb2_diamond(2).e_text() == "u^4*v^4 + 8*u^3*v^3 + 36*u^2*v^2 + 8*u*v + 1"
 
 
 def test_sym2_elliptic_curve_guard():
@@ -101,22 +115,23 @@ def test_sym2_elliptic_curve_guard():
         }
     )
     assert sym == expected
-    assert e_hilb2(1) == sym.e_poly()
+    assert hilb2_diamond(1) == sym
+    assert hodge_cubic(1).e_text() == "u*v - u - v + 1"
 
 
 def test_hilb2_euler_characteristic():
     for n in range(1, 9):
         chi = euler_cubic(n)
-        assert e_hilb2(n).eval_ones() == (chi * chi + chi) // 2 + (n - 1) * chi
+        assert hilb2_diamond(n).euler() == (chi * chi + chi) // 2 + (n - 1) * chi
 
 
 def test_e_fano_cubic_surface_is_27_points():
-    assert e_fano(2) == EPoly({(0, 0): 27})
+    assert fano_diamond(2) == HodgeDiamond({(0, 0, 0): 27})
 
 
 def test_e_fano_cubic_threefold():
     diamond = fano_diamond(3)
-    assert e_fano(3).eval_ones() == 27
+    assert diamond.euler() == 27
     assert diamond.betti(1) == 10
     assert diamond.betti(2) == 45
     assert diamond.get(1, 1, 0) == 5
@@ -127,7 +142,7 @@ def test_e_fano_cubic_fourfold():
     assert diamond.betti(2) == 23
     assert (diamond.get(2, 2, 0), diamond.get(2, 1, 1), diamond.get(2, 0, 2)) == (1, 21, 1)
     assert diamond.betti(4) == 276
-    assert e_fano(4).eval_ones() == 324
+    assert diamond.euler() == 324
 
 
 def test_e_fano_validity_range():
@@ -139,13 +154,13 @@ def test_e_fano_validity_range():
         assert diamond.is_effective()
         assert diamond.is_symmetric()
     with pytest.raises(UnsupportedRange):
-        e_fano(1)
+        fano_diamond(1)
 
 
 def test_hilb2_identity_exact():
     for n in range(2, 11):
-        lhs = e_hilb2(n)
-        rhs = e_cubic(n) * e_projective(n) + e_fano(n).shift(2)
+        lhs = hilb2_diamond(n)
+        rhs = times_projective(hodge_cubic(n), n) + fano_diamond(n).shift(2)
         assert lhs == rhs
 
 
@@ -228,18 +243,21 @@ def test_cached_diamonds_are_immutable():
 
 
 def test_cached_e_polynomials_are_immutable():
-    e = e_fano(3)
-    before = dict(e.coeffs)
-    with pytest.raises(TypeError):
-        e.coeffs[(0, 0)] = 99
-    with pytest.raises(TypeError):
-        del e.coeffs[(0, 0)]
-    with pytest.raises(AttributeError):
-        e.coeffs = {}
-    with pytest.raises(AttributeError):
-        del e.coeffs
-    # the attempted writes changed nothing that later checks read
-    assert e_fano(3).coeffs == before
+    # the E-polynomial chain is carried by the cached Hilbert-square and
+    # variety-of-lines diamonds
+    for cached in (hilb2_diamond, fano_diamond):
+        diamond = cached(3)
+        before = dict(diamond.entries)
+        with pytest.raises(TypeError):
+            diamond.entries[(0, 0, 0)] = 99
+        with pytest.raises(TypeError):
+            del diamond.entries[(0, 0, 0)]
+        with pytest.raises(AttributeError):
+            diamond.entries = {}
+        with pytest.raises(AttributeError):
+            del diamond.entries
+        # the attempted writes changed nothing that later checks read
+        assert cached(3).entries == before
     fano_diamond.cache_clear()
     fano_hodge_decomposition.cache_clear()
     for check_id in ("hodge.hilb2_identity", "hodge.decomposition_a0", "hodge.decomposition_tate"):

@@ -142,7 +142,7 @@ def _matrices(draw):
     return rows
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@settings(max_examples=150)
 @given(_matrices())
 def test_rref_matches_gauss_jordan_over_fractions(rows):
     reduced, pivots = rref(rows)
