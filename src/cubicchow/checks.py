@@ -356,7 +356,7 @@ def _defect_pairing(n: int):
             dual = diagonal.x3_monomial(n, a, b, n - a - b)
             if diagonal.x3_pair(defect, dual) != 0:
                 failures.append(f"monomial dual ({a},{b},{n - a - b})")
-    image = diagonal.x3_to_coh(defect)
+    image = diagonal.defect_image(n)
     for a, b in diagonal.PAIRS:
         dual = diagonal.CohX3Class(n, {(diagonal.PRIM, a, b, 0): Fraction(1)})
         if diagonal.coh_pair(image, dual) != 0:

@@ -20,6 +20,13 @@ contractions follow d_ab * d_bc = (1/3) h_b^n d_ac (no sign bookkeeping:
 the projector law is verified, not assumed).  Same-pair products d * d
 never arise on X^3 and are rejected.
 
+Every class holds integer numerators over one denominator, in normal form:
+no zero numerator, den > 0, gcd(den, *num) == 1 and den == 1 for zero.
+``_term_mul`` returns numerators over the model's rule denominator ``_DEN``
+(27 for X3Class, 9 for XXClass and CohXXClass, 3 for CohX3Class), so a sum
+or product is reduced once, by one gcd.  ``Fraction`` appears only at the
+edge: coefficients, degrees, pairings, the decomposable table and text.
+
 Degrees on X^3 are read off by Poincare duality: ``x3_pair(a, b)`` sums
 only the term pairs whose codimensions add up to 3n, without forming the
 product a * b.
@@ -36,6 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from types import MappingProxyType
 from typing import Mapping
 
@@ -48,9 +56,6 @@ Key = tuple
 PAIRS = ((1, 2), (1, 3), (2, 3))
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
-_THIRD = Fraction(1, 3)
-_NINTH = Fraction(1, 9)
 
 
 def _third(a: int, b: int) -> int:
@@ -77,22 +82,42 @@ def primitive_self_pairing(n: int) -> int:
 class _FormalSum(Frozen):
     """Linear combination of basis keys; subclasses define the term products.
 
-    Instances are immutable and ``terms`` is a read-only view: they are
-    shared through caches, so a write would poison every later computation
-    in the process.
+    Integer numerators ``num`` over ``den`` in the normal form of the module
+    docstring, so equal classes have equal fields.  Instances are immutable
+    and ``num`` and ``terms`` are read-only views: they are shared through
+    caches, so a write would poison every later computation in the process.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "num", "den")
 
     def __init__(self, n: int, terms: Mapping[Key, Fraction | int] | None = None):
-        clean: dict[Key, Fraction] = {}
-        for key, c in (terms or {}).items():
-            if type(c) is not Fraction:
-                c = Fraction(c)
-            if c:
-                clean[key] = c
+        coeffs = {
+            key: c if isinstance(c, (int, Fraction)) else Fraction(c)
+            for key, c in (terms or {}).items()
+        }
+        den = lcm(*(c.denominator for c in coeffs.values()))
+        num = {key: c.numerator * (den // c.denominator) for key, c in coeffs.items()}
+        self._set(n, num, den)
+
+    def _set(self, n: int, num: dict[Key, int], den: int) -> None:
+        g = gcd(den, *num.values())  # equals den when every numerator is 0
+        num = {key: c // g for key, c in num.items() if c}
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", MappingProxyType(clean))
+        object.__setattr__(self, "num", MappingProxyType(num))
+        object.__setattr__(self, "den", den // g)
+
+    @classmethod
+    def _reduced(cls, n: int, num: dict[Key, int], den: int):
+        """The class ``num / den`` (``den > 0``), brought to normal form."""
+        out = object.__new__(cls)
+        out._set(n, num, den)
+        return out
+
+    @property
+    def terms(self) -> Mapping[Key, Fraction]:
+        """The coefficients as ``Fraction``s, for callers off the hot paths."""
+        den = self.den
+        return MappingProxyType({key: Fraction(c, den) for key, c in self.num.items()})
 
     def _check(self, other) -> None:
         if type(self) is not type(other) or self.n != other.n:
@@ -100,21 +125,20 @@ class _FormalSum(Frozen):
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, Fraction(0)) + c
-        return type(self)(self.n, out)
+        den = lcm(self.den, other.den)
+        f, g = den // self.den, den // other.den
+        out = {key: c * f for key, c in self.num.items()}
+        for key, c in other.num.items():
+            out[key] = out.get(key, 0) + c * g
+        return self._reduced(self.n, out, den)
 
     def __sub__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, Fraction(0)) - c
-        return type(self)(self.n, out)
+        return self + (-other)
 
     def scale(self, c):
         c = Fraction(c)
-        return type(self)(self.n, {k: c * v for k, v in self.terms.items()})
+        num = {key: c.numerator * v for key, v in self.num.items()}
+        return self._reduced(self.n, num, c.denominator * self.den)
 
     def __neg__(self):
         return self.scale(-1)
@@ -122,36 +146,39 @@ class _FormalSum(Frozen):
     def __mul__(self, other):
         self._check(other)
         term_mul = self._term_mul
-        right = other.terms.items()
-        out: dict[Key, Fraction] = {}
-        for k1, c1 in self.terms.items():
+        right = other.num.items()
+        out: dict[Key, int] = {}
+        for k1, c1 in self.num.items():
             for k2, c2 in right:
                 product = term_mul(k1, k2)
-                if not product:
-                    continue
-                c12 = c1 * c2
-                for key, c in product.items():
-                    _accumulate(out, key, c12 * c)
-        return type(self)(self.n, out)
+                if product:
+                    c12 = c1 * c2
+                    for key, c in product.items():
+                        out[key] = out.get(key, 0) + c12 * c
+        return self._reduced(self.n, out, self.den * other.den * self._DEN)
 
-    def _term_mul(self, k1: Key, k2: Key) -> dict[Key, Fraction]:
+    def _term_mul(self, k1: Key, k2: Key) -> dict[Key, int]:
         raise NotImplementedError
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def coefficient(self, key: Key) -> Fraction:
-        return self.terms.get(key, Fraction(0))
+        return Fraction(self.num.get(key, 0), self.den)
 
     def __eq__(self, other) -> bool:
         return (
-            type(self) is type(other) and self.n == other.n and self.terms == other.terms
+            type(self) is type(other)
+            and (self.n, self.den, self.num) == (other.n, other.den, other.num)
         )
+
+    def __hash__(self) -> int:
+        return hash((type(self), self.n, self.den, frozenset(self.num.items())))
 
     def __str__(self) -> str:
         return signed_sum(
-            (self._format_key(key), self.terms[key])
-            for key in sorted(self.terms, key=self._sort_key)
+            (self._format_key(key), Fraction(self.num[key], self.den))
+            for key in sorted(self.num, key=self._sort_key)
         )
 
     def __repr__(self) -> str:
@@ -164,12 +191,6 @@ class _FormalSum(Frozen):
     @staticmethod
     def _format_key(key: Key) -> str:
         return str(key)
-
-
-def _accumulate(out: dict[Key, Fraction], key: Key, c: Fraction) -> None:
-    """Add ``c`` to ``out[key]`` in place, without a zero to start from."""
-    prev = out.get(key)
-    out[key] = c if prev is None else prev + c
 
 
 _H_NAMES = ("h1", "h2", "h3")  # the hyperplane class on each factor
@@ -206,12 +227,9 @@ class XClass:
         return XClass(self.n, tuple(out))
 
     def __str__(self) -> str:
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                mono = "1" if i == 0 else ("h" if i == 1 else f"h^{i}")
-                parts.append(f"{c}*{mono}")
-        return " + ".join(parts) if parts else "0"
+        return signed_sum(
+            (format_monomial(("h",), (i,)), c) for i, c in enumerate(self.coeffs) if c
+        )
 
 
 # -- X x X: Chow model and cohomological twin -----------------------------------
@@ -222,43 +240,44 @@ PRIM = "d"
 SMALL = "D3"
 
 
-def _mono2_mul(n: int, k1: Key, k2: Key) -> dict[Key, Fraction]:
-    """h1^r1 h2^s1 * h1^r2 h2^s2 on X^2; zero above degree n in a slot."""
+def _mono2_mul(n: int, k1: Key, k2: Key, one: int) -> dict[Key, int]:
+    """h1^r1 h2^s1 * h1^r2 h2^s2 on X^2 (unit numerator ``one``); zero above n."""
     r = k1[1] + k2[1]
     s = k1[2] + k2[2]
     if r > n or s > n:
         return {}
-    return {(MONO, r, s): _ONE}
+    return {(MONO, r, s): one}
 
 
-def _mono3_mul(n: int, k1: Key, k2: Key) -> dict[Key, Fraction]:
+def _mono3_mul(n: int, k1: Key, k2: Key, one: int) -> dict[Key, int]:
     """The same product of monomials on X^3."""
     i = k1[1] + k2[1]
     j = k1[2] + k2[2]
     k = k1[3] + k2[3]
     if i > n or j > n or k > n:
         return {}
-    return {(MONO, i, j, k): _ONE}
+    return {(MONO, i, j, k): one}
 
 
 class XXClass(_FormalSum):
     """Chow model of X x X on {h1^r h2^s} and the diagonal ("D",)."""
+    _DEN = 9
 
     def _term_mul(self, k1, k2):
         n = self.n
         if k1[0] == DIAG and k2[0] == DIAG:
-            return {(MONO, n, n): Fraction(_chi(n), 9)}
+            return {(MONO, n, n): _chi(n)}
         if k1[0] == DIAG or k2[0] == DIAG:
             mono = k2 if k1[0] == DIAG else k1
             _, r, s = mono
             if r + s == 0:
-                return {(DIAG,): _ONE}
+                return {(DIAG,): 9}
             return {
-                (MONO, a, n + r + s - a): _THIRD
+                (MONO, a, n + r + s - a): 3
                 for a in range(max(0, r + s), n + 1)
                 if n + r + s - a <= n
             }
-        return _mono2_mul(n, k1, k2)
+        return _mono2_mul(n, k1, k2, 9)
 
     @staticmethod
     def _sort_key(key):
@@ -276,11 +295,11 @@ class XXClass(_FormalSum):
 def xx_monomial(n: int, r: int, s: int, coeff=1) -> XXClass:
     if not (0 <= r <= n and 0 <= s <= n):
         raise ValueError("exponents out of the model range")
-    return XXClass(n, {(MONO, r, s): Fraction(coeff)})
+    return XXClass(n, {(MONO, r, s): coeff})
 
 
 def xx_diagonal(n: int) -> XXClass:
-    return XXClass(n, {(DIAG,): Fraction(1)})
+    return XXClass(n, {(DIAG,): 1})
 
 
 def xx_degree(a: XXClass) -> Fraction:
@@ -296,18 +315,19 @@ def xx_basis(n: int) -> list[Key]:
 
 class CohXXClass(_FormalSum):
     """Cohomological twin: monomials plus the primitive projector ("d",)."""
+    _DEN = 9
 
     def _term_mul(self, k1, k2):
         n = self.n
         if k1[0] == PRIM and k2[0] == PRIM:
-            return {(MONO, n, n): Fraction(primitive_self_pairing(n), 9)}
+            return {(MONO, n, n): primitive_self_pairing(n)}
         if k1[0] == PRIM or k2[0] == PRIM:
             mono = k2 if k1[0] == PRIM else k1
             _, r, s = mono
             if r == s == 0:
-                return {(PRIM,): _ONE}
+                return {(PRIM,): 9}
             return {}  # primitive classes are killed by h
-        return _mono2_mul(n, k1, k2)
+        return _mono2_mul(n, k1, k2, 9)
 
     _sort_key = staticmethod(XXClass._sort_key)
 
@@ -320,33 +340,36 @@ class CohXXClass(_FormalSum):
 
 def xx_diagonal_expansion(n: int) -> CohXXClass:
     """Kunneth expansion (1/3) sum_j h1^j h2^(n-j) + d of the diagonal."""
-    terms: dict[Key, Fraction] = {(MONO, j, n - j): Fraction(1, 3) for j in range(n + 1)}
-    terms[(PRIM,)] = Fraction(1)
-    return CohXXClass(n, terms)
+    num = {(MONO, j, n - j): 1 for j in range(n + 1)}
+    num[(PRIM,)] = 3
+    return CohXXClass._reduced(n, num, 3)
 
 
 def xx_to_coh(a: XXClass) -> CohXXClass:
-    """Cycle-class map of the model: the diagonal goes to its Kunneth expansion."""
-    out: dict[Key, Fraction] = {}
-    for key, c in a.terms.items():
+    """Cycle-class map of the model: the diagonal goes to its Kunneth expansion.
+
+    The expansion has denominator 3, so the image is taken over 3 * a.den.
+    """
+    out: dict[Key, int] = {}
+    for key, c in a.num.items():
         if key[0] == MONO:
-            _accumulate(out, key, c)
+            out[key] = out.get(key, 0) + 3 * c
         else:
-            for k, v in xx_diagonal_expansion(a.n).terms.items():
-                _accumulate(out, k, c * v)
-    return CohXXClass(a.n, out)
+            for k, v in xx_diagonal_expansion(a.n).num.items():
+                out[k] = out.get(k, 0) + c * v
+    return CohXXClass._reduced(a.n, out, 3 * a.den)
 
 
 # -- X^3: Chow model and cohomological twin --------------------------------------
 
 
-def _delta_push(n: int, m: int) -> dict[Key, Fraction]:
-    """Small-diagonal pushforward of h^m: (1/9) sum over p+q+r = 2n+m."""
-    out: dict[Key, Fraction] = {}
+def _delta_push(n: int, m: int) -> dict[Key, int]:
+    """Small-diagonal pushforward of h^m: (1/9) sum over p+q+r = 2n+m, over 27."""
+    out: dict[Key, int] = {}
     total = 2 * n + m
     for p in range(max(0, total - 2 * n), n + 1):
         for q in range(max(0, total - n - p), min(n, total - p) + 1):
-            out[(MONO, p, q, total - p - q)] = _NINTH
+            out[(MONO, p, q, total - p - q)] = 3
     return out
 
 
@@ -356,19 +379,20 @@ class X3Class(_FormalSum):
     Keys: ("m", i, j, k); ("D", a, b, m) for the diagonal in slots (a, b)
     times h_c^m on the remaining slot; ("D3",).
     """
+    _DEN = 27
 
     def _term_mul(self, k1, k2):
         n = self.n
         if k1[0] == MONO:
             if k2[0] == MONO:
-                return _mono3_mul(n, k1, k2)
+                return _mono3_mul(n, k1, k2, 27)
             k1, k2 = k2, k1
         if k2[0] == MONO:
             exps = {1: k2[1], 2: k2[2], 3: k2[3]}
             if k1[0] == SMALL:
                 m = sum(exps.values())
                 if m == 0:
-                    return {(SMALL,): _ONE}
+                    return {(SMALL,): 27}
                 return _delta_push(n, m)
             _, a, b, m = k1
             c = _third(a, b)
@@ -376,15 +400,15 @@ class X3Class(_FormalSum):
             if s + t == 0:
                 if m + u > n:
                     return {}
-                return {(DIAG, a, b, m + u): _ONE}
+                return {(DIAG, a, b, m + u): 27}
             if m + u > n:
                 return {}
-            out: dict[Key, Fraction] = {}
+            out: dict[Key, int] = {}
             for p in range(max(0, s + t), n + 1):
                 q = n + s + t - p
                 if 0 <= q <= n:
                     slots = {a: p, b: q, c: m + u}
-                    out[(MONO, slots[1], slots[2], slots[3])] = _THIRD
+                    out[(MONO, slots[1], slots[2], slots[3])] = 9
             return out
         if k1[0] == SMALL and k2[0] == SMALL:
             return {}  # codimension 4n > 3n
@@ -393,7 +417,7 @@ class X3Class(_FormalSum):
             _, a, b, m = diag
             if m > 0:
                 return {}  # (chi/3) h^n inserted; any extra h dies above degree n
-            return {(MONO, n, n, n): Fraction(_chi(n), 27)}
+            return {(MONO, n, n, n): _chi(n)}
         _, a1, b1, m1 = k1
         _, a2, b2, m2 = k2
         if (a1, b1) == (a2, b2):
@@ -402,10 +426,10 @@ class X3Class(_FormalSum):
                 return {}
             c = _third(a1, b1)
             slots = {a1: n, b1: n, c: m1 + m2}
-            return {(MONO, slots[1], slots[2], slots[3]): Fraction(_chi(n), 9)}
+            return {(MONO, slots[1], slots[2], slots[3]): 3 * _chi(n)}
         # distinct diagonals meet in the small diagonal; decorations pile onto it
         if m1 + m2 == 0:
-            return {(SMALL,): _ONE}
+            return {(SMALL,): 27}
         return _delta_push(n, m1 + m2)
 
     @staticmethod
@@ -430,7 +454,7 @@ class X3Class(_FormalSum):
 def x3_monomial(n: int, i: int, j: int, k: int, coeff=1) -> X3Class:
     if not all(0 <= e <= n for e in (i, j, k)):
         raise ValueError("exponents out of the model range")
-    return X3Class(n, {(MONO, i, j, k): Fraction(coeff)})
+    return X3Class(n, {(MONO, i, j, k): coeff})
 
 
 def x3_diagonal(n: int, a: int, b: int, m: int = 0, coeff=1) -> X3Class:
@@ -438,11 +462,11 @@ def x3_diagonal(n: int, a: int, b: int, m: int = 0, coeff=1) -> X3Class:
         raise ValueError("diagonal pair must be one of (1,2), (1,3), (2,3)")
     if not 0 <= m <= n:
         raise ValueError("decoration exponent out of range")
-    return X3Class(n, {(DIAG, a, b, m): Fraction(coeff)})
+    return X3Class(n, {(DIAG, a, b, m): coeff})
 
 
 def x3_small_diagonal(n: int, coeff=1) -> X3Class:
-    return X3Class(n, {(SMALL,): Fraction(coeff)})
+    return X3Class(n, {(SMALL,): coeff})
 
 
 def x3_degree(a: X3Class) -> Fraction:
@@ -459,22 +483,23 @@ def x3_pair(a: X3Class, b: X3Class) -> Fraction:
     degree d meets its complementary monomial (one lookup, value one), the
     decorated diagonals D_ab * h_c^(2n - d) and, for d = n, D3; a diagonal
     term meets every term.  The diagonal pairs go through
-    ``X3Class._term_mul``, so the product rules stay in one place.
+    ``X3Class._term_mul``, so the product rules stay in one place; its
+    numerators are over 27 = deg(h1^n h2^n h3^n), so they are the degrees.
     """
     a._check(b)
-    if len(a.terms) < len(b.terms):
+    if len(a.num) < len(b.num):
         a, b = b, a
     n = a.n
     top = (MONO, n, n, n)
-    big = a.terms
+    big = a.num
     term_mul = a._term_mul
-    total = _ZERO
-    for k2, c2 in b.terms.items():
+    total = 0
+    for k2, c2 in b.num.items():
         if k2[0] == MONO:
             _, i, j, k = k2
             c1 = big.get((MONO, n - i, n - j, n - k))
             if c1 is not None:
-                total += c1 * c2
+                total += 27 * c1 * c2
             m = 2 * n - i - j - k
             if not 0 <= m <= n:
                 continue
@@ -489,17 +514,18 @@ def x3_pair(a: X3Class, b: X3Class) -> Fraction:
                 v = term_mul(k1, k2).get(top)
                 if v is not None:
                     total += c1 * c2 * v
-    return 27 * total
+    return Fraction(total, a.den * b.den)
 
 
 class CohX3Class(_FormalSum):
     """Cohomological model: monomials plus primitive projectors d_ab * h_c^m."""
+    _DEN = 3
 
     def _term_mul(self, k1, k2):
         n = self.n
         if k1[0] == MONO:
             if k2[0] == MONO:
-                return _mono3_mul(n, k1, k2)
+                return _mono3_mul(n, k1, k2, 3)
             k1, k2 = k2, k1
         if k2[0] == MONO:
             _, a, b, m = k1
@@ -509,7 +535,7 @@ class CohX3Class(_FormalSum):
                 return {}  # primitive slots are killed by h
             if m + exps[c] > n:
                 return {}
-            return {(PRIM, a, b, m + exps[c]): _ONE}
+            return {(PRIM, a, b, m + exps[c]): 3}
         _, a1, b1, m1 = k1
         _, a2, b2, m2 = k2
         if (a1, b1) == (a2, b2):
@@ -518,7 +544,7 @@ class CohX3Class(_FormalSum):
             return {}  # decorations sit on a primitive slot of the other factor
         shared = ({a1, b1} & {a2, b2}).pop()
         rest = sorted(({a1, b1} | {a2, b2}) - {shared})
-        return {(PRIM, rest[0], rest[1], n): _THIRD}
+        return {(PRIM, rest[0], rest[1], n): 1}
 
     @staticmethod
     def _sort_key(key):
@@ -538,13 +564,13 @@ class CohX3Class(_FormalSum):
 def x3_diagonal_expansion(n: int, a: int, b: int, m: int = 0) -> CohX3Class:
     """Kunneth expansion of D_ab * h_c^m in the cohomological model."""
     c = _third(a, b)
-    terms: dict[Key, Fraction] = {}
+    num: dict[Key, int] = {}
     if m <= n:
         for j in range(n + 1):
             slots = {a: j, b: n - j, c: m}
-            terms[(MONO, slots[1], slots[2], slots[3])] = _THIRD
-        terms[(PRIM, a, b, m)] = _ONE
-    return CohX3Class(n, terms)
+            num[(MONO, slots[1], slots[2], slots[3])] = 1
+        num[(PRIM, a, b, m)] = 3
+    return CohX3Class._reduced(n, num, 3)
 
 
 @lru_cache(maxsize=None)
@@ -556,36 +582,41 @@ def small_diagonal_coh(n: int) -> CohX3Class:
 
 
 def x3_to_coh(a: X3Class) -> CohX3Class:
-    """Cycle-class map of the model: diagonals go to their Kunneth expansions."""
-    out: dict[Key, Fraction] = {}
-    for key, c in a.terms.items():
+    """Cycle-class map of the model: diagonals go to their Kunneth expansions.
+
+    The expansions of D_ab * h_c^m and D3 have denominators 3 and 9, so the
+    image is taken over 9 * a.den.
+    """
+    out: dict[Key, int] = {}
+    for key, c in a.num.items():
         if key[0] == MONO:
-            _accumulate(out, key, c)
+            out[key] = out.get(key, 0) + 9 * c
             continue
         if key[0] == DIAG:
             image = x3_diagonal_expansion(a.n, key[1], key[2], key[3])
         else:
             image = small_diagonal_coh(a.n)
-        for k, v in image.terms.items():
-            _accumulate(out, k, c * v)
-    return CohX3Class(a.n, out)
+        f = c * (9 // image.den)
+        for k, v in image.num.items():
+            out[k] = out.get(k, 0) + f * v
+    return CohX3Class._reduced(a.n, out, 9 * a.den)
 
 
 def push13(a: CohX3Class) -> CohXXClass:
     """Pushforward to slots (1, 3): integrate slot 2 (h2^n -> 3, free d -> 0)."""
-    out: dict[Key, Fraction] = {}
-    for key, c in a.terms.items():
+    out: dict[Key, int] = {}
+    for key, c in a.num.items():
         if key[0] == MONO:
             _, i, j, k = key
             if j == a.n:
-                _accumulate(out, (MONO, i, k), 3 * c)
+                out[(MONO, i, k)] = out.get((MONO, i, k), 0) + 3 * c
         else:
             _, p, q, m = key
             if (p, q) == (1, 3):
                 if m == a.n:
-                    _accumulate(out, (PRIM,), 3 * c)
+                    out[(PRIM,)] = out.get((PRIM,), 0) + 3 * c
             # primitive slot 2 integrates to zero for the other pairs
-    return CohXXClass(a.n, out)
+    return CohXXClass._reduced(a.n, out, a.den)
 
 
 def coh_pair(a: CohX3Class, b: CohX3Class) -> Fraction:
@@ -597,17 +628,17 @@ def coh_pair(a: CohX3Class, b: CohX3Class) -> Fraction:
     the degree of h^n); the two sectors are orthogonal.
     """
     n = a.n
-    total = Fraction(0)
+    total = 0
     s = primitive_self_pairing(n)
-    for k1, c1 in a.terms.items():
-        for k2, c2 in b.terms.items():
+    for k1, c1 in a.num.items():
+        for k2, c2 in b.num.items():
             if k1[0] == MONO and k2[0] == MONO:
                 if all(e1 + e2 == n for e1, e2 in zip(k1[1:], k2[1:])):
                     total += 27 * c1 * c2
             elif k1[0] == PRIM and k2[0] == PRIM:
                 if k1[1:3] == k2[1:3] and k1[3] + k2[3] == n:
                     total += 3 * s * c1 * c2
-    return total
+    return Fraction(total, a.den * b.den)
 
 
 # -- the decomposition of the small diagonal ------------------------------------
@@ -639,28 +670,33 @@ def decomposable_coefficients(n: int) -> Mapping[tuple[int, int, int], Fraction]
         for j in range(n + 1):
             k = 2 * n - i - j
             if 0 <= k <= n:
-                table[(i, j, k)] = Fraction(0)
-    for key, c in image.terms.items():
+                table[(i, j, k)] = _ZERO
+    for key, c in image.num.items():
         if key[0] != MONO:
             raise CheckFailed(
                 f"primitive term {CohX3Class._format_key(key)} survives at n={n}"
             )
-        table[key[1:]] = c
+        table[key[1:]] = Fraction(c, image.den)
     return MappingProxyType(table)
 
 
 @lru_cache(maxsize=None)
 def small_diagonal_defect(n: int) -> X3Class:
     """Corrected small diagonal minus its decomposable part; must die in cohomology."""
-    out = dict(corrected_small_diagonal(n).terms)
-    for (i, j, k), c in decomposable_coefficients(n).items():
-        if c:
-            _accumulate(out, (MONO, i, j, k), -c)
-    return X3Class(n, out)
+    table = decomposable_coefficients(n)
+    return corrected_small_diagonal(n) - X3Class(
+        n, {(MONO, i, j, k): c for (i, j, k), c in table.items()}
+    )
+
+
+@lru_cache(maxsize=None)
+def defect_image(n: int) -> CohX3Class:
+    """Cohomology class of the defect cycle, shared by the checks that read it."""
+    return x3_to_coh(small_diagonal_defect(n))
 
 
 def defect_vanishes_cohomologically(n: int) -> bool:
-    image = x3_to_coh(small_diagonal_defect(n))
+    image = defect_image(n)
     if not image.is_zero():
         raise CheckFailed(f"defect cycle has nonzero image at n={n}: {image}")
     return True

@@ -90,6 +90,9 @@ class HodgeDiamond(Frozen):
     def __eq__(self, other) -> bool:
         return isinstance(other, HodgeDiamond) and self.entries == other.entries
 
+    def __hash__(self) -> int:
+        return hash(frozenset(self.entries.items()))
+
     def is_effective(self) -> bool:
         return all(m > 0 for m in self.entries.values())
 

@@ -52,8 +52,6 @@ class Frozen:
     def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    __hash__ = None
-
 
 def format_monomial(names: Iterable[str], exps: Iterable[int]) -> str:
     """``x^2*y`` for the exponents (2, 1) of ("x", "y"); "" for the unit."""
@@ -225,6 +223,9 @@ class WPoly(Frozen):
             and self.weights == other.weights
             and self.terms == other.terms
         )
+
+    def __hash__(self) -> int:
+        return hash((self.vars, self.weights, frozenset(self.terms.items())))
 
     # -- canonical text form -------------------------------------------------
 

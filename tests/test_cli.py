@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -151,3 +152,18 @@ def test_failure_exit_code_via_stub(monkeypatch):
 def test_benchmark_reports_match_reference(report_gate, workload, config):
     # the diagonal_1_24 workload is gated in test_diagonal.py
     report_gate(run(config), workload)
+
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def test_report_is_byte_identical_to_the_recorded_one():
+    # the design gate: ``verify --n-min 1 --n-max 12 --suite all --format json``
+    # with ``elapsed_ms`` stripped (json indent 2, trailing newline), recorded
+    # before the arithmetic of the diagonal models moved to integers; a change
+    # that means to alter a report rewrites this file in the same commit
+    rows = json.loads(emit(run(RunConfig(1, 12, ("all",))), "json"))
+    for row in rows:
+        del row["elapsed_ms"]
+    recorded = (DATA / "verify_1_12_all.json").read_text(encoding="utf-8")
+    assert json.dumps(rows, indent=2) + "\n" == recorded

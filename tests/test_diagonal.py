@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -359,6 +360,12 @@ def test_xclass_arithmetic():
     assert (XClass.h_power(n, 3) * XClass.h_power(n, 2)).degree() == 0
 
 
+def test_xclass_prints_through_the_shared_printer():
+    assert str(XClass(3, (1, 0, -1, Fraction(1, 3)))) == "1 - h^2 + 1/3*h^3"
+    assert str(XClass(3, (0, Fraction(-2, 3), 0, 1))) == "-2/3*h + h^3"
+    assert str(XClass.h_power(2, 0, 0)) == "0"
+
+
 def test_canonical_print_forms():
     n = 2
     d = xx_diagonal(n)
@@ -402,6 +409,67 @@ def test_cached_diagonal_values_are_read_only():
         assert computed == expected, check_id
 
 
+def test_equal_classes_hash_equal():
+    for n in (1, 3):
+        for k in xx_basis(n):
+            half = XXClass(n, {k: Fraction(2, 2)})
+            assert half == XXClass(n, {k: 1}) and hash(half) == hash(XXClass(n, {k: 1}))
+    d = xx_diagonal(2)
+    assert hash(d * d - d * d) == hash(XXClass(2)) and (d * d - d * d).den == 1
+    gamma = corrected_small_diagonal(3)
+    assert len({gamma, gamma + X3Class(3), gamma.scale(2).scale(Fraction(1, 2))}) == 1
+    # the model is part of the value
+    assert XXClass(2, {("m", 0, 0): 1}) != CohXXClass(2, {("m", 0, 0): 1})
+
+
+def test_hashed_cached_classes_stay_immutable():
+    small = small_diagonal_coh(3)
+    assert hash(small) == hash(CohX3Class(3, dict(small.terms)))
+    with pytest.raises(TypeError):
+        small.num[(PRIM, 1, 2, 3)] = 5
+    with pytest.raises(TypeError):
+        del small.num[(PRIM, 1, 2, 3)]
+    for name, value in (("num", {}), ("den", 1), ("terms", {})):
+        with pytest.raises(AttributeError):
+            setattr(small, name, value)
+        with pytest.raises(AttributeError):
+            delattr(small, name)
+    assert small.coefficient((PRIM, 1, 2, 3)) == Fraction(1, 3)
+    computed, expected = _run_check("diagonal.projector_law", 3)
+    assert computed == expected
+
+
+def test_no_fraction_is_built_per_term(monkeypatch):
+    # the sums, products, maps and pairings run on integer numerators; a
+    # Fraction is built at most once per call (the scale factor of ``-y``,
+    # the value of a pairing), however many terms the operands have
+    n = 4
+    x = x3_to_coh(corrected_small_diagonal(n)) + small_diagonal_coh(n)
+    y = CohX3Class(n, {k: Fraction(i + 1, 7) for i, k in enumerate(_coh_x3_basis(n)[:40])})
+    a = corrected_small_diagonal(n) + X3Class(
+        n, {k: Fraction(3 - i, 5) for i, k in enumerate(_x3_basis(n)[:40])}
+    )
+    b = XXClass(n, {k: Fraction(i - 4, 3) for i, k in enumerate(xx_basis(n))})
+    made = []
+
+    class Counted(Fraction):
+        def __new__(cls, *args, **kwargs):
+            made.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    monkeypatch.setattr(diagonal, "Fraction", Counted)
+    calls = (
+        lambda: x + y, lambda: x - y, lambda: x * y, lambda: a + a, lambda: a - a,
+        lambda: a * a, lambda: b * b, lambda: b + b, lambda: x3_pair(a, a),
+        lambda: coh_pair(x, y), lambda: xx_to_coh(b), lambda: x3_to_coh(a),
+        lambda: push13(x), lambda: XXClass(n, {k: 1 for k in xx_basis(n)}),
+    )
+    for i, call in enumerate(calls):
+        made.clear()
+        call()
+        assert len(made) <= 1, (i, made)
+
+
 def test_cached_values_refuse_attribute_deletion():
     poly = complete_symmetric(4)
     diamond = hodge_cubic(3)
@@ -432,14 +500,40 @@ def test_product_rank_one_catches_a_stray_coefficient(monkeypatch):
 def test_defect_pairing_catches_a_perturbed_defect(monkeypatch):
     honest = diagonal.small_diagonal_defect
     n = 4
-    monkeypatch.setattr(
-        diagonal,
-        "small_diagonal_defect",
-        lambda n: honest(n) + x3_monomial(n, n, n, 0, Fraction(1, 9)),
-    )
+
+    def perturbed(n):
+        return honest(n) + x3_monomial(n, n, n, 0, Fraction(1, 9))
+
+    # the cached image is replaced too, so the check sees one consistent
+    # defect and nothing perturbed is left in a cache
+    monkeypatch.setattr(diagonal, "small_diagonal_defect", perturbed)
+    monkeypatch.setattr(diagonal, "defect_image", lambda n: x3_to_coh(perturbed(n)))
     computed, expected = _run_check("diagonal.defect_pairing", n)
     assert computed != expected
     assert f"monomial dual (0,0,{n})" in computed
+    assert "primitive dual" not in computed
+    monkeypatch.undo()
+    assert _run_check("diagonal.defect_pairing", n) == ("ok", "ok")
+    assert _run_check("diagonal.defect_vanishes", n) == ("ok", "ok")
+
+
+def test_defect_image_is_shared_and_read_only():
+    for n in (1, 4, 9):
+        image = diagonal.defect_image(n)
+        assert image is diagonal.defect_image(n)
+        assert image == x3_to_coh(small_diagonal_defect(n)) and image.is_zero()
+    image = diagonal.defect_image(4)
+    with pytest.raises(TypeError):
+        image.num[("m", 4, 4, 4)] = 1
+    with pytest.raises(TypeError):
+        image.terms[("m", 4, 4, 4)] = Fraction(1)
+    with pytest.raises(AttributeError):
+        image.den = 2
+    with pytest.raises(AttributeError):
+        del image.num
+    assert diagonal.defect_image(4).is_zero()
+    for check_id in ("diagonal.defect_vanishes", "diagonal.defect_pairing"):
+        assert _run_check(check_id, 4) == ("ok", "ok")
 
 
 def test_diagonal_suite_passes_up_to_24(report_gate):
@@ -511,3 +605,311 @@ def test_x3_pair_is_the_degree_of_the_product(classes):
     a, b = classes
     assert x3_pair(a, b) == x3_degree(a * b)
     assert x3_pair(b, a) == x3_degree(b * a)
+
+
+# -- reference: the Fraction implementation the integer models replaced ---------
+#
+# The four rule sets below are the pre-change ``_term_mul`` bodies with their
+# ``Fraction`` coefficients, and ``_ref_mul`` the pre-change ``__mul__``; the
+# maps and pairings are the pre-change loops.  Classes are plain
+# {key: Fraction} dicts without zero entries.
+
+_F = Fraction
+
+
+def _ref_mono(n, k1, k2):
+    exps = tuple(e1 + e2 for e1, e2 in zip(k1[1:], k2[1:]))
+    return {} if max(exps) > n else {("m",) + exps: _F(1)}
+
+
+def _ref_xx_rule(n, k1, k2):
+    if k1[0] == "D" and k2[0] == "D":
+        return {("m", n, n): _F(euler_cubic(n), 9)}
+    if k1[0] == "D" or k2[0] == "D":
+        _, r, s = k2 if k1[0] == "D" else k1
+        if r + s == 0:
+            return {("D",): _F(1)}
+        return {
+            ("m", a, n + r + s - a): _F(1, 3)
+            for a in range(max(0, r + s), n + 1)
+            if n + r + s - a <= n
+        }
+    return _ref_mono(n, k1, k2)
+
+
+def _ref_coh_xx_rule(n, k1, k2):
+    if k1[0] == PRIM and k2[0] == PRIM:
+        return {("m", n, n): _F(primitive_self_pairing(n), 9)}
+    if k1[0] == PRIM or k2[0] == PRIM:
+        _, r, s = k2 if k1[0] == PRIM else k1
+        return {(PRIM,): _F(1)} if r == s == 0 else {}
+    return _ref_mono(n, k1, k2)
+
+
+def _ref_delta_push(n, m):
+    total = 2 * n + m
+    return {
+        ("m", p, q, total - p - q): _F(1, 9)
+        for p in range(max(0, total - 2 * n), n + 1)
+        for q in range(max(0, total - n - p), min(n, total - p) + 1)
+    }
+
+
+def _third_slot(a, b):
+    return ({1, 2, 3} - {a, b}).pop()
+
+
+def _ref_x3_rule(n, k1, k2):
+    if k1[0] == "m":
+        if k2[0] == "m":
+            return _ref_mono(n, k1, k2)
+        k1, k2 = k2, k1
+    if k2[0] == "m":
+        exps = {1: k2[1], 2: k2[2], 3: k2[3]}
+        if k1[0] == "D3":
+            m = sum(exps.values())
+            return {("D3",): _F(1)} if m == 0 else _ref_delta_push(n, m)
+        _, a, b, m = k1
+        c = _third_slot(a, b)
+        s, t, u = exps[a], exps[b], exps[c]
+        if m + u > n:
+            return {}
+        if s + t == 0:
+            return {("D", a, b, m + u): _F(1)}
+        out = {}
+        for p in range(max(0, s + t), n + 1):
+            q = n + s + t - p
+            if 0 <= q <= n:
+                slots = {a: p, b: q, c: m + u}
+                out[("m", slots[1], slots[2], slots[3])] = _F(1, 3)
+        return out
+    if k1[0] == "D3" and k2[0] == "D3":
+        return {}
+    if k1[0] == "D3" or k2[0] == "D3":
+        _, a, b, m = k2 if k1[0] == "D3" else k1
+        return {} if m > 0 else {("m", n, n, n): _F(euler_cubic(n), 27)}
+    _, a1, b1, m1 = k1
+    _, a2, b2, m2 = k2
+    if (a1, b1) == (a2, b2):
+        if m1 + m2 > n:
+            return {}
+        slots = {a1: n, b1: n, _third_slot(a1, b1): m1 + m2}
+        return {("m", slots[1], slots[2], slots[3]): _F(euler_cubic(n), 9)}
+    if m1 + m2 == 0:
+        return {("D3",): _F(1)}
+    return _ref_delta_push(n, m1 + m2)
+
+
+def _ref_coh_x3_rule(n, k1, k2):
+    if k1[0] == "m":
+        if k2[0] == "m":
+            return _ref_mono(n, k1, k2)
+        k1, k2 = k2, k1
+    if k2[0] == "m":
+        _, a, b, m = k1
+        c = _third_slot(a, b)
+        exps = {1: k2[1], 2: k2[2], 3: k2[3]}
+        if exps[a] or exps[b] or m + exps[c] > n:
+            return {}
+        return {(PRIM, a, b, m + exps[c]): _F(1)}
+    _, a1, b1, m1 = k1
+    _, a2, b2, m2 = k2
+    if (a1, b1) == (a2, b2):
+        raise ValueError("same-pair primitive product never arises in the model")
+    if m1 > 0 or m2 > 0:
+        return {}
+    shared = ({a1, b1} & {a2, b2}).pop()
+    rest = sorted(({a1, b1} | {a2, b2}) - {shared})
+    return {(PRIM, rest[0], rest[1], n): _F(1, 3)}
+
+
+def _clean(terms):
+    return {key: c for key, c in terms.items() if c}
+
+
+def _ref_lin(*pairs):
+    """sum of c * class over (c, class) pairs."""
+    out = {}
+    for c, terms in pairs:
+        for key, v in terms.items():
+            out[key] = out.get(key, _F(0)) + c * v
+    return _clean(out)
+
+
+def _ref_mul(rule, n, a, b):
+    out = {}
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            for key, c in rule(n, k1, k2).items():
+                out[key] = out.get(key, _F(0)) + c1 * c2 * c
+    return _clean(out)
+
+
+def _ref_xx_to_coh(n, a):
+    expansion = {("m", j, n - j): _F(1, 3) for j in range(n + 1)}
+    expansion[(PRIM,)] = _F(1)
+    return _ref_lin(*((c, {key: 1} if key[0] == "m" else expansion) for key, c in a.items()))
+
+
+def _ref_x3_expansion(n, a, b, m):
+    if m > n:
+        return {}
+    c = _third_slot(a, b)
+    out = {}
+    for j in range(n + 1):
+        slots = {a: j, b: n - j, c: m}
+        out[("m", slots[1], slots[2], slots[3])] = _F(1, 3)
+    out[(PRIM, a, b, m)] = _F(1)
+    return out
+
+
+def _ref_x3_to_coh(n, a):
+    small = _ref_mul(
+        _ref_coh_x3_rule, n, _ref_x3_expansion(n, 1, 2, 0), _ref_x3_expansion(n, 2, 3, 0)
+    )
+
+    def image(key):
+        if key[0] == "m":
+            return {key: 1}
+        return small if key[0] == "D3" else _ref_x3_expansion(n, *key[1:])
+
+    return _ref_lin(*((c, image(key)) for key, c in a.items()))
+
+
+def _ref_push13(n, a):
+    out = {}
+    for key, c in a.items():
+        if key[0] == "m" and key[2] == n:
+            target = ("m", key[1], key[3])
+        elif key[0] == PRIM and key[1:] == (1, 3, n):
+            target = (PRIM,)
+        else:
+            continue
+        out[target] = out.get(target, _F(0)) + 3 * c
+    return _clean(out)
+
+
+def _ref_x3_pair(n, a, b):
+    return 27 * _ref_mul(_ref_x3_rule, n, a, b).get(("m", n, n, n), _F(0))
+
+
+def _ref_coh_pair(n, a, b):
+    total = _F(0)
+    s = primitive_self_pairing(n)
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            if k1[0] == "m" and k2[0] == "m":
+                if all(e1 + e2 == n for e1, e2 in zip(k1[1:], k2[1:])):
+                    total += 27 * c1 * c2
+            elif k1[0] == PRIM and k2[0] == PRIM:
+                if k1[1:3] == k2[1:3] and k1[3] + k2[3] == n:
+                    total += 3 * s * c1 * c2
+    return total
+
+
+def _coh_xx_basis(n):
+    return [k for k in xx_basis(n) if k[0] == "m"] + [(PRIM,)]
+
+
+def _coh_x3_basis(n):
+    span = range(n + 1)
+    keys = [("m", i, j, k) for i in span for j in span for k in span]
+    return keys + [(PRIM, a, b, m) for a, b in PAIRS for m in span]
+
+
+_MODELS = (
+    (XXClass, _ref_xx_rule, xx_basis),
+    (CohXXClass, _ref_coh_xx_rule, _coh_xx_basis),
+    (X3Class, _ref_x3_rule, _x3_basis),
+    (CohX3Class, _ref_coh_x3_rule, _coh_x3_basis),
+)
+
+
+def _assert_normal_form(x):
+    """Integer numerators over one positive denominator, in lowest terms."""
+    assert type(x.den) is int and x.den > 0
+    assert all(type(c) is int and c != 0 for c in x.num.values())
+    assert gcd(x.den, *x.num.values()) == 1  # also den == 1 for zero
+
+
+def _agrees(x, ref):
+    _assert_normal_form(x)
+    assert dict(x.terms) == ref
+    return True
+
+
+def _mul_or_error(rule, cls, n, a, b):
+    """(model product, reference product), or two ValueErrors."""
+    try:
+        expected = _ref_mul(rule, n, a, b)
+    except ValueError:
+        with pytest.raises(ValueError):
+            cls(n, a) * cls(n, b)
+        return None
+    return cls(n, a) * cls(n, b), expected
+
+
+@pytest.mark.parametrize("cls, rule, basis", _MODELS, ids=[m[0].__name__ for m in _MODELS])
+def test_products_match_the_fraction_reference_on_basis_pairs(cls, rule, basis):
+    for n in range(1, 5):
+        for k1 in basis(n):
+            for k2 in basis(n):
+                both = _mul_or_error(rule, cls, n, {k1: _F(1)}, {k2: _F(1)})
+                if both is not None:
+                    assert _agrees(*both), (n, k1, k2)
+
+
+_RATIONALS = st.fractions(min_value=-20, max_value=20, max_denominator=30)
+
+
+@st.composite
+def _operands(draw, basis):
+    n = draw(st.integers(min_value=1, max_value=4))
+    keys = st.sampled_from(basis(n))
+    a, b = (_clean(draw(st.dictionaries(keys, _RATIONALS, max_size=7))) for _ in "ab")
+    return n, a, b, draw(_RATIONALS)
+
+
+def _check_ring_ops(cls, rule, n, a, b, c):
+    x, y = cls(n, a), cls(n, b)
+    _agrees(x, a)
+    assert _agrees(x + y, _ref_lin((1, a), (1, b)))
+    assert _agrees(x - y, _ref_lin((1, a), (-1, b)))
+    assert _agrees(x.scale(c), _ref_lin((c, a)))
+    both = _mul_or_error(rule, cls, n, a, b)
+    if both is not None:
+        assert _agrees(*both)
+    assert hash(x + y - y) == hash(x) and x + y - y == x
+    return x, y
+
+
+@settings(max_examples=80)
+@given(_operands(xx_basis))
+def test_xx_model_matches_the_fraction_reference(operands):
+    n, a, b, c = operands
+    x, _ = _check_ring_ops(XXClass, _ref_xx_rule, n, a, b, c)
+    assert _agrees(xx_to_coh(x), _ref_xx_to_coh(n, a))
+
+
+@settings(max_examples=80)
+@given(_operands(_coh_xx_basis))
+def test_coh_xx_model_matches_the_fraction_reference(operands):
+    _check_ring_ops(CohXXClass, _ref_coh_xx_rule, *operands)
+
+
+@settings(max_examples=80)
+@given(_operands(_x3_basis))
+def test_x3_model_matches_the_fraction_reference(operands):
+    n, a, b, c = operands
+    x, y = _check_ring_ops(X3Class, _ref_x3_rule, n, a, b, c)
+    assert x3_pair(x, y) == _ref_x3_pair(n, a, b)
+    assert _agrees(x3_to_coh(x), _ref_x3_to_coh(n, a))
+
+
+@settings(max_examples=80)
+@given(_operands(_coh_x3_basis))
+def test_coh_x3_model_matches_the_fraction_reference(operands):
+    n, a, b, c = operands
+    x, y = _check_ring_ops(CohX3Class, _ref_coh_x3_rule, n, a, b, c)
+    assert coh_pair(x, y) == _ref_coh_pair(n, a, b)
+    assert _agrees(push13(x), _ref_push13(n, a))

@@ -242,6 +242,27 @@ def test_cached_diamonds_are_immutable():
     assert check.fn(3) == ("-6", "-6")
 
 
+@settings(max_examples=60)
+@given(_DIAMONDS)
+def test_diamond_hash_agrees_with_equality(d):
+    rebuilt = HodgeDiamond(dict(reversed(d.entries.items())))
+    assert rebuilt == d and hash(rebuilt) == hash(d)
+    assert hash(d + HodgeDiamond()) == hash(d)
+
+
+def test_hashed_diamonds_stay_immutable():
+    diamond = hodge_cubic(3)
+    assert hash(diamond) == hash(HodgeDiamond(dict(diamond.entries)))
+    assert len({diamond, hodge_cubic(3), diamond.shift(0)}) == 1
+    with pytest.raises(TypeError):
+        diamond.entries[(3, 2, 1)] = 6
+    with pytest.raises(AttributeError):
+        diamond.entries = {}
+    with pytest.raises(AttributeError):
+        del diamond.entries
+    assert hodge_cubic(3).get(3, 2, 1) == 5
+
+
 def test_cached_e_polynomials_are_immutable():
     # the E-polynomial chain is carried by the cached Hilbert-square and
     # variety-of-lines diamonds

@@ -121,3 +121,38 @@ def test_parse_inverts_str_on_other_variables(terms):
 def test_parse_rejects_junk(text):
     with pytest.raises(ValueError):
         WPoly.parse(text)
+
+
+# -- ring axioms and hashing -------------------------------------------------------
+
+
+@settings(max_examples=80)
+@given(_POLYS, _POLYS, _POLYS)
+def test_ring_axioms(p, q, r):
+    one, zero = WPoly.constant(1), WPoly.zero()
+    assert p + q == q + p
+    assert p * q == q * p
+    assert (p + q) + r == p + (q + r)
+    assert (p * q) * r == p * (q * r)
+    assert p * (q + r) == p * q + p * r
+    assert (p + q) * r == p * r + q * r
+    assert p * one == p and one * p == p
+    assert p + zero == p
+    assert (p + (-p)).is_zero() and p - p == zero
+
+
+@settings(max_examples=60)
+@given(_POLYS)
+def test_hash_agrees_with_equality(p):
+    rebuilt = WPoly(dict(reversed(p.terms.items())))
+    assert rebuilt == p and hash(rebuilt) == hash(p)
+    assert hash(p + WPoly.zero()) == hash(p)
+
+
+def test_equal_polynomials_hash_equal():
+    assert WPoly.constant(2) == WPoly.constant(Fraction(4, 2))
+    assert hash(WPoly.constant(2)) == hash(WPoly.constant(Fraction(4, 2)))
+    assert hash(X + Y - Y) == hash(X)
+    assert len({X * Y, Y * X, WPoly.monomial((1, 1))}) == 1
+    # the variable set is part of the value
+    assert WPoly.constant(1, ("u",), (1,)) != WPoly.constant(1)
