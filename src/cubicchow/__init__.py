@@ -11,14 +11,11 @@ from .errors import CheckFailed, NonIntegralResult, NotTopDegree, UnsupportedRan
 from .wpoly import WPoly
 from .linalg import MatQ, kernel_basis, solve_linear
 from .grassmann import (
-    GClass,
     GRing,
     Partition2,
     build_ring,
     complete_symmetric,
-    degree,
     degree_of_poly,
-    fano_class,
     fano_poly,
     giambelli,
     normal_form,
@@ -40,7 +37,6 @@ from .hodge import (
 )
 from .diagonal import (
     FormalCycle,
-    XClass,
     XXClass,
     X3Class,
     CohXXClass,

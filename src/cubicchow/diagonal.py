@@ -1,4 +1,4 @@
-"""Finite tautological models of X, X^2 and X^3 with diagonal classes.
+"""Finite tautological models of X^2 and X^3 with diagonal classes.
 
 X is a cubic hypersurface of dimension n with hyperplane class h,
 deg h^n = 3.  The Chow-side models close multiplication on explicit bases:
@@ -27,15 +27,16 @@ no zero numerator, den > 0, gcd(den, *num) == 1 and den == 1 for zero.
 or product is reduced once, by one gcd.  ``Fraction`` appears only at the
 edge: coefficients, degrees, pairings, the decomposable table and text.
 
-Degrees on X^3 are read off by Poincare duality: ``x3_pair(a, b)`` sums
-only the term pairs whose codimensions add up to 3n, without forming the
-product a * b.
+Degrees on X^3 are read off by Poincare duality: ``x3_pair(a, b)`` and
+``coh_pair(a, b)`` sum only the term pairs whose codimensions add up to 3n,
+without forming the product a * b.
 
 On top of the models: the decomposable coefficients of the small diagonal
 after removing its axis corrections, the vanishing of the resulting
 defect cycle, and the symbolic evaluator showing that the product of two
 positive-codimension cycle classes is (1/9) * m_alpha * m_beta * h^(i+j),
-a rank-1 image.
+a rank-1 image.  ``cycle_product`` returns it as a ``FormalCycle`` (a cycle
+on X: codimension i + j and moment m_alpha * m_beta / 3).
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from math import gcd, lcm
 from types import MappingProxyType
 from typing import Mapping
 
-from .errors import CheckFailed, UnsupportedRange
+from .errors import CheckFailed, UnsupportedRange, exact
 from .hodge import euler_cubic, hodge_cubic
 from .wpoly import Frozen, format_monomial, signed_sum
 
@@ -91,10 +92,7 @@ class _FormalSum(Frozen):
     __slots__ = ("n", "num", "den")
 
     def __init__(self, n: int, terms: Mapping[Key, Fraction | int] | None = None):
-        coeffs = {
-            key: c if isinstance(c, (int, Fraction)) else Fraction(c)
-            for key, c in (terms or {}).items()
-        }
+        coeffs = {key: exact(c) for key, c in (terms or {}).items()}
         den = lcm(*(c.denominator for c in coeffs.values()))
         num = {key: c.numerator * (den // c.denominator) for key, c in coeffs.items()}
         self._set(n, num, den)
@@ -136,7 +134,7 @@ class _FormalSum(Frozen):
         return self + (-other)
 
     def scale(self, c):
-        c = Fraction(c)
+        c = Fraction(exact(c))
         num = {key: c.numerator * v for key, v in self.num.items()}
         return self._reduced(self.n, num, c.denominator * self.den)
 
@@ -194,42 +192,6 @@ class _FormalSum(Frozen):
 
 
 _H_NAMES = ("h1", "h2", "h3")  # the hyperplane class on each factor
-
-
-# -- the hypersurface itself ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class XClass:
-    """Element of the h-power model of X: coefficients of h^0 .. h^n."""
-
-    n: int
-    coeffs: tuple[Fraction, ...]
-
-    @classmethod
-    def h_power(cls, n: int, i: int, coeff: Fraction | int = 1) -> "XClass":
-        if not 0 <= i <= n:
-            raise ValueError(f"h^{i} out of range on an n={n} model")
-        return cls(n, tuple(Fraction(coeff) if j == i else Fraction(0) for j in range(n + 1)))
-
-    def degree(self) -> Fraction:
-        """Integral of the top piece; deg h^n = 3."""
-        return 3 * self.coeffs[self.n]
-
-    def __mul__(self, other: "XClass") -> "XClass":
-        out = [Fraction(0)] * (self.n + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b != 0 and i + j <= self.n:
-                    out[i + j] += a * b
-        return XClass(self.n, tuple(out))
-
-    def __str__(self) -> str:
-        return signed_sum(
-            (format_monomial(("h",), (i,)), c) for i, c in enumerate(self.coeffs) if c
-        )
 
 
 # -- X x X: Chow model and cohomological twin -----------------------------------
@@ -620,24 +582,28 @@ def push13(a: CohX3Class) -> CohXXClass:
 
 
 def coh_pair(a: CohX3Class, b: CohX3Class) -> Fraction:
-    """Integration pairing on the cohomological model.
+    """Integration pairing on the cohomological model, read off by Poincare duality.
 
     Monomials pair against complementary monomials (value 27); primitive
     terms pair against same-pair primitive terms with complementary
     decorations (value 3 * (chi - n - 1), the primitive self-pairing times
-    the degree of h^n); the two sectors are orthogonal.
+    the degree of h^n); the two sectors are orthogonal.  So each term of the
+    smaller operand meets one term of the larger one: one lookup.
     """
+    a._check(b)
+    if len(a.num) < len(b.num):
+        a, b = b, a
     n = a.n
+    big = a.num
+    prim = 3 * primitive_self_pairing(n)
     total = 0
-    s = primitive_self_pairing(n)
-    for k1, c1 in a.num.items():
-        for k2, c2 in b.num.items():
-            if k1[0] == MONO and k2[0] == MONO:
-                if all(e1 + e2 == n for e1, e2 in zip(k1[1:], k2[1:])):
-                    total += 27 * c1 * c2
-            elif k1[0] == PRIM and k2[0] == PRIM:
-                if k1[1:3] == k2[1:3] and k1[3] + k2[3] == n:
-                    total += 3 * s * c1 * c2
+    for key, c in b.num.items():
+        if key[0] == MONO:
+            _, i, j, k = key
+            total += 27 * c * big.get((MONO, n - i, n - j, n - k), 0)
+        else:
+            _, p, q, m = key
+            total += prim * c * big.get((PRIM, p, q, n - m), 0)
     return Fraction(total, a.den * b.den)
 
 
@@ -709,20 +675,20 @@ def defect_vanishes_cohomologically(n: int) -> bool:
 class FormalCycle:
     """Opaque cycle class: only its codimension and moment survive.
 
-    The moment is the degree of the zero-cycle (class) * h^(n - codim).
+    The moment is the degree of the zero-cycle (class) * h^(n - codim), an
+    ``int`` or a ``Fraction``.
     """
 
     codim: int
-    moment: Fraction
+    moment: int | Fraction
 
     def __post_init__(self):
         if self.codim <= 0:
             raise ValueError("formal cycles must have positive codimension")
-        if type(self.moment) is not Fraction:
-            object.__setattr__(self, "moment", Fraction(self.moment))
+        exact(self.moment)
 
 
-def cycle_product(n: int, alpha: FormalCycle, beta: FormalCycle) -> XClass:
+def cycle_product(n: int, alpha: FormalCycle, beta: FormalCycle) -> FormalCycle:
     """Product of two formal cycles through the small-diagonal decomposition.
 
     Evaluates the pushforward to the third slot of
@@ -737,6 +703,9 @@ def cycle_product(n: int, alpha: FormalCycle, beta: FormalCycle) -> XClass:
       deg(h^r * alpha) is m_alpha for r = n - i and zero otherwise (same for
       beta), so the only entry that survives the two integrations is
       (n-i, n-j, i+j); the table holds it, zero or not, for every valid i, j.
+
+    The product is entry * m_alpha * m_beta * h^(i+j), a multiple of one
+    class; as deg h^n = 3, its moment is three times its coefficient.
     """
     i, j = alpha.codim, beta.codim
     if not (0 < i and 0 < j and i + j < n):
@@ -746,10 +715,8 @@ def cycle_product(n: int, alpha: FormalCycle, beta: FormalCycle) -> XClass:
     entry = decomposable_coefficients(n)[(n - i, n - j, i + j)]
     ma, mb = alpha.moment, beta.moment
     # one normalization of the integer products, not two Fraction products
-    coeff = Fraction(
-        entry.numerator * ma.numerator * mb.numerator,
+    moment = Fraction(
+        3 * entry.numerator * ma.numerator * mb.numerator,
         entry.denominator * ma.denominator * mb.denominator,
     )
-    out = [_ZERO] * (n + 1)
-    out[i + j] = coeff
-    return XClass(n, tuple(out))
+    return FormalCycle(i + j, moment)

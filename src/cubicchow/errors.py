@@ -1,9 +1,14 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the gate on exact input.
 
 Plain ``ValueError`` is used for caller mistakes (mismatched variable sets,
 inhomogeneous input where a graded class is required); the classes below mark
 the structured failure modes that the verification checks report on.
+``TypeError`` marks a coefficient that is not an ``int`` or ``Fraction``: the
+value constructors pass every coefficient through ``exact``, so no float
+enters the engine.
 """
+
+from fractions import Fraction
 
 
 class UnsupportedRange(ValueError):
@@ -20,3 +25,10 @@ class CheckFailed(RuntimeError):
 
 class NonIntegralResult(ArithmeticError):
     """An exact division left a remainder where none is permitted."""
+
+
+def exact(c):
+    """``c`` itself if it is an ``int`` or a ``Fraction``; ``TypeError`` otherwise."""
+    if isinstance(c, (int, Fraction)):
+        return c
+    raise TypeError(f"exact arithmetic takes int or Fraction, not {type(c).__name__} {c!r}")

@@ -7,9 +7,9 @@ Two independent models of A*(Gr(2, n+2)) are provided:
   symmetric polynomials h_(n+1) and h_(n+2).  The elements y^j * h_(n+1-j)
   of the ideal form a Groebner basis, so the basis monomials x^a y^b
   (a + b <= n) and the integer reducer of every monomial are filled degree
-  by degree, without elimination.  The top degree is spanned by c2^n, so
-  every intersection number of monomials is one read of the top reducer
-  (``pairing``);
+  by degree, without elimination; a normal form is the tuple of coordinates
+  on that basis.  The top degree is spanned by c2^n, so every intersection
+  number of monomials is one read of the top reducer (``pairing``);
 * a Schubert-calculus oracle on partitions (a, b) in the n x 2 box, with
   integer coefficients and multiplication given by the Pieri rule.  Its
   intersection numbers are read off by Poincare duality,
@@ -20,6 +20,8 @@ The two are tied together by c1 = sigma_1, c2 = sigma_(1,1) and the
 Giambelli determinant sigma_(a,b) = h_a*h_b - h_(a+1)*h_(b-1), whose
 quotient coordinates are read off the integer reducers term pair by term
 pair (``giambelli_coords``); the point class sigma_(n,n) = c2^n has degree 1.
+``normal_form``, ``pairing`` and ``poly_schubert`` reject a polynomial over
+any variable set but (x, y) with weights (1, 2) with ``ValueError``.
 
 Also here: Chern classes of symmetric powers of a rank-2 bundle via the
 splitting principle, and the class of the locus of lines on a cubic,
@@ -47,10 +49,6 @@ class Partition2(NamedTuple):
 
     a: int
     b: int
-
-    @property
-    def size(self) -> int:
-        return self.a + self.b
 
 
 SchubertSum = dict[Partition2, int]
@@ -93,47 +91,11 @@ class GRing:
     """
 
     n: int
-    gens: tuple[WPoly, WPoly]
     bases: tuple[tuple[Exponents, ...], ...]
     reducers: tuple[Mapping[Exponents, tuple[int, ...]], ...]
 
     def dim(self, k: int) -> int:
         return len(self.bases[k])
-
-
-@dataclass(frozen=True)
-class GClass:
-    """Element of one graded piece, in coordinates over the quotient basis."""
-
-    ring: GRing
-    degree: int
-    coords: tuple[Fraction, ...]
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
-    def to_poly(self) -> WPoly:
-        out = WPoly.zero()
-        for exps, c in zip(self.ring.bases[self.degree], self.coords):
-            out = out + WPoly.monomial(exps, c)
-        return out
-
-    def __add__(self, other: "GClass") -> "GClass":
-        if self.ring is not other.ring or self.degree != other.degree:
-            raise ValueError("classes live in different graded pieces")
-        return GClass(
-            self.ring, self.degree, tuple(a + b for a, b in zip(self.coords, other.coords))
-        )
-
-    def __sub__(self, other: "GClass") -> "GClass":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "GClass":
-        c = Fraction(c)
-        return GClass(self.ring, self.degree, tuple(c * x for x in self.coords))
-
-    def __str__(self) -> str:
-        return str(self.to_poly())
 
 
 @lru_cache(maxsize=None)
@@ -186,20 +148,12 @@ def build_ring(n: int) -> GRing:
         reducers.append(MappingProxyType(reducer))
     if len(bases[2 * n]) != 1:
         raise AssertionError("top degree is not one-dimensional")
-    return GRing(n, (g1, g2), tuple(bases), tuple(reducers))
+    return GRing(n, tuple(bases), tuple(reducers))
 
 
-def _reduce(ring: GRing, p: WPoly, k: int) -> tuple[Fraction, ...]:
-    coords = [Fraction(0)] * ring.dim(k)
-    reducer = ring.reducers[k]
-    for exps, c in p.terms.items():
-        for i, r in enumerate(reducer[exps]):
-            coords[i] += c * r
-    return tuple(coords)
-
-
-def normal_form(ring: GRing, p: WPoly, degree: int | None = None) -> GClass:
-    """Image of a homogeneous polynomial in the quotient, on the degree basis."""
+def normal_form(ring: GRing, p: WPoly, degree: int | None = None) -> tuple[Fraction, ...]:
+    """Coordinates of a homogeneous polynomial in the quotient, on the degree basis."""
+    X._check_compatible(p)
     if p.is_zero():
         if degree is None:
             raise ValueError("zero polynomial needs an explicit degree")
@@ -212,18 +166,20 @@ def normal_form(ring: GRing, p: WPoly, degree: int | None = None) -> GClass:
             raise ValueError("stated degree disagrees with the polynomial")
     if not 0 <= k <= 2 * ring.n:
         raise ValueError(f"degree {k} outside 0..{2 * ring.n}")
-    return GClass(ring, k, _reduce(ring, p, k))
-
-
-def degree(ring: GRing, c: GClass) -> Fraction:
-    """Integral of a top-degree class: c2^n spans the top degree, with degree 1."""
-    if c.degree != 2 * ring.n:
-        raise NotTopDegree(f"degree map needs codimension {2 * ring.n}")
-    return Fraction(c.coords[0])
+    coords = [Fraction(0)] * ring.dim(k)
+    reducer = ring.reducers[k]
+    for exps, c in p.terms.items():
+        for i, r in enumerate(reducer[exps]):
+            coords[i] += c * r
+    return tuple(coords)
 
 
 def degree_of_poly(ring: GRing, p: WPoly) -> Fraction:
-    return degree(ring, normal_form(ring, p, 2 * ring.n))
+    """Integral of a top-degree polynomial: c2^n spans the top degree, with degree 1."""
+    top = 2 * ring.n
+    if not p.is_zero() and p.is_homogeneous() and p.homogeneous_degree() != top:
+        raise NotTopDegree(f"degree map needs codimension {top}")
+    return normal_form(ring, p, top)[0]
 
 
 # -- Schubert oracle ---------------------------------------------------------
@@ -302,6 +258,7 @@ def poly_schubert(n: int, p: WPoly) -> SchubertSum:
     Integral coefficients become ``int``, so integral input gives an
     integral sum.
     """
+    X._check_compatible(p)
     out: SchubertSum = {}
     for (a, b), c in p.terms.items():
         if c.denominator == 1:
@@ -402,13 +359,6 @@ def fano_poly() -> WPoly:
     return WPoly({(2, 1): 18, (0, 2): 9})
 
 
-def fano_class(ring: GRing) -> GClass:
-    """Normal form of 18*c1^2*c2 + 9*c2^2 in degree 4."""
-    if ring.n < 2:
-        raise UnsupportedRange("fano_class needs n >= 2")
-    return normal_form(ring, fano_poly())
-
-
 def pairing(ring: GRing, k: int, weight: WPoly | None = None) -> MatQ:
     """deg(x_i * y_j * weight) between degree k and 2n - k - deg(weight).
 
@@ -416,8 +366,11 @@ def pairing(ring: GRing, k: int, weight: WPoly | None = None) -> MatQ:
     over the terms c * x^e of the weight: one read of the top reducer per
     term, and any representative of the weight in the quotient will do.
     """
-    terms = [((0, 0), 1)] if weight is None else list(weight.terms.items())
-    top = 2 * ring.n - (0 if weight is None else weight.homogeneous_degree())
+    if weight is None:
+        terms, top = [((0, 0), 1)], 2 * ring.n
+    else:
+        X._check_compatible(weight)
+        terms, top = list(weight.terms.items()), 2 * ring.n - weight.homogeneous_degree()
     if not 0 <= k <= top:
         raise UnsupportedRange(f"k must lie in 0..{top}")
     point = ring.reducers[2 * ring.n]

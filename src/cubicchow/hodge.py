@@ -30,7 +30,7 @@ from math import comb
 from types import MappingProxyType
 from typing import Mapping
 
-from .errors import CheckFailed, NonIntegralResult, UnsupportedRange
+from .errors import CheckFailed, NonIntegralResult, UnsupportedRange, exact
 from .fano import taut_rank_F
 from .wpoly import Frozen, format_monomial, signed_sum
 
@@ -53,6 +53,8 @@ class HodgeDiamond(Frozen):
         for (k, p, q), m in (entries or {}).items():
             if p + q != k:
                 raise ValueError(f"entry ({k},{p},{q}) violates p + q = k")
+            if exact(m).denominator != 1:
+                raise ValueError(f"entry ({k},{p},{q}) has multiplicity {m}, not an integer")
             if m != 0:
                 clean[(k, p, q)] = int(m)
         object.__setattr__(self, "entries", MappingProxyType(clean))

@@ -14,12 +14,14 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
+from .errors import exact
+
 Vector = tuple[Fraction, ...]
 
 
 @dataclass(frozen=True)
 class MatQ:
-    """Immutable rational matrix."""
+    """Immutable rational matrix, built from ``int`` or ``Fraction`` entries."""
 
     rows: int
     cols: int
@@ -27,7 +29,7 @@ class MatQ:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[Fraction | int]], cols: int | None = None) -> "MatQ":
-        data = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        data = tuple(tuple(Fraction(exact(x)) for x in row) for row in rows)
         if data:
             cols = len(data[0])
             if any(len(row) != cols for row in data):

@@ -1,8 +1,9 @@
 """Exact weighted polynomials over the rationals.
 
 A :class:`WPoly` is a sparse map from exponent vectors to ``Fraction``
-coefficients.  Every variable carries a positive integer weight and the
-weighted degree of a monomial is the weight-dot-product of its exponents.
+coefficients, built from ``int`` or ``Fraction`` coefficients only.  Every
+variable carries a positive integer weight and the weighted degree of a
+monomial is the weight-dot-product of its exponents.
 Most of the package works in Q[x, y] with weights (1, 2), where x and y
 stand for the first and second Chern class of a rank-2 bundle.
 
@@ -20,6 +21,8 @@ import re
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping
+
+from .errors import exact
 
 Exponents = tuple[int, ...]
 
@@ -98,7 +101,8 @@ class WPoly(Frozen):
             raise ValueError("weights must be positive")
         clean: dict[Exponents, Fraction] = {}
         for exps, c in (terms or {}).items():
-            c = Fraction(c)
+            if type(c) is not Fraction:
+                c = Fraction(exact(c))
             if c == 0:
                 continue
             exps = tuple(int(e) for e in exps)
@@ -118,7 +122,7 @@ class WPoly(Frozen):
     @classmethod
     def constant(cls, c, vars=CHERN_VARS, weights=CHERN_WEIGHTS) -> "WPoly":
         zero = (0,) * len(vars)
-        return cls({zero: Fraction(c)}, vars, weights)
+        return cls({zero: c}, vars, weights)
 
     @classmethod
     def variable(cls, name: str, vars=CHERN_VARS, weights=CHERN_WEIGHTS) -> "WPoly":
@@ -128,7 +132,7 @@ class WPoly(Frozen):
 
     @classmethod
     def monomial(cls, exps: Iterable[int], coeff=1, vars=CHERN_VARS, weights=CHERN_WEIGHTS) -> "WPoly":
-        return cls({tuple(exps): Fraction(coeff)}, vars, weights)
+        return cls({tuple(exps): coeff}, vars, weights)
 
     # -- grading -----------------------------------------------------------
 
@@ -148,14 +152,6 @@ class WPoly(Frozen):
         if len(degrees) != 1:
             raise ValueError("polynomial is zero or not homogeneous")
         return degrees.pop()
-
-    def graded_component(self, d: int) -> "WPoly":
-        """Sum of the terms of weighted degree exactly ``d``."""
-        return WPoly(
-            {e: c for e, c in self.terms.items() if self.wdeg(e) == d},
-            self.vars,
-            self.weights,
-        )
 
     def coefficient(self, exps: Iterable[int]) -> Fraction:
         return self.terms.get(tuple(exps), Fraction(0))
@@ -195,7 +191,7 @@ class WPoly(Frozen):
 
     def __mul__(self, other) -> "WPoly":
         if not isinstance(other, WPoly):
-            c = Fraction(other)
+            c = Fraction(exact(other))
             return WPoly({e: c * v for e, v in self.terms.items()}, self.vars, self.weights)
         self._check_compatible(other)
         out: dict[Exponents, Fraction] = {}

@@ -34,7 +34,7 @@ def criterion(number, description):
 def test_criterion_01_lines():
     start = time.perf_counter()
     ring = grassmann.build_ring(2)
-    quotient_route = grassmann.degree(ring, grassmann.fano_class(ring))
+    quotient_route = grassmann.degree_of_poly(ring, grassmann.fano_poly())
     schubert_route = grassmann.schubert_degree(
         2, grassmann.poly_schubert(2, grassmann.fano_poly())
     )
@@ -97,7 +97,7 @@ def test_criterion_06_extra_relation():
         assert not relation.poly.is_zero()
         assert relation.poly.coefficient((n - 1, 0)) == 1
         product = relation.poly * grassmann.fano_poly()
-        assert grassmann.normal_form(ring, product).is_zero()
+        assert not any(grassmann.normal_form(ring, product))
         decomposition = fano.ideal_decomposition(n, product)
         assert decomposition is not None
         a, b = decomposition
@@ -135,14 +135,13 @@ def test_criterion_08_product_rank_one():
                 unit = diagonal.cycle_product(
                     n, diagonal.FormalCycle(i, 3), diagonal.FormalCycle(j, 3)
                 )
-                assert unit == diagonal.XClass.h_power(n, i + j)
+                assert unit == diagonal.FormalCycle(i + j, 3)  # h^(i+j)
                 for ma, mb in itertools.product(moments, repeat=2):
                     out = diagonal.cycle_product(
                         n, diagonal.FormalCycle(i, ma), diagonal.FormalCycle(j, mb)
                     )
-                    expected = diagonal.XClass.h_power(
-                        n, i + j, Fraction(1, 9) * ma * mb
-                    )
+                    # (1/9) m_a m_b h^(i+j) has moment m_a m_b / 3, as deg h^n = 3
+                    expected = diagonal.FormalCycle(i + j, Fraction(1, 9) * ma * mb * 3)
                     assert out == expected
 
 
@@ -164,9 +163,8 @@ def test_criterion_09_oracles():
                         )
                         rebuilt = grassmann.normal_form(ring, WPoly.zero(), degree=k1 + k2)
                         for part, coeff in sch.items():
-                            rebuilt = rebuilt + grassmann.normal_form(
-                                ring, grassmann.giambelli(part)
-                            ).scale(coeff)
+                            back = grassmann.normal_form(ring, grassmann.giambelli(part))
+                            rebuilt = tuple(r + coeff * b for r, b in zip(rebuilt, back))
                         assert direct == rebuilt, (n, m1, m2)
     for n in range(1, 11):
         d = diagonal.xx_diagonal(n)

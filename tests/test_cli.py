@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -167,3 +168,33 @@ def test_report_is_byte_identical_to_the_recorded_one():
         del row["elapsed_ms"]
     recorded = (DATA / "verify_1_12_all.json").read_text(encoding="utf-8")
     assert json.dumps(rows, indent=2) + "\n" == recorded
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--n-min", "1", "--n-max", "4", "--suite", "all"),
+        ("--n-min", "1", "--n-max", "6", "--suite", "diagonal"),
+    ],
+)
+def test_layer_tracer_reaches_every_binding(tmp_path, args):
+    # perfbench/layer_trace.py patches the package from outside; a binding it
+    # misses (an import alias, a method it reads with ``vars(WPoly)[name]``)
+    # shows in ``unpatched`` or stops the run
+    stats = tmp_path / "stats.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "layer_trace.py"), str(stats), *args,
+         "--format", "json", "--out", str(tmp_path / "report.json")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(stats.read_text(encoding="utf-8"))
+    assert report["unpatched"] == []
+    if "diagonal" in args:
+        assert report["spans"]["wpoly.mul"]["calls"] == 0
+        assert report["spans"]["diagonal.cycle_product"]["calls"] > 0

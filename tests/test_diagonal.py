@@ -16,7 +16,6 @@ from cubicchow.diagonal import (
     CohXXClass,
     FormalCycle,
     X3Class,
-    XClass,
     XXClass,
     coh_pair,
     corrected_small_diagonal,
@@ -286,7 +285,7 @@ def test_cycle_product_reproduces_h_powers():
         for i in range(1, n):
             for j in range(1, n - i):
                 result = cycle_product(n, FormalCycle(i, 3), FormalCycle(j, 3))
-                assert result == XClass.h_power(n, i + j)
+                assert result == FormalCycle(i + j, 3)  # h^(i+j): deg h^n = 3
 
 
 def test_cycle_product_generic_moments():
@@ -299,7 +298,8 @@ def test_cycle_product_generic_moments():
                         result = cycle_product(
                             n, FormalCycle(i, ma), FormalCycle(j, mb)
                         )
-                        expected = XClass.h_power(n, i + j, Fraction(1, 9) * ma * mb)
+                        # (1/9) m_a m_b h^(i+j), whose moment is 3 times that
+                        expected = FormalCycle(i + j, 3 * Fraction(1, 9) * ma * mb)
                         assert result == expected
 
 
@@ -311,9 +311,8 @@ def _cycle_product_by_scan(n, alpha, beta):
         if a_rst != 0 and r == n - i and s == n - j:
             assert t == i + j
             coeff += a_rst * alpha.moment * beta.moment
-    out = [Fraction(0)] * (n + 1)
-    out[i + j] = coeff
-    return XClass(n, tuple(out))
+    # coeff * h^(i+j) has moment 3 * coeff, as deg h^n = 3
+    return FormalCycle(i + j, 3 * coeff)
 
 
 def test_cycle_product_lookup_matches_table_scan():
@@ -330,17 +329,16 @@ def test_cycle_product_lookup_matches_table_scan():
 
 
 def test_cycle_product_image_has_rank_one():
-    # outputs for many formal cycles all lie on the line spanned by h^(i+j)
+    # outputs for many formal cycles are all multiples of h^(i+j): one
+    # codimension, and moments proportional to m_alpha * m_beta
     n, i, j = 7, 2, 3
-    outputs = []
+    ratios = set()
     for ma in range(1, 6):
         for mb in range(1, 6):
             out = cycle_product(n, FormalCycle(i, ma), FormalCycle(j, mb))
-            outputs.append(out)
-    base = XClass.h_power(n, i + j)
-    for out in outputs:
-        scale = out.coeffs[i + j]
-        assert out == XClass(n, tuple(scale * c for c in base.coeffs))
+            assert out.codim == i + j
+            ratios.add(out.moment / (ma * mb))
+    assert ratios == {Fraction(1, 3)}
 
 
 def test_cycle_product_preconditions():
@@ -352,18 +350,31 @@ def test_cycle_product_preconditions():
         FormalCycle(0, 3)
 
 
-def test_xclass_arithmetic():
-    n = 4
-    h = XClass.h_power(n, 1)
-    assert h * h == XClass.h_power(n, 2)
-    assert XClass.h_power(n, n).degree() == 3
-    assert (XClass.h_power(n, 3) * XClass.h_power(n, 2)).degree() == 0
+def test_floats_are_rejected():
+    key = ("m", 1, 1)
+    for make in (
+        lambda: XXClass(2, {key: 0.5}),
+        lambda: CohX3Class(2, {("m", 1, 1, 1): 0.5}),
+        lambda: xx_diagonal(2).scale(0.5),
+        lambda: FormalCycle(1, 0.1),
+    ):
+        with pytest.raises(TypeError):
+            make()
+    assert XXClass(2, {key: Fraction(1, 2)}) == XXClass(2, {key: 1}).scale(Fraction(1, 2))
+    assert FormalCycle(1, 3) == FormalCycle(1, Fraction(3))
 
 
-def test_xclass_prints_through_the_shared_printer():
-    assert str(XClass(3, (1, 0, -1, Fraction(1, 3)))) == "1 - h^2 + 1/3*h^3"
-    assert str(XClass(3, (0, Fraction(-2, 3), 0, 1))) == "-2/3*h + h^3"
-    assert str(XClass.h_power(2, 0, 0)) == "0"
+def test_coh_pair_rejects_mismatched_operands():
+    a = small_diagonal_coh(3)
+    with pytest.raises(ValueError):
+        coh_pair(a, small_diagonal_coh(4))
+    with pytest.raises(ValueError):
+        coh_pair(x3_small_diagonal(3), a)
+    with pytest.raises(ValueError):
+        coh_pair(a, x3_small_diagonal(3))
+    # x3_pair refuses the same operands in the same way
+    with pytest.raises(ValueError):
+        x3_pair(x3_small_diagonal(3), x3_small_diagonal(4))
 
 
 def test_canonical_print_forms():
@@ -484,17 +495,19 @@ def test_cached_values_refuse_attribute_deletion():
 
 
 def test_product_rank_one_catches_a_stray_coefficient(monkeypatch):
+    # a perturbed moment, then a perturbed codimension, must both be seen
     honest = diagonal.cycle_product
+    for codim_shift, moment_shift in ((0, 1), (1, 0)):
 
-    def stray(n, alpha, beta):
-        coeffs = list(honest(n, alpha, beta).coeffs)
-        coeffs[0] += 1
-        return XClass(n, tuple(coeffs))
+        def stray(n, alpha, beta):
+            out = honest(n, alpha, beta)
+            return FormalCycle(out.codim + codim_shift, out.moment + moment_shift)
 
-    monkeypatch.setattr(diagonal, "cycle_product", stray)
-    computed, expected = _run_check("diagonal.product_rank_one", 4)
-    assert computed != expected
-    assert "h^1 * h^1 != h^2" in computed
+        monkeypatch.setattr(diagonal, "cycle_product", stray)
+        computed, expected = _run_check("diagonal.product_rank_one", 4)
+        assert computed != expected
+        assert "h^1 * h^1 != h^2" in computed, (codim_shift, moment_shift)
+        assert "moment scaling fails at (1,1)" in computed, (codim_shift, moment_shift)
 
 
 def test_defect_pairing_catches_a_perturbed_defect(monkeypatch):

@@ -16,9 +16,7 @@ from cubicchow.grassmann import (
     Partition2,
     build_ring,
     complete_symmetric,
-    degree,
     degree_of_poly,
-    fano_class,
     fano_poly,
     giambelli,
     giambelli_coords,
@@ -63,9 +61,9 @@ def test_ring_dimensions_match_partition_counts():
 def test_normal_form_examples():
     for n in (2, 3, 4):
         ring = build_ring(n)
-        assert normal_form(ring, complete_symmetric(n + 1)).is_zero()
+        assert not any(normal_form(ring, complete_symmetric(n + 1)))
         c1 = normal_form(ring, WPoly.variable("x"))
-        assert c1.coords == (Fraction(1),)
+        assert c1 == (Fraction(1),)
     ring2 = build_ring(2)
     assert normal_form(ring2, WPoly.monomial((3, 0))) == normal_form(
         ring2, WPoly.monomial((1, 1), 2)
@@ -78,6 +76,27 @@ def test_normal_form_rejects_bad_input():
         normal_form(ring, WPoly.constant(1) + WPoly.variable("x"))
     with pytest.raises(ValueError):
         normal_form(ring, WPoly.monomial((5, 0)))
+
+
+_FOREIGN = WPoly({(2, 0): 1}, ("r", "s"), (1, 1))  # r^2: degree 2, like c1^2
+
+
+def test_normal_form_rejects_a_foreign_variable_set():
+    ring = build_ring(3)
+    with pytest.raises(ValueError, match="mismatched variable sets"):
+        normal_form(ring, _FOREIGN)
+    with pytest.raises(ValueError, match="mismatched variable sets"):
+        normal_form(ring, WPoly({(0, 1): 1}, ("r", "s"), (1, 1)))
+
+
+def test_pairing_rejects_a_foreign_weight():
+    with pytest.raises(ValueError, match="mismatched variable sets"):
+        pairing(build_ring(3), 0, _FOREIGN)
+
+
+def test_poly_schubert_rejects_a_foreign_variable_set():
+    with pytest.raises(ValueError, match="mismatched variable sets"):
+        poly_schubert(3, _FOREIGN)
 
 
 def test_pieri_examples():
@@ -104,7 +123,8 @@ def test_degree_map_classical_values():
 def test_degree_needs_top_codimension():
     ring = build_ring(3)
     with pytest.raises(NotTopDegree):
-        degree(ring, normal_form(ring, WPoly.variable("x")))
+        degree_of_poly(ring, WPoly.variable("x"))
+    assert degree_of_poly(ring, WPoly.zero()) == 0
 
 
 def test_sym_power_chern_small_cases():
@@ -148,13 +168,16 @@ def test_sym_power_chern_numeric_evaluation_oracle():
 
 def test_fano_class_values():
     ring2 = build_ring(2)
-    assert degree(ring2, fano_class(ring2)) == 27
+    assert degree_of_poly(ring2, fano_poly()) == 27
     ring3 = build_ring(3)
     assert degree_of_poly(ring3, WPoly.monomial((2, 0)) * fano_poly()) == 45
     for n in range(2, 9):
-        assert not fano_class(build_ring(n)).is_zero()
-    with pytest.raises(UnsupportedRange):
-        fano_class(build_ring(1))
+        assert any(normal_form(build_ring(n), fano_poly()))
+    # [F] has degree 4, beyond the top degree 2 of Gr(2, 3)
+    with pytest.raises(ValueError):
+        normal_form(build_ring(1), fano_poly())
+    with pytest.raises(NotTopDegree):
+        degree_of_poly(build_ring(1), fano_poly())
 
 
 def test_fano_class_equals_sym3_top():
@@ -198,9 +221,8 @@ def test_oracle_equivalence_small_n():
                         )
                         rebuilt = normal_form(ring, WPoly.zero(), degree=k1 + k2)
                         for part, c in sch.items():
-                            rebuilt = rebuilt + normal_form(
-                                ring, giambelli(part)
-                            ).scale(c)
+                            back = normal_form(ring, giambelli(part))
+                            rebuilt = tuple(r + c * b for r, b in zip(rebuilt, back))
                         assert direct == rebuilt, (n, m1, m2)
 
 
@@ -371,7 +393,7 @@ def test_groebner_fill_matches_elimination():
 def test_degree_is_an_exact_fraction():
     for n in (1, 2, 5):
         ring = build_ring(n)
-        value = degree(ring, normal_form(ring, WPoly.monomial((2 * n, 0))))
+        value = degree_of_poly(ring, WPoly.monomial((2 * n, 0)))
         assert type(value) is Fraction
         assert value == comb(2 * n, n) // (n + 1)
         assert type(degree_of_poly(ring, WPoly.monomial((0, n)))) is Fraction
@@ -398,7 +420,9 @@ def test_pairing_matches_triple_products():
             assert [list(r) for r in pairing(ring, k).entries] == _product_pairing(ring, k, one)
         if n < 2:
             continue
-        weights = (fano_poly(), fano_class(ring).to_poly(), WPoly({(1, 0): Fraction(1, 2)}))
+        # [F] also through its reduced representative on the degree-4 basis
+        reduced = WPoly(dict(zip(ring.bases[4], normal_form(ring, fano_poly()))))
+        weights = (fano_poly(), reduced, WPoly({(1, 0): Fraction(1, 2)}))
         for weight in weights:
             for k in range(2 * ring.n - weight.homogeneous_degree() + 1):
                 expected = _product_pairing(ring, k, weight)
@@ -456,7 +480,7 @@ def test_giambelli_coords_are_the_normal_form_in_integers():
         for k in range(2 * n + 1):
             for part in partitions_in_box(n, k):
                 coords = giambelli_coords(ring, part)
-                assert coords == normal_form(ring, giambelli(part)).coords, (n, part)
+                assert coords == normal_form(ring, giambelli(part)), (n, part)
                 assert all(type(c) is int for c in coords), (n, part)
 
 

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -224,6 +225,18 @@ def test_jacobian_ring_hilbert_series():
             if n % 2 == 0 and q == n // 2:
                 middle_entry -= 1
             assert middle_entry == expected
+
+
+def test_multiplicities_are_exact_integers():
+    with pytest.raises(TypeError):
+        HodgeDiamond({(0, 0, 0): 1.7})
+    with pytest.raises(TypeError):
+        HodgeDiamond({(2, 1, 1): 1.0})
+    with pytest.raises(ValueError):
+        HodgeDiamond({(0, 0, 0): Fraction(1, 2)})
+    diamond = HodgeDiamond({(0, 0, 0): Fraction(3)})
+    assert diamond == HodgeDiamond({(0, 0, 0): 3})
+    assert type(diamond.get(0, 0, 0)) is int
 
 
 def test_cached_diamonds_are_immutable():

@@ -87,6 +87,14 @@ def test_solve_agrees_with_rank_criterion():
             assert x is None
 
 
+def test_floats_are_rejected():
+    with pytest.raises(TypeError):
+        MatQ.from_rows([[0.1]])
+    with pytest.raises(TypeError):
+        MatQ.from_rows([[1, Fraction(1, 2)], [3, 0.5]])
+    assert MatQ.from_rows([[1, Fraction(1, 2)]]).entries == ((1, Fraction(1, 2)),)
+
+
 def test_empty_matrix_needs_column_count():
     with pytest.raises(ValueError):
         MatQ.from_rows([])

@@ -32,12 +32,17 @@ def test_mismatched_variables_rejected():
         X * other
 
 
-def test_graded_component_examples():
-    p = WPoly.constant(1) + X + Y
-    assert p.graded_component(2) == Y
-    assert p.graded_component(0) == WPoly.constant(1)
-    q = WPoly.monomial((3, 0)) + WPoly.monomial((1, 1))
-    assert q.graded_component(3) == q
+def test_floats_are_rejected():
+    for make in (
+        lambda: WPoly({(1, 0): 0.1}),
+        lambda: WPoly.constant(0.5),
+        lambda: WPoly.monomial((1, 0), 0.25),
+        lambda: X * 0.5,
+        lambda: X + 1.5,
+    ):
+        with pytest.raises(TypeError):
+            make()
+    assert WPoly({(1, 0): 2, (0, 1): Fraction(1, 3)}) == WPoly.parse("1/3*y + 2*x")
 
 
 def test_homogeneity_of_products():
