@@ -20,7 +20,7 @@ from .grassmann import (
     giambelli,
     normal_form,
     pieri_mul,
-    pieri_mul11,
+    shift11,
     sym_power_chern,
 )
 from .fano import ExtraRelation, FanoPairing, extra_relation, fano_pairing, ideal_decomposition, taut_rank_F

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from typing import Callable
 
@@ -99,7 +100,7 @@ def _top_norm(n: int):
     return f"{quotient},{schubert}", "1,1"
 
 
-@_register("grassmann.pieri_oracle", "grassmann", 1, 12)
+@_register("grassmann.pieri_oracle", "grassmann", 1, 15)
 def _pieri_oracle(n: int):
     ring = grassmann.build_ring(n)
     # Giambelli table: the quotient coordinates of every Schubert class
@@ -108,25 +109,30 @@ def _pieri_oracle(n: int):
         for k in range(2 * n + 1)
         for part in grassmann.partitions_in_box(n, k)
     }
-    expansions = {
-        m: dict(grassmann.monomial_schubert(n, *m)) for basis in ring.bases for m in basis
-    }
+    # c2 = sigma_(1,1) shifts the box, so x^a1 y^b1 * x^a2 y^b2 is the
+    # (b1 + b2)-shift of sigma(x^a1) * sigma(x^a2): only powers of x are multiplied
+    powers = [dict(grassmann.monomial_schubert(n, a, 0)) for a in range(n + 1)]
+
+    @cache
+    def product(a1: int, a2: int) -> grassmann.SchubertSum:
+        return grassmann.schubert_mul(n, powers[a1], powers[a2])
+
+    @cache
+    def agrees(a1: int, a2: int, b: int) -> bool:
+        a, k = a1 + a2, a1 + a2 + 2 * b
+        back = [0] * ring.dim(k)
+        for part, c in grassmann.shift11(n, product(a1, a2), b).items():
+            for i, x in enumerate(back_table[part]):
+                back[i] += c * x
+        # a monomial times a monomial is a monomial: its reducer row
+        return ring.reducers[k][(a, b)] == tuple(back)
+
     failures = []
     for k1 in range(2 * n + 1):
         for k2 in range(2 * n + 1 - k1):
-            reducer = ring.reducers[k1 + k2]
-            dim = ring.dim(k1 + k2)
             for m1 in ring.bases[k1]:
-                s1 = expansions[m1]
                 for m2 in ring.bases[k2]:
-                    # a monomial times a monomial is a monomial: its reducer row
-                    direct = reducer[(m1[0] + m2[0], m1[1] + m2[1])]
-                    sch = grassmann.schubert_mul(n, s1, expansions[m2])
-                    back = [0] * dim
-                    for part, c in sch.items():
-                        for i, x in enumerate(back_table[part]):
-                            back[i] += c * x
-                    if direct != tuple(back):
+                    if not agrees(m1[0], m2[0], m1[1] + m2[1]):
                         failures.append(f"mismatch at {m1}*{m2}")
     return _ok(failures)
 

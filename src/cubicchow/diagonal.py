@@ -29,7 +29,8 @@ edge: coefficients, degrees, pairings, the decomposable table and text.
 
 Degrees on X^3 are read off by Poincare duality: ``x3_pair(a, b)`` and
 ``coh_pair(a, b)`` sum only the term pairs whose codimensions add up to 3n,
-without forming the product a * b.
+without forming the product a * b.  Each takes only its own model's classes
+(``X3Class`` and ``CohX3Class``) and raises ``ValueError`` on any other.
 
 On top of the models: the decomposable coefficients of the small diagonal
 after removing its axis corrections, the vanishing of the resulting
@@ -448,6 +449,8 @@ def x3_pair(a: X3Class, b: X3Class) -> Fraction:
     ``X3Class._term_mul``, so the product rules stay in one place; its
     numerators are over 27 = deg(h1^n h2^n h3^n), so they are the degrees.
     """
+    if type(a) is not X3Class:
+        raise ValueError("x3_pair pairs X3Class classes only")
     a._check(b)
     if len(a.num) < len(b.num):
         a, b = b, a
@@ -590,6 +593,8 @@ def coh_pair(a: CohX3Class, b: CohX3Class) -> Fraction:
     the degree of h^n); the two sectors are orthogonal.  So each term of the
     smaller operand meets one term of the larger one: one lookup.
     """
+    if type(a) is not CohX3Class:
+        raise ValueError("coh_pair pairs CohX3Class classes only")
     a._check(b)
     if len(a.num) < len(b.num):
         a, b = b, a

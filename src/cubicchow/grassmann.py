@@ -14,7 +14,10 @@ Two independent models of A*(Gr(2, n+2)) are provided:
   integer coefficients and multiplication given by the Pieri rule.  Its
   intersection numbers are read off by Poincare duality,
   deg(sigma_(a,b) * sigma_mu) = [mu = (n-b, n-a)], so the oracle never
-  touches the quotient ring.
+  touches the quotient ring.  As c2 = sigma_(1,1) shifts (a, b) to
+  (a+1, b+1) and drops what leaves the box (``shift11``), the product of
+  x^a1 y^b1 and x^a2 y^b2 is the (b1+b2)-shift of sigma(x^a1) * sigma(x^a2):
+  the Pieri oracle check multiplies powers of x only.
 
 The two are tied together by c1 = sigma_1, c2 = sigma_(1,1) and the
 Giambelli determinant sigma_(a,b) = h_a*h_b - h_(a+1)*h_(b-1), whose
@@ -197,12 +200,9 @@ def pieri_mul(n: int, part: Partition2, p: int) -> SchubertSum:
     }
 
 
-def pieri_mul11(n: int, part: Partition2) -> SchubertSum:
-    """Multiplication by sigma_(1,1): shift (a, b) -> (a+1, b+1) inside the box."""
-    a, b = part
-    if a + 1 > n:
-        return {}
-    return {Partition2(a + 1, b + 1): 1}
+def shift11(n: int, s: SchubertSum, d: int) -> SchubertSum:
+    """Multiplication by sigma_(1,1)^d: (a, b) -> (a+d, b+d), out-of-box terms dropped."""
+    return {Partition2(a + d, b + d): c for (a, b), c in s.items() if a + d <= n}
 
 
 def _sum_scale(total: SchubertSum, part_sum: SchubertSum, c: int) -> None:
@@ -236,12 +236,12 @@ def schubert_mul(n: int, s1: SchubertSum, s2: SchubertSum) -> SchubertSum:
 
 @lru_cache(maxsize=None)
 def monomial_schubert(n: int, a: int, b: int) -> tuple[tuple[Partition2, int], ...]:
-    """Expansion of c1^a * c2^b in the Schubert basis (cached, immutably)."""
+    """Expansion of c1^a * c2^b in the Schubert basis (cached, immutably).
+
+    Each c1 is one Pieri step; c2^b is the shift of the c1^a expansion by (b, b).
+    """
     if b > 0:
-        prev = monomial_schubert(n, a, b - 1)
-        out: SchubertSum = {}
-        for part, v in prev:
-            _sum_scale(out, pieri_mul11(n, part), v)
+        out = shift11(n, dict(monomial_schubert(n, a, 0)), b)
     elif a > 0:
         prev = monomial_schubert(n, a - 1, 0)
         out = {}

@@ -105,7 +105,8 @@ class WPoly(Frozen):
                 c = Fraction(exact(c))
             if c == 0:
                 continue
-            exps = tuple(int(e) for e in exps)
+            if not all(isinstance(e, int) for e in exps):
+                raise TypeError(f"exponents must be int, not {exps!r}")
             if len(exps) != len(vars) or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent vector {exps!r}")
             clean[exps] = c

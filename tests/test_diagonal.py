@@ -377,6 +377,27 @@ def test_coh_pair_rejects_mismatched_operands():
         x3_pair(x3_small_diagonal(3), x3_small_diagonal(4))
 
 
+def test_x3_pair_refuses_the_cohomological_model():
+    # two CohX3Class monomials of complementary degree once paired to 27
+    a = CohX3Class(3, {("m", 1, 1, 1): 1})
+    b = CohX3Class(3, {("m", 2, 2, 2): 1})
+    assert coh_pair(a, b) == 27
+    with pytest.raises(ValueError):
+        x3_pair(a, b)
+    with pytest.raises(ValueError):
+        x3_pair(small_diagonal_coh(3), small_diagonal_coh(3))
+
+
+def test_coh_pair_refuses_the_chow_model():
+    # two X3Class monomials of complementary degree once paired to 27
+    a, b = x3_monomial(3, 1, 1, 1), x3_monomial(3, 2, 2, 2)
+    assert x3_pair(a, b) == 27
+    with pytest.raises(ValueError):
+        coh_pair(a, b)
+    with pytest.raises(ValueError):
+        coh_pair(x3_small_diagonal(3), corrected_small_diagonal(3))
+
+
 def test_canonical_print_forms():
     n = 2
     d = xx_diagonal(n)

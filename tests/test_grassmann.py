@@ -26,11 +26,11 @@ from cubicchow.grassmann import (
     partition_count,
     partitions_in_box,
     pieri_mul,
-    pieri_mul11,
     poly_schubert,
     schubert_degree,
     schubert_mul,
     schubert_pairing,
+    shift11,
     sym_power_chern,
     weight_monomials,
 )
@@ -105,8 +105,10 @@ def test_pieri_examples():
         Partition2(2, 0): 1,
         Partition2(1, 1): 1,
     }
-    assert pieri_mul11(2, Partition2(1, 1)) == {Partition2(2, 2): 1}
-    assert pieri_mul11(2, Partition2(2, 0)) == {}
+    assert shift11(2, {Partition2(1, 1): 1}, 1) == {Partition2(2, 2): 1}
+    assert shift11(2, {Partition2(2, 0): 1}, 1) == {}
+    assert shift11(3, {Partition2(1, 0): 2, Partition2(3, 2): 1}, 1) == {Partition2(2, 1): 2}
+    assert shift11(3, {Partition2(1, 1): 1}, 0) == {Partition2(1, 1): 1}
 
 
 def test_degree_map_classical_values():
@@ -446,7 +448,7 @@ def test_quotient_route_is_independent_of_the_schubert_oracle(monkeypatch):
         for name in (
             "schubert_mul",
             "pieri_mul",
-            "pieri_mul11",
+            "shift11",
             "monomial_schubert",
             "poly_schubert",
         ):
@@ -551,8 +553,67 @@ def test_pieri_oracle_catches_a_perturbed_giambelli_entry(monkeypatch):
 
 
 def test_pieri_oracle_rows_above_the_benchmark_range_pass():
-    # n = 11..12 lie below the cap and above every benchmark workload
-    results = run(RunConfig(11, 12, ("grassmann",)))
+    # n = 11..15 lie below the cap and above every benchmark workload
+    results = run(RunConfig(11, 15, ("grassmann",)))
     rows = [r for r in results if r.check_id == "grassmann.pieri_oracle"]
-    assert [(r.n, r.status) for r in rows] == [(11, "pass"), (12, "pass")]
+    assert [(r.n, r.status) for r in rows] == [(n, "pass") for n in range(11, 16)]
     assert all((r.computed, r.expected) == ("ok", "ok") for r in rows)
+
+
+def test_sigma11_shift_of_x_power_products_is_the_full_product(monkeypatch):
+    # the identity the Pieri oracle rests on, kept under test on the full-product path
+    pairs = 0
+    with monkeypatch.context() as patch:
+        for module, name in (
+            (grassmann, "build_ring"),
+            (grassmann, "normal_form"),
+            (grassmann, "rref"),
+            (linalg, "rref"),
+        ):
+            patch.setattr(module, name, _refuse)
+        for n in range(1, 9):
+            monos = [m for k in range(2 * n + 1) for m in weight_monomials(k) if sum(m) <= n]
+            for a1, b1 in monos:
+                for a2, b2 in monos:
+                    if a1 + 2 * b1 + a2 + 2 * b2 > 2 * n:
+                        continue
+                    powers = [dict(monomial_schubert(n, a, 0)) for a in (a1, a2)]
+                    shifted = shift11(n, schubert_mul(n, *powers), b1 + b2)
+                    full = schubert_mul(
+                        n,
+                        dict(monomial_schubert(n, a1, b1)),
+                        dict(monomial_schubert(n, a2, b2)),
+                    )
+                    assert shifted == full, (n, (a1, b1), (a2, b2))
+                    pairs += 1
+    assert pairs == 2670
+
+
+def test_pieri_oracle_catches_a_perturbed_schubert_product(monkeypatch):
+    honest = grassmann.schubert_mul
+
+    def perturbed(n, s1, s2):
+        out = honest(n, s1, s2)
+        if Partition2(2, 1) in out:
+            out[Partition2(2, 1)] += 1
+        return out
+
+    monkeypatch.setattr(grassmann, "schubert_mul", perturbed)
+    (check,) = [c for c in REGISTRY if c.check_id == "grassmann.pieri_oracle"]
+    computed, expected = check.fn(4)
+    assert computed != expected
+    assert "mismatch at (1, 0)*(2, 0)" in computed
+
+
+def test_pieri_oracle_multiplies_each_pair_of_x_powers_once(monkeypatch):
+    calls = []
+    honest = grassmann.schubert_mul
+
+    def counted(n, s1, s2):
+        calls.append(n)
+        return honest(n, s1, s2)
+
+    monkeypatch.setattr(grassmann, "schubert_mul", counted)
+    (check,) = [c for c in REGISTRY if c.check_id == "grassmann.pieri_oracle"]
+    assert check.fn(10) == ("ok", "ok")
+    assert len(calls) == 11 * 11

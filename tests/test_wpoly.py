@@ -45,6 +45,14 @@ def test_floats_are_rejected():
     assert WPoly({(1, 0): 2, (0, 1): Fraction(1, 3)}) == WPoly.parse("1/3*y + 2*x")
 
 
+def test_non_int_exponents_are_rejected():
+    # a float exponent was once truncated: WPoly({(1.7, 0): 1}) printed x
+    for exps in ((1.7, 0), (Fraction(1), 0), (1.0, 0), ("1", 0)):
+        with pytest.raises(TypeError):
+            WPoly({exps: 1})
+    assert str(WPoly({(1, 0): 1})) == "x"
+
+
 def test_homogeneity_of_products():
     a = WPoly.monomial((1, 1))  # degree 3
     b = WPoly.monomial((0, 2))  # degree 4
