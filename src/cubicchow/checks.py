@@ -372,7 +372,7 @@ def _defect_pairing(n: int):
 
 @_register("diagonal.symmetry", "diagonal", 1)
 def _symmetry(n: int):
-    table = diagonal.decomposable_coefficients(n)
+    table, _ = diagonal.decomposable_coefficients(n)  # integer numerators
     failures = []
     for (i, j, k), value in table.items():
         for perm in itertools.permutations((i, j, k)):
@@ -384,16 +384,12 @@ def _symmetry(n: int):
 
 @_register("diagonal.interior_coefficient", "diagonal", 3)
 def _interior_coefficient(n: int):
-    table = diagonal.decomposable_coefficients(n)
-    interior = {
-        key: value
-        for key, value in table.items()
-        if all(0 < e < n for e in key)
-    }
+    table, den = diagonal.decomposable_coefficients(n)
+    interior = [t for key, t in table.items() if all(0 < e < n for e in key)]
     failures = []
     if not interior:
         failures.append("no interior indices")
-    if any(value != Fraction(1, 9) for value in interior.values()):
+    if any(9 * t != den for t in interior):  # t / den == 1/9
         failures.append("interior coefficient differs from 1/9")
     return _ok(failures)
 
@@ -406,8 +402,9 @@ def _product_rank_one(n: int):
     cycles = [
         [None] + [diagonal.FormalCycle(c, m) for c in range(1, n)] for m in moments
     ]
-    # (1/9) m_alpha m_beta h^(i+j) has moment m_alpha m_beta / 3, as deg h^n = 3
-    scaled = [[ma * mb / 3 for mb in moments] for ma in moments]
+    # (1/9) m_alpha m_beta h^(i+j) has moment m_alpha m_beta / 3, as deg h^n = 3;
+    # kept as the (num, den) pair of a FormalCycle
+    scaled = [[(ma * mb / 3).as_integer_ratio() for mb in moments] for ma in moments]
     units = cycles[0]
     for i in range(1, n):
         for j in range(1, n - i):
@@ -415,9 +412,9 @@ def _product_rank_one(n: int):
                 failures.append(f"h^{i} * h^{j} != h^{i + j}")
             for alphas, row in zip(cycles, scaled):
                 alpha = alphas[i]
-                for betas, expected in zip(cycles, row):
+                for betas, (num, den) in zip(cycles, row):
                     out = diagonal.cycle_product(n, alpha, betas[j])
-                    if (out.codim, out.moment) != (i + j, expected):
+                    if (out.codim, out.num, out.den) != (i + j, num, den):
                         failures.append(f"moment scaling fails at ({i},{j})")
     return _ok(failures)
 

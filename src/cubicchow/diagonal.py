@@ -25,7 +25,7 @@ no zero numerator, den > 0, gcd(den, *num) == 1 and den == 1 for zero.
 ``_term_mul`` returns numerators over the model's rule denominator ``_DEN``
 (27 for X3Class, 9 for XXClass and CohXXClass, 3 for CohX3Class), so a sum
 or product is reduced once, by one gcd.  ``Fraction`` appears only at the
-edge: coefficients, degrees, pairings, the decomposable table and text.
+edge: coefficients, degrees, pairings and text.
 
 Degrees on X^3 are read off by Poincare duality: ``x3_pair(a, b)`` and
 ``coh_pair(a, b)`` sum only the term pairs whose codimensions add up to 3n,
@@ -36,13 +36,13 @@ On top of the models: the decomposable coefficients of the small diagonal
 after removing its axis corrections, the vanishing of the resulting
 defect cycle, and the symbolic evaluator showing that the product of two
 positive-codimension cycle classes is (1/9) * m_alpha * m_beta * h^(i+j),
-a rank-1 image.  ``cycle_product`` returns it as a ``FormalCycle`` (a cycle
-on X: codimension i + j and moment m_alpha * m_beta / 3).
+a rank-1 image, on integers: the decomposable table is numerators over one
+denominator, and ``cycle_product`` returns a ``FormalCycle`` (a cycle on X:
+codimension i + j and moment m_alpha * m_beta / 3, held as num / den).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -57,11 +57,17 @@ Key = tuple
 
 PAIRS = ((1, 2), (1, 3), (2, 3))
 
-_ZERO = Fraction(0)
-
 
 def _third(a: int, b: int) -> int:
-    return ({1, 2, 3} - {a, b}).pop()
+    return 6 - a - b
+
+
+def _exponents(n: int, *exps) -> None:
+    """Refuse an exponent that is not an ``int`` or not in 0..n."""
+    if not all(isinstance(e, int) for e in exps):
+        raise TypeError(f"exponents must be int, not {exps!r}")
+    if not all(0 <= e <= n for e in exps):
+        raise ValueError("exponents out of the model range")
 
 
 def _chi(n: int) -> int:
@@ -256,8 +262,7 @@ class XXClass(_FormalSum):
 
 
 def xx_monomial(n: int, r: int, s: int, coeff=1) -> XXClass:
-    if not (0 <= r <= n and 0 <= s <= n):
-        raise ValueError("exponents out of the model range")
+    _exponents(n, r, s)
     return XXClass(n, {(MONO, r, s): coeff})
 
 
@@ -350,16 +355,15 @@ class X3Class(_FormalSum):
             if k2[0] == MONO:
                 return _mono3_mul(n, k1, k2, 27)
             k1, k2 = k2, k1
-        if k2[0] == MONO:
-            exps = {1: k2[1], 2: k2[2], 3: k2[3]}
+        if k2[0] == MONO:  # k2[a] is the exponent of slot a
             if k1[0] == SMALL:
-                m = sum(exps.values())
+                m = k2[1] + k2[2] + k2[3]
                 if m == 0:
                     return {(SMALL,): 27}
                 return _delta_push(n, m)
             _, a, b, m = k1
             c = _third(a, b)
-            s, t, u = exps[a], exps[b], exps[c]
+            s, t, u = k2[a], k2[b], k2[c]
             if s + t == 0:
                 if m + u > n:
                     return {}
@@ -415,16 +419,17 @@ class X3Class(_FormalSum):
 
 
 def x3_monomial(n: int, i: int, j: int, k: int, coeff=1) -> X3Class:
-    if not all(0 <= e <= n for e in (i, j, k)):
-        raise ValueError("exponents out of the model range")
+    _exponents(n, i, j, k)
+    if type(coeff) is int:
+        return X3Class._reduced(n, {(MONO, i, j, k): coeff}, 1)
     return X3Class(n, {(MONO, i, j, k): coeff})
 
 
 def x3_diagonal(n: int, a: int, b: int, m: int = 0, coeff=1) -> X3Class:
     if (a, b) not in PAIRS:
         raise ValueError("diagonal pair must be one of (1,2), (1,3), (2,3)")
-    if not 0 <= m <= n:
-        raise ValueError("decoration exponent out of range")
+    _exponents(n, m)
+    _exponents(3, a, b)  # 1.0 == 1 passes the pair test; the key takes ints only
     return X3Class(n, {(DIAG, a, b, m): coeff})
 
 
@@ -492,15 +497,14 @@ class CohX3Class(_FormalSum):
             if k2[0] == MONO:
                 return _mono3_mul(n, k1, k2, 3)
             k1, k2 = k2, k1
-        if k2[0] == MONO:
+        if k2[0] == MONO:  # k2[a] is the exponent of slot a
             _, a, b, m = k1
-            c = _third(a, b)
-            exps = {1: k2[1], 2: k2[2], 3: k2[3]}
-            if exps[a] or exps[b]:
+            if k2[a] or k2[b]:
                 return {}  # primitive slots are killed by h
-            if m + exps[c] > n:
+            m += k2[_third(a, b)]
+            if m > n:
                 return {}
-            return {(PRIM, a, b, m + exps[c]): 3}
+            return {(PRIM, a, b, m): 3}
         _, a1, b1, m1 = k1
         _, a2, b2, m2 = k2
         if (a1, b1) == (a2, b2):
@@ -627,36 +631,32 @@ def corrected_small_diagonal(n: int) -> X3Class:
 
 
 @lru_cache(maxsize=None)
-def decomposable_coefficients(n: int) -> Mapping[tuple[int, int, int], Fraction]:
+def decomposable_coefficients(n: int) -> tuple[Mapping[tuple[int, int, int], int], int]:
     """Coefficients of the corrected small diagonal on the monomial basis.
 
     The primitive terms of the Kunneth expansions must cancel exactly
-    (:class:`CheckFailed` otherwise); the returned read-only table covers
-    every (i, j, k) with i + j + k = 2n and 0 <= i, j, k <= n, including
-    zeros, and is invariant under permutations of the slots.
+    (:class:`CheckFailed` otherwise).  Returns ``(table, den)``: the read-only,
+    S3-invariant table holds the integer numerator of every (i, j, k) with
+    i + j + k = 2n and 0 <= i, j, k <= n, zeros included, over one ``den``
+    (9 at every n checked).
     """
     image = x3_to_coh(corrected_small_diagonal(n))
-    table: dict[tuple[int, int, int], Fraction] = {}
-    for i in range(n + 1):
-        for j in range(n + 1):
-            k = 2 * n - i - j
-            if 0 <= k <= n:
-                table[(i, j, k)] = _ZERO
+    table = {(i, j, 2 * n - i - j): 0 for i in range(n + 1) for j in range(n - i, n + 1)}
     for key, c in image.num.items():
         if key[0] != MONO:
             raise CheckFailed(
                 f"primitive term {CohX3Class._format_key(key)} survives at n={n}"
             )
-        table[key[1:]] = Fraction(c, image.den)
-    return MappingProxyType(table)
+        table[key[1:]] = c
+    return MappingProxyType(table), image.den
 
 
 @lru_cache(maxsize=None)
 def small_diagonal_defect(n: int) -> X3Class:
     """Corrected small diagonal minus its decomposable part; must die in cohomology."""
-    table = decomposable_coefficients(n)
-    return corrected_small_diagonal(n) - X3Class(
-        n, {(MONO, i, j, k): c for (i, j, k), c in table.items()}
+    table, den = decomposable_coefficients(n)
+    return corrected_small_diagonal(n) - X3Class._reduced(
+        n, {(MONO, i, j, k): c for (i, j, k), c in table.items()}, den
     )
 
 
@@ -676,21 +676,48 @@ def defect_vanishes_cohomologically(n: int) -> bool:
 # -- the symbolic product evaluator ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class FormalCycle:
+class FormalCycle(Frozen):
     """Opaque cycle class: only its codimension and moment survive.
 
     The moment is the degree of the zero-cycle (class) * h^(n - codim), an
-    ``int`` or a ``Fraction``.
+    ``int`` or a ``Fraction``, held as ``num / den`` in lowest terms with
+    ``den > 0`` (so equal cycles have equal fields); ``moment`` reads it back.
     """
 
-    codim: int
-    moment: int | Fraction
+    __slots__ = ("codim", "num", "den")
 
-    def __post_init__(self):
-        if self.codim <= 0:
+    def __new__(cls, codim: int, moment: int | Fraction):
+        if not isinstance(codim, int):
+            raise TypeError(f"codimension must be int, not {codim!r}")
+        if codim <= 0:
             raise ValueError("formal cycles must have positive codimension")
-        exact(self.moment)
+        moment = exact(moment)
+        return cls._reduced(codim, moment.numerator, moment.denominator)
+
+    @classmethod
+    def _reduced(cls, codim: int, num: int, den: int) -> FormalCycle:
+        """The cycle of moment ``num / den`` (``den > 0``), by one gcd."""
+        g = gcd(num, den)
+        out = object.__new__(cls)
+        object.__setattr__(out, "codim", codim)
+        object.__setattr__(out, "num", num // g)
+        object.__setattr__(out, "den", den // g)
+        return out
+
+    @property
+    def moment(self) -> Fraction:
+        return Fraction(self.num, self.den)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not FormalCycle:
+            return NotImplemented
+        return (self.codim, self.num, self.den) == (other.codim, other.num, other.den)
+
+    def __hash__(self) -> int:
+        return hash((self.codim, self.num, self.den))
+
+    def __repr__(self) -> str:
+        return f"FormalCycle(codim={self.codim}, moment={self.moment})"
 
 
 def cycle_product(n: int, alpha: FormalCycle, beta: FormalCycle) -> FormalCycle:
@@ -710,18 +737,14 @@ def cycle_product(n: int, alpha: FormalCycle, beta: FormalCycle) -> FormalCycle:
       (n-i, n-j, i+j); the table holds it, zero or not, for every valid i, j.
 
     The product is entry * m_alpha * m_beta * h^(i+j), a multiple of one
-    class; as deg h^n = 3, its moment is three times its coefficient.
+    class; as deg h^n = 3, its moment is three times its coefficient: for
+    the entry t / den, 3 t num_alpha num_beta / (den den_alpha den_beta).
     """
     i, j = alpha.codim, beta.codim
     if not (0 < i and 0 < j and i + j < n):
         raise UnsupportedRange(
             f"cycle_product needs 0 < i, 0 < j, i + j < n; got i={i}, j={j}, n={n}"
         )
-    entry = decomposable_coefficients(n)[(n - i, n - j, i + j)]
-    ma, mb = alpha.moment, beta.moment
-    # one normalization of the integer products, not two Fraction products
-    moment = Fraction(
-        3 * entry.numerator * ma.numerator * mb.numerator,
-        entry.denominator * ma.denominator * mb.denominator,
-    )
-    return FormalCycle(i + j, moment)
+    table, den = decomposable_coefficients(n)
+    num = 3 * table[(n - i, n - j, i + j)] * alpha.num * beta.num
+    return FormalCycle._reduced(i + j, num, den * alpha.den * beta.den)

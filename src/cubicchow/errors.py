@@ -5,8 +5,8 @@ inhomogeneous input where a graded class is required); the classes below mark
 the structured failure modes that the verification checks report on.
 ``TypeError`` marks a coefficient that is not an ``int`` or ``Fraction``: the
 value constructors pass every coefficient through ``exact``, so no float
-enters the engine.  It also marks a ``WPoly`` exponent that is not an
-``int``, which is refused rather than truncated.
+enters the engine.  It also marks an exponent (of a ``WPoly`` or a diagonal
+model key) or a formal-cycle codimension that is not an ``int``.
 """
 
 from fractions import Fraction

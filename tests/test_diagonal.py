@@ -231,8 +231,11 @@ def test_same_pair_primitive_product_rejected():
 
 def test_decomposable_coefficients_table():
     for n in range(1, 9):
-        table = decomposable_coefficients(n)
-        for (i, j, k), value in table.items():
+        table, den = decomposable_coefficients(n)
+        assert den == 9
+        assert all(type(t) is int for t in table.values())
+        for (i, j, k), t in table.items():
+            value = Fraction(t, den)
             assert i + j + k == 2 * n
             n_count = sum(1 for e in (i, j, k) if e == n)
             if all(0 < e < n for e in (i, j, k)):
@@ -252,9 +255,10 @@ def test_dual_basis_pairing_reproduces_coefficients():
     # monomials must integrate to 27 times each decomposable coefficient
     for n in range(1, 7):
         gamma = corrected_small_diagonal(n)
-        for (i, j, k), value in decomposable_coefficients(n).items():
+        table, den = decomposable_coefficients(n)
+        for (i, j, k), t in table.items():
             dual = x3_monomial(n, n - i, n - j, n - k)
-            assert x3_pair(gamma, dual) == 27 * value, (n, i, j, k)
+            assert x3_pair(gamma, dual) == Fraction(27 * t, den), (n, i, j, k)
 
 
 def test_defect_vanishes_and_pairs_to_zero():
@@ -307,10 +311,11 @@ def _cycle_product_by_scan(n, alpha, beta):
     """Reference: scan the whole decomposable table for surviving entries."""
     i, j = alpha.codim, beta.codim
     coeff = Fraction(0)
-    for (r, s, t), a_rst in decomposable_coefficients(n).items():
-        if a_rst != 0 and r == n - i and s == n - j:
+    table, den = decomposable_coefficients(n)
+    for (r, s, t), num in table.items():
+        if num != 0 and r == n - i and s == n - j:
             assert t == i + j
-            coeff += a_rst * alpha.moment * beta.moment
+            coeff += Fraction(num, den) * alpha.moment * beta.moment
     # coeff * h^(i+j) has moment 3 * coeff, as deg h^n = 3
     return FormalCycle(i + j, 3 * coeff)
 
@@ -362,6 +367,110 @@ def test_floats_are_rejected():
             make()
     assert XXClass(2, {key: Fraction(1, 2)}) == XXClass(2, {key: 1}).scale(Fraction(1, 2))
     assert FormalCycle(1, 3) == FormalCycle(1, Fraction(3))
+
+
+def test_formal_cycle_holds_its_moment_in_lowest_terms():
+    a, b = FormalCycle(1, Fraction(6, 4)), FormalCycle(1, Fraction(3, 2))
+    assert a == b and hash(a) == hash(b)
+    assert (a.codim, a.num, a.den) == (1, 3, 2)
+    for moment in (Fraction(-5, 3), -4, Fraction(-6, 4)):
+        cycle = FormalCycle(2, moment)
+        assert cycle.den > 0 and gcd(cycle.num, cycle.den) == 1
+        assert type(cycle.moment) is Fraction and cycle.moment == moment
+    # a product of negative moments keeps a positive denominator too
+    out = cycle_product(5, FormalCycle(1, Fraction(-7, 2)), FormalCycle(2, Fraction(5, -3)))
+    assert (out.codim, out.num, out.den) == (3, 35, 18)
+    assert FormalCycle(1, 0) == FormalCycle._reduced(1, 0, 27)
+    assert FormalCycle(1, 3) != FormalCycle(2, 3) and FormalCycle(1, 3) != Fraction(3)
+    assert FormalCycle(1, Fraction(1, 2)) != FormalCycle(1, Fraction(1, 3))
+
+
+def test_formal_cycle_is_immutable():
+    cycle = FormalCycle(2, Fraction(7, 2))
+    for name in ("codim", "num", "den", "moment", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(cycle, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(cycle, name)
+    assert cycle == FormalCycle(2, Fraction(7, 2))
+
+
+# 1.0 == 1 passes every range check, so only a type check keeps a float
+# exponent or codimension out of the keys and the printed text
+
+
+def test_formal_cycle_refuses_a_float_codimension():
+    with pytest.raises(TypeError):
+        FormalCycle(1.0, 3)
+    out = cycle_product(4, FormalCycle(1, 3), FormalCycle(1, 3))
+    assert type(out.codim) is int
+
+
+def test_xx_monomial_refuses_float_exponents():
+    for r, s in ((1.0, 1), (1, Fraction(1))):
+        with pytest.raises(TypeError):
+            xx_monomial(2, r, s)
+    with pytest.raises(ValueError):
+        xx_monomial(2, 3, 0)
+
+
+def test_x3_monomial_refuses_float_exponents():
+    with pytest.raises(TypeError):
+        x3_monomial(2, 1.0, 1, 0)
+    with pytest.raises(TypeError):
+        x3_monomial(2, 1, 1, 0.0, coeff=3)
+    assert str(x3_monomial(2, 1, 1, 0)) == "h1*h2"
+    assert x3_monomial(2, 1, 1, 0, 2) == x3_monomial(2, 1, 1, 0, Fraction(4, 2))
+
+
+def test_x3_diagonal_refuses_float_exponents():
+    for a, b, m in ((1, 2, 1.0), (1.0, 2, 0), (1, 3.0, 0)):
+        with pytest.raises(TypeError):
+            x3_diagonal(2, a, b, m)
+    with pytest.raises(ValueError):
+        x3_diagonal(2, 2, 1)
+    assert x3_diagonal(1, 2, 3, 1) * x3_monomial(1, 0, 0, 0) == x3_diagonal(1, 2, 3, 1)
+
+
+_MOMENTS = st.one_of(
+    st.integers(-30, 30),
+    st.builds(Fraction, st.integers(-60, 60), st.integers(1, 60)),  # unreduced pairs
+)
+
+
+@settings(max_examples=40)
+@given(st.integers(min_value=3, max_value=16), _MOMENTS, _MOMENTS)
+def test_cycle_product_matches_the_fraction_law(n, ma, mb):
+    # (1/9) m_alpha m_beta h^(i+j), whose moment is m_alpha m_beta / 3
+    for i in range(1, n):
+        for j in range(1, n - i):
+            out = cycle_product(n, FormalCycle(i, ma), FormalCycle(j, mb))
+            assert out == FormalCycle(i + j, Fraction(ma) * mb / 3), (n, i, j)
+
+
+def test_product_rank_one_builds_few_fractions(monkeypatch):
+    # the check's loop runs on integers: a Fraction is built for each of its
+    # constants, not for each cycle_product call (a count, not a timing)
+    n = 12
+    assert _run_check("diagonal.product_rank_one", n) == ("ok", "ok")  # warm caches
+    honest_product, honest_new = diagonal.cycle_product, Fraction.__new__
+    counts = {"products": 0, "fractions": 0}
+
+    def product(*args):
+        counts["products"] += 1
+        return honest_product(*args)
+
+    def new(cls, *args, **kwargs):
+        counts["fractions"] += 1
+        return honest_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(diagonal, "cycle_product", product)
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(new))
+    result = _run_check("diagonal.product_rank_one", n)
+    monkeypatch.undo()
+    assert result == ("ok", "ok")
+    assert counts["products"] == 550
+    assert counts["fractions"] < counts["products"] / 5, counts
 
 
 def test_coh_pair_rejects_mismatched_operands():
@@ -418,9 +527,12 @@ def _run_check(check_id, n):
 
 
 def test_cached_diagonal_values_are_read_only():
-    table = decomposable_coefficients(4)
+    cached = decomposable_coefficients(4)
+    table, den = cached
     with pytest.raises(TypeError):
         table[(3, 3, 2)] = 5
+    with pytest.raises(TypeError):
+        cached[1] = 3  # the denominator
     small = small_diagonal_coh(3)
     with pytest.raises(TypeError):
         small.terms[("m", 0, 0, 0)] = Fraction(1)
@@ -431,7 +543,8 @@ def test_cached_diagonal_values_are_read_only():
     with pytest.raises(AttributeError):
         small.n = 4
     # the attempted writes changed nothing that later checks read
-    assert decomposable_coefficients(4)[(3, 3, 2)] == Fraction(1, 9)
+    table, den = decomposable_coefficients(4)
+    assert Fraction(table[(3, 3, 2)], den) == Fraction(1, 9)
     for check_id, n in (
         ("diagonal.product_rank_one", 4),
         ("diagonal.symmetry", 4),
@@ -516,19 +629,33 @@ def test_cached_values_refuse_attribute_deletion():
 
 
 def test_product_rank_one_catches_a_stray_coefficient(monkeypatch):
-    # a perturbed moment, then a perturbed codimension, must both be seen
+    # a shifted moment, a shifted codimension and a halved moment (the checked
+    # moments have odd numerators, so halving changes only the denominator)
+    # must all be seen
     honest = diagonal.cycle_product
-    for codim_shift, moment_shift in ((0, 1), (1, 0)):
+    strays = ((0, lambda m: m + 1), (1, lambda m: m), (0, lambda m: m / 2))
+    for case, (codim_shift, moment_of) in enumerate(strays):
 
         def stray(n, alpha, beta):
             out = honest(n, alpha, beta)
-            return FormalCycle(out.codim + codim_shift, out.moment + moment_shift)
+            return FormalCycle(out.codim + codim_shift, moment_of(out.moment))
 
         monkeypatch.setattr(diagonal, "cycle_product", stray)
         computed, expected = _run_check("diagonal.product_rank_one", 4)
         assert computed != expected
-        assert "h^1 * h^1 != h^2" in computed, (codim_shift, moment_shift)
-        assert "moment scaling fails at (1,1)" in computed, (codim_shift, moment_shift)
+        assert "h^1 * h^1 != h^2" in computed, case
+        assert "moment scaling fails at (1,1)" in computed, case
+
+
+def test_table_checks_catch_a_perturbed_entry(monkeypatch):
+    table, den = decomposable_coefficients(4)
+    bad = dict(table)
+    bad[(3, 3, 2)] += 1
+    monkeypatch.setattr(diagonal, "decomposable_coefficients", lambda n: (bad, den))
+    computed, _ = _run_check("diagonal.symmetry", 4)
+    assert "asymmetry at (3, 3, 2)" in computed and "asymmetry at (4, 4, 0)" not in computed
+    computed, _ = _run_check("diagonal.interior_coefficient", 4)
+    assert computed == "interior coefficient differs from 1/9"
 
 
 def test_defect_pairing_catches_a_perturbed_defect(monkeypatch):
