@@ -420,9 +420,8 @@ class X3Class(_FormalSum):
 
 def x3_monomial(n: int, i: int, j: int, k: int, coeff=1) -> X3Class:
     _exponents(n, i, j, k)
-    if type(coeff) is int:
-        return X3Class._reduced(n, {(MONO, i, j, k): coeff}, 1)
-    return X3Class(n, {(MONO, i, j, k): coeff})
+    c = exact(coeff)
+    return X3Class._reduced(n, {(MONO, i, j, k): c.numerator}, c.denominator)
 
 
 def x3_diagonal(n: int, a: int, b: int, m: int = 0, coeff=1) -> X3Class:

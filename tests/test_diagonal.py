@@ -362,11 +362,27 @@ def test_floats_are_rejected():
         lambda: CohX3Class(2, {("m", 1, 1, 1): 0.5}),
         lambda: xx_diagonal(2).scale(0.5),
         lambda: FormalCycle(1, 0.1),
+        # 1.0 == 1 passes every range check, so only a type check keeps a
+        # float exponent or codimension out of the keys and the printed text
+        lambda: FormalCycle(1.0, 3),
+        lambda: xx_monomial(2, 1.0, 1),
+        lambda: xx_monomial(2, 1, Fraction(1)),
+        lambda: x3_monomial(2, 1.0, 1, 0),
+        lambda: x3_monomial(2, 1, 1, 0.0, coeff=3),
+        lambda: x3_diagonal(2, 1, 2, 1.0),
+        lambda: x3_diagonal(2, 1.0, 2, 0),
+        lambda: x3_diagonal(2, 1, 3.0, 0),
     ):
         with pytest.raises(TypeError):
             make()
+    for make in (lambda: xx_monomial(2, 3, 0), lambda: x3_diagonal(2, 2, 1)):
+        with pytest.raises(ValueError):
+            make()
     assert XXClass(2, {key: Fraction(1, 2)}) == XXClass(2, {key: 1}).scale(Fraction(1, 2))
     assert FormalCycle(1, 3) == FormalCycle(1, Fraction(3))
+    assert type(cycle_product(4, FormalCycle(1, 3), FormalCycle(1, 3)).codim) is int
+    assert x3_monomial(2, 1, 1, 0, 2) == x3_monomial(2, 1, 1, 0, Fraction(4, 2))
+    assert str(x3_monomial(2, 1, 1, 0)) == "h1*h2"
 
 
 def test_formal_cycle_holds_its_moment_in_lowest_terms():
@@ -393,43 +409,6 @@ def test_formal_cycle_is_immutable():
         with pytest.raises(AttributeError):
             delattr(cycle, name)
     assert cycle == FormalCycle(2, Fraction(7, 2))
-
-
-# 1.0 == 1 passes every range check, so only a type check keeps a float
-# exponent or codimension out of the keys and the printed text
-
-
-def test_formal_cycle_refuses_a_float_codimension():
-    with pytest.raises(TypeError):
-        FormalCycle(1.0, 3)
-    out = cycle_product(4, FormalCycle(1, 3), FormalCycle(1, 3))
-    assert type(out.codim) is int
-
-
-def test_xx_monomial_refuses_float_exponents():
-    for r, s in ((1.0, 1), (1, Fraction(1))):
-        with pytest.raises(TypeError):
-            xx_monomial(2, r, s)
-    with pytest.raises(ValueError):
-        xx_monomial(2, 3, 0)
-
-
-def test_x3_monomial_refuses_float_exponents():
-    with pytest.raises(TypeError):
-        x3_monomial(2, 1.0, 1, 0)
-    with pytest.raises(TypeError):
-        x3_monomial(2, 1, 1, 0.0, coeff=3)
-    assert str(x3_monomial(2, 1, 1, 0)) == "h1*h2"
-    assert x3_monomial(2, 1, 1, 0, 2) == x3_monomial(2, 1, 1, 0, Fraction(4, 2))
-
-
-def test_x3_diagonal_refuses_float_exponents():
-    for a, b, m in ((1, 2, 1.0), (1.0, 2, 0), (1, 3.0, 0)):
-        with pytest.raises(TypeError):
-            x3_diagonal(2, a, b, m)
-    with pytest.raises(ValueError):
-        x3_diagonal(2, 2, 1)
-    assert x3_diagonal(1, 2, 3, 1) * x3_monomial(1, 0, 0, 0) == x3_diagonal(1, 2, 3, 1)
 
 
 _MOMENTS = st.one_of(
