@@ -20,12 +20,12 @@ contractions follow d_ab * d_bc = (1/3) h_b^n d_ac (no sign bookkeeping:
 the projector law is verified, not assumed).  Same-pair products d * d
 never arise on X^3 and are rejected.
 
-Every class holds integer numerators over one denominator, in normal form:
-no zero numerator, den > 0, gcd(den, *num) == 1 and den == 1 for zero.
-``_term_mul`` returns numerators over the model's rule denominator ``_DEN``
-(27 for X3Class, 9 for XXClass and CohXXClass, 3 for CohX3Class), so a sum
-or product is reduced once, by one gcd.  ``Fraction`` appears only at the
-edge: coefficients, degrees, pairings and text.
+Every class is a ``wpoly.SparseSum`` over n: integer numerators over one
+denominator.  A model adds its key shapes, which its constructor checks, and
+``_term_mul``, numerators over the rule denominator ``_DEN`` (27 for X3Class,
+9 for XXClass and CohXXClass, 3 for CohX3Class), so a product is reduced
+once, by one gcd.  ``Fraction`` appears only at the edge: coefficients,
+degrees, pairings and text.
 
 Degrees on X^3 are read off by Poincare duality: ``x3_pair(a, b)`` and
 ``coh_pair(a, b)`` sum only the term pairs whose codimensions add up to 3n,
@@ -45,13 +45,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 from types import MappingProxyType
 from typing import Mapping
 
 from .errors import CheckFailed, UnsupportedRange, exact
 from .hodge import euler_cubic, hodge_cubic
-from .wpoly import Frozen, format_monomial, signed_sum
+from .wpoly import Frozen, SparseSum, format_monomial
 
 Key = tuple
 
@@ -62,18 +62,6 @@ def _third(a: int, b: int) -> int:
     return 6 - a - b
 
 
-def _exponents(n: int, *exps) -> None:
-    """Refuse an exponent that is not an ``int`` or not in 0..n."""
-    if not all(isinstance(e, int) for e in exps):
-        raise TypeError(f"exponents must be int, not {exps!r}")
-    if not all(0 <= e <= n for e in exps):
-        raise ValueError("exponents out of the model range")
-
-
-def _chi(n: int) -> int:
-    return euler_cubic(n)
-
-
 def primitive_dim(n: int) -> int:
     """Dimension of the primitive middle cohomology of the cubic."""
     return hodge_cubic(n).betti(n) - (1 if n % 2 == 0 else 0)
@@ -81,72 +69,45 @@ def primitive_dim(n: int) -> int:
 
 def primitive_self_pairing(n: int) -> int:
     """Integral of d * d on X^2: the signed trace chi - (n + 1)."""
-    return _chi(n) - (n + 1)
+    return euler_cubic(n) - (n + 1)
 
 
 # -- shared formal-sum plumbing ------------------------------------------------
 
 
-class _FormalSum(Frozen):
-    """Linear combination of basis keys; subclasses define the term products.
+class _FormalSum(SparseSum):
+    """Linear combination of basis keys of one model; ``ctx`` is the dimension n.
 
-    Integer numerators ``num`` over ``den`` in the normal form of the module
-    docstring, so equal classes have equal fields.  Instances are immutable
-    and ``num`` and ``terms`` are read-only views: they are shared through
-    caches, so a write would poison every later computation in the process.
+    A model adds its term product ``_term_mul`` over ``_DEN`` and its key
+    shapes ``_KEYS``: tag -> number of ``int`` fields, the first two a pair
+    from ``PAIRS`` for a tag other than ``MONO``.
     """
 
-    __slots__ = ("n", "num", "den")
+    __slots__ = ()
+    _CONTEXT = "models"
 
-    def __init__(self, n: int, terms: Mapping[Key, Fraction | int] | None = None):
-        coeffs = {key: exact(c) for key, c in (terms or {}).items()}
-        den = lcm(*(c.denominator for c in coeffs.values()))
-        num = {key: c.numerator * (den // c.denominator) for key, c in coeffs.items()}
-        self._set(n, num, den)
-
-    def _set(self, n: int, num: dict[Key, int], den: int) -> None:
-        g = gcd(den, *num.values())  # equals den when every numerator is 0
-        num = {key: c // g for key, c in num.items() if c}
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "num", MappingProxyType(num))
-        object.__setattr__(self, "den", den // g)
+    def __new__(cls, n: int, terms: Mapping[Key, Fraction | int] | None = None):
+        for key in terms or {}:
+            cls._check_key(n, key)
+        return cls._exact(n, terms)
 
     @classmethod
-    def _reduced(cls, n: int, num: dict[Key, int], den: int):
-        """The class ``num / den`` (``den > 0``), brought to normal form."""
-        out = object.__new__(cls)
-        out._set(n, num, den)
-        return out
+    def _check_key(cls, n: int, key) -> None:
+        """``TypeError`` for a non-``int`` entry; ``ValueError`` for any other bad key."""
+        fields = cls._KEYS.get(key[0]) if isinstance(key, tuple) and key else None
+        if fields is None or len(key) != 1 + fields:
+            raise ValueError(f"{key!r} is not a key of {cls.__name__}")
+        body = key[1:]
+        if not all(isinstance(e, int) for e in body):
+            raise TypeError(f"key entries must be int, not {key!r}")
+        if key[0] != MONO and body:
+            if body[:2] not in PAIRS:
+                raise ValueError("diagonal pair must be one of (1,2), (1,3), (2,3)")
+            body = body[2:]
+        if not all(0 <= e <= n for e in body):
+            raise ValueError(f"exponents of {key!r} out of the model range 0..{n}")
 
-    @property
-    def terms(self) -> Mapping[Key, Fraction]:
-        """The coefficients as ``Fraction``s, for callers off the hot paths."""
-        den = self.den
-        return MappingProxyType({key: Fraction(c, den) for key, c in self.num.items()})
-
-    def _check(self, other) -> None:
-        if type(self) is not type(other) or self.n != other.n:
-            raise ValueError("operands live in different models")
-
-    def __add__(self, other):
-        self._check(other)
-        den = lcm(self.den, other.den)
-        f, g = den // self.den, den // other.den
-        out = {key: c * f for key, c in self.num.items()}
-        for key, c in other.num.items():
-            out[key] = out.get(key, 0) + c * g
-        return self._reduced(self.n, out, den)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        c = Fraction(exact(c))
-        num = {key: c.numerator * v for key, v in self.num.items()}
-        return self._reduced(self.n, num, c.denominator * self.den)
-
-    def __neg__(self):
-        return self.scale(-1)
+    n = SparseSum.ctx  # read-only, like ``ctx``
 
     def __mul__(self, other):
         self._check(other)
@@ -160,42 +121,10 @@ class _FormalSum(Frozen):
                     c12 = c1 * c2
                     for key, c in product.items():
                         out[key] = out.get(key, 0) + c12 * c
-        return self._reduced(self.n, out, self.den * other.den * self._DEN)
+        return self._reduced(self.ctx, out, self.den * other.den * self._DEN)
 
-    def _term_mul(self, k1: Key, k2: Key) -> dict[Key, int]:
-        raise NotImplementedError
-
-    def is_zero(self) -> bool:
-        return not self.num
-
-    def coefficient(self, key: Key) -> Fraction:
-        return Fraction(self.num.get(key, 0), self.den)
-
-    def __eq__(self, other) -> bool:
-        return (
-            type(self) is type(other)
-            and (self.n, self.den, self.num) == (other.n, other.den, other.num)
-        )
-
-    def __hash__(self) -> int:
-        return hash((type(self), self.n, self.den, frozenset(self.num.items())))
-
-    def __str__(self) -> str:
-        return signed_sum(
-            (self._format_key(key), Fraction(self.num[key], self.den))
-            for key in sorted(self.num, key=self._sort_key)
-        )
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(n={self.n}, {self})"
-
-    @staticmethod
-    def _sort_key(key: Key):
-        return key
-
-    @staticmethod
-    def _format_key(key: Key) -> str:
-        return str(key)
+    def _format_term(self, key: Key, c):
+        return self._format_key(key), c
 
 
 _H_NAMES = ("h1", "h2", "h3")  # the hyperplane class on each factor
@@ -231,11 +160,12 @@ def _mono3_mul(n: int, k1: Key, k2: Key, one: int) -> dict[Key, int]:
 class XXClass(_FormalSum):
     """Chow model of X x X on {h1^r h2^s} and the diagonal ("D",)."""
     _DEN = 9
+    _KEYS = {MONO: 2, DIAG: 0}
 
     def _term_mul(self, k1, k2):
         n = self.n
         if k1[0] == DIAG and k2[0] == DIAG:
-            return {(MONO, n, n): _chi(n)}
+            return {(MONO, n, n): euler_cubic(n)}
         if k1[0] == DIAG or k2[0] == DIAG:
             mono = k2 if k1[0] == DIAG else k1
             _, r, s = mono
@@ -262,7 +192,6 @@ class XXClass(_FormalSum):
 
 
 def xx_monomial(n: int, r: int, s: int, coeff=1) -> XXClass:
-    _exponents(n, r, s)
     return XXClass(n, {(MONO, r, s): coeff})
 
 
@@ -284,6 +213,7 @@ def xx_basis(n: int) -> list[Key]:
 class CohXXClass(_FormalSum):
     """Cohomological twin: monomials plus the primitive projector ("d",)."""
     _DEN = 9
+    _KEYS = {MONO: 2, PRIM: 0}
 
     def _term_mul(self, k1, k2):
         n = self.n
@@ -348,6 +278,7 @@ class X3Class(_FormalSum):
     times h_c^m on the remaining slot; ("D3",).
     """
     _DEN = 27
+    _KEYS = {MONO: 3, DIAG: 3, SMALL: 0}
 
     def _term_mul(self, k1, k2):
         n = self.n
@@ -384,7 +315,7 @@ class X3Class(_FormalSum):
             _, a, b, m = diag
             if m > 0:
                 return {}  # (chi/3) h^n inserted; any extra h dies above degree n
-            return {(MONO, n, n, n): _chi(n)}
+            return {(MONO, n, n, n): euler_cubic(n)}
         _, a1, b1, m1 = k1
         _, a2, b2, m2 = k2
         if (a1, b1) == (a2, b2):
@@ -393,7 +324,7 @@ class X3Class(_FormalSum):
                 return {}
             c = _third(a1, b1)
             slots = {a1: n, b1: n, c: m1 + m2}
-            return {(MONO, slots[1], slots[2], slots[3]): 3 * _chi(n)}
+            return {(MONO, slots[1], slots[2], slots[3]): 3 * euler_cubic(n)}
         # distinct diagonals meet in the small diagonal; decorations pile onto it
         if m1 + m2 == 0:
             return {(SMALL,): 27}
@@ -419,16 +350,15 @@ class X3Class(_FormalSum):
 
 
 def x3_monomial(n: int, i: int, j: int, k: int, coeff=1) -> X3Class:
-    _exponents(n, i, j, k)
+    # the constructor's key check, then _reduced: its coefficient pass would add
+    # 1-2 us to each of the 2 924 calls of a 1..24 diagonal run
+    key = (MONO, i, j, k)
+    X3Class._check_key(n, key)
     c = exact(coeff)
-    return X3Class._reduced(n, {(MONO, i, j, k): c.numerator}, c.denominator)
+    return X3Class._reduced(n, {key: c.numerator}, c.denominator)
 
 
 def x3_diagonal(n: int, a: int, b: int, m: int = 0, coeff=1) -> X3Class:
-    if (a, b) not in PAIRS:
-        raise ValueError("diagonal pair must be one of (1,2), (1,3), (2,3)")
-    _exponents(n, m)
-    _exponents(3, a, b)  # 1.0 == 1 passes the pair test; the key takes ints only
     return X3Class(n, {(DIAG, a, b, m): coeff})
 
 
@@ -489,6 +419,7 @@ def x3_pair(a: X3Class, b: X3Class) -> Fraction:
 class CohX3Class(_FormalSum):
     """Cohomological model: monomials plus primitive projectors d_ab * h_c^m."""
     _DEN = 3
+    _KEYS = {MONO: 3, PRIM: 3}
 
     def _term_mul(self, k1, k2):
         n = self.n

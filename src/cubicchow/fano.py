@@ -82,8 +82,9 @@ def extra_relation(n: int) -> ExtraRelation:
         raise UnsupportedRange("extra_relation needs n >= 3 (A^(n+3) empty below)")
     ring = build_ring(n)
     source = ring.bases[n - 1]
-    # column of x^a y^b: sum c * reducers[n+3][(a, b) + e] over the terms c * x^e of [F]
-    terms = fano_poly().terms.items()
+    # column of x^a y^b: sum c * reducers[n+3][(a, b) + e] over the numerators
+    # c * x^e of [F]; its denominator would scale the matrix, not the kernel
+    terms = fano_poly().num.items()
     reducer = ring.reducers[n + 3]
     matrix = MatQ.from_rows(
         [

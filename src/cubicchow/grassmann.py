@@ -116,10 +116,10 @@ def build_ring(n: int) -> GRing:
     if n < 1:
         raise UnsupportedRange("build_ring needs n >= 1")
     g1, g2 = complete_symmetric(n + 1), complete_symmetric(n + 2)
-    if any(c.denominator != 1 for g in (g1, g2) for c in g.terms.values()):
+    if g1.den != 1 or g2.den != 1:
         raise AssertionError("h_(n+1) and h_(n+2) need integral coefficients")
     # elem is e_j and lower is y*e_(j-1) (h_(n+2) for j = 0), keyed by the y exponent
-    elem, lower = ({b: c.numerator for (_, b), c in g.terms.items()} for g in (g1, g2))
+    elem, lower = ({b: c for (_, b), c in g.num.items()} for g in (g1, g2))
     bases: list[tuple[Exponents, ...]] = []
     reducers: list[Mapping[Exponents, tuple[int, ...]]] = []
     for k in range(2 * n + 1):
@@ -156,7 +156,7 @@ def build_ring(n: int) -> GRing:
 
 def normal_form(ring: GRing, p: WPoly, degree: int | None = None) -> tuple[Fraction, ...]:
     """Coordinates of a homogeneous polynomial in the quotient, on the degree basis."""
-    X._check_compatible(p)
+    X._check(p)
     if p.is_zero():
         if degree is None:
             raise ValueError("zero polynomial needs an explicit degree")
@@ -169,12 +169,12 @@ def normal_form(ring: GRing, p: WPoly, degree: int | None = None) -> tuple[Fract
             raise ValueError("stated degree disagrees with the polynomial")
     if not 0 <= k <= 2 * ring.n:
         raise ValueError(f"degree {k} outside 0..{2 * ring.n}")
-    coords = [Fraction(0)] * ring.dim(k)
+    coords = [0] * ring.dim(k)
     reducer = ring.reducers[k]
-    for exps, c in p.terms.items():
+    for exps, c in p.num.items():
         for i, r in enumerate(reducer[exps]):
             coords[i] += c * r
-    return tuple(coords)
+    return tuple(Fraction(c, p.den) for c in coords)
 
 
 def degree_of_poly(ring: GRing, p: WPoly) -> Fraction:
@@ -255,15 +255,15 @@ def monomial_schubert(n: int, a: int, b: int) -> tuple[tuple[Partition2, int], .
 def poly_schubert(n: int, p: WPoly) -> SchubertSum:
     """Expansion of a polynomial in (c1, c2) in the Schubert basis.
 
-    Integral coefficients become ``int``, so integral input gives an
-    integral sum.
+    The sum runs on the numerators of ``p``, so integral input gives an
+    integral sum; its denominator divides the result at the end.
     """
-    X._check_compatible(p)
+    X._check(p)
     out: SchubertSum = {}
-    for (a, b), c in p.terms.items():
-        if c.denominator == 1:
-            c = c.numerator
+    for (a, b), c in p.num.items():
         _sum_scale(out, dict(monomial_schubert(n, a, b)), c)
+    if p.den != 1:
+        out = {part: Fraction(c, p.den) for part, c in out.items()}
     return out
 
 
@@ -300,9 +300,9 @@ def giambelli_coords(ring: GRing, part: Partition2) -> tuple[int, ...]:
     reducer = ring.reducers[a + b]
     coords = [0] * ring.dim(a + b)
     for i, j, sign in ((a, b, 1), (a + 1, b - 1, -1)) if b else ((a, b, 1),):
-        for (e1, e2), c in complete_symmetric(i).terms.items():
-            for (f1, f2), d in complete_symmetric(j).terms.items():
-                coeff = sign * c.numerator * d.numerator
+        for (e1, e2), c in complete_symmetric(i).num.items():  # den 1: see build_ring
+            for (f1, f2), d in complete_symmetric(j).num.items():
+                coeff = sign * c * d
                 for k, r in enumerate(reducer[(e1 + f1, e2 + f2)]):
                     coords[k] += coeff * r
     return tuple(coords)
@@ -363,14 +363,15 @@ def pairing(ring: GRing, k: int, weight: WPoly | None = None) -> MatQ:
     """deg(x_i * y_j * weight) between degree k and 2n - k - deg(weight).
 
     No weight means 1.  Each entry is sum c * reducers[2n][m_i + m_j + e][0]
-    over the terms c * x^e of the weight: one read of the top reducer per
-    term, and any representative of the weight in the quotient will do.
+    over the numerators c * x^e of the weight: one read of the top reducer
+    per term, and any representative of the weight in the quotient will do.
+    The entries are integers, divided by the weight's denominator when it is
+    not 1.
     """
-    if weight is None:
-        terms, top = [((0, 0), 1)], 2 * ring.n
-    else:
-        X._check_compatible(weight)
-        terms, top = list(weight.terms.items()), 2 * ring.n - weight.homogeneous_degree()
+    weight = WPoly.constant(1) if weight is None else weight
+    X._check(weight)
+    terms, den = list(weight.num.items()), weight.den
+    top = 2 * ring.n - weight.homogeneous_degree()
     if not 0 <= k <= top:
         raise UnsupportedRange(f"k must lie in 0..{top}")
     point = ring.reducers[2 * ring.n]
@@ -382,4 +383,6 @@ def pairing(ring: GRing, k: int, weight: WPoly | None = None) -> MatQ:
         ]
         for a1, b1 in ring.bases[k]
     ]
+    if den != 1:
+        rows = [[Fraction(x, den) for x in row] for row in rows]
     return MatQ.from_rows(rows, cols=len(right))

@@ -6,10 +6,11 @@ h^(n-q, q) = binom(n+2, 3q+1-n), the Hilbert function (1+t)^(n+2) of the
 ring of a cubic evaluated in the Griffiths degrees); everything downstream
 is bookkeeping with bigraded multiplicity tables.
 
-The unsigned :class:`HodgeDiamond` is the only representation.  Every
-diamond here is pure (p + q = k), so the signed E-polynomial
+The unsigned :class:`HodgeDiamond`, a ``wpoly.SparseSum`` of integer
+multiplicities (``den`` 1), is the only representation.  Every diamond here
+is pure (p + q = k), so the signed E-polynomial
 sum (-1)^k h^(p,q)(H^k) u^p v^q carries nothing the diamond lacks: it exists
-only as text (:meth:`HodgeDiamond.e_text`), and degree parity is never
+only as the text of a diamond (``str``), and degree parity is never
 reconstructed from signs.  Multiplying by E(P^m) is a sum of Tate shifts
 (``times_projective``), so the chain
 
@@ -27,37 +28,40 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb
-from types import MappingProxyType
 from typing import Mapping
 
 from .errors import CheckFailed, NonIntegralResult, UnsupportedRange, exact
 from .fano import taut_rank_F
-from .wpoly import Frozen, format_monomial, signed_sum
+from .wpoly import SparseSum, format_monomial
 
 Entry = tuple[int, int, int]  # (cohomological degree k, p, q) with p + q = k
 
 
-class HodgeDiamond(Frozen):
+class HodgeDiamond(SparseSum):
     """Multiplicity table (k, p, q) -> integer; zero entries are dropped.
 
+    A sparse sum with ``den`` 1 and no context; ``entries`` is ``num``.
     Intermediate bookkeeping may hold negative multiplicities; diamonds of
-    actual varieties are validated with :meth:`is_effective`.  Diamonds are
-    shared through caches, so they are immutable and ``entries`` is a
-    read-only view.
+    actual varieties are validated with :meth:`is_effective`.  The text is
+    the E-polynomial sum (-1)^k h^(p,q)(H^k) u^p v^q, highest degree first.
     """
 
-    __slots__ = ("entries",)
+    __slots__ = ()
 
-    def __init__(self, entries: Mapping[Entry, int] | None = None):
-        clean: dict[Entry, int] = {}
+    def __new__(cls, entries: Mapping[Entry, int] | None = None):
         for (k, p, q), m in (entries or {}).items():
             if p + q != k:
                 raise ValueError(f"entry ({k},{p},{q}) violates p + q = k")
             if exact(m).denominator != 1:
                 raise ValueError(f"entry ({k},{p},{q}) has multiplicity {m}, not an integer")
-            if m != 0:
-                clean[(k, p, q)] = int(m)
-        object.__setattr__(self, "entries", MappingProxyType(clean))
+        return cls._exact(None, entries)
+
+    entries = SparseSum.num  # read-only, like ``num``
+
+    def scale(self, c: int) -> "HodgeDiamond":
+        if exact(c).denominator != 1:
+            raise ValueError(f"a diamond scales by integers only, not by {c}")
+        return super().scale(c)
 
     def get(self, k: int, p: int, q: int) -> int:
         return self.entries.get((k, p, q), 0)
@@ -73,27 +77,9 @@ class HodgeDiamond(Frozen):
 
     def shift(self, t: int) -> "HodgeDiamond":
         """Tate-type shift: degree k -> k + 2t, type (p, q) -> (p+t, q+t)."""
-        return HodgeDiamond(
-            {(k + 2 * t, p + t, q + t): m for (k, p, q), m in self.entries.items()}
+        return self._reduced(
+            None, {(k + 2 * t, p + t, q + t): m for (k, p, q), m in self.entries.items()}, 1
         )
-
-    def __add__(self, other: "HodgeDiamond") -> "HodgeDiamond":
-        out = dict(self.entries)
-        for key, m in other.entries.items():
-            out[key] = out.get(key, 0) + m
-        return HodgeDiamond(out)
-
-    def __sub__(self, other: "HodgeDiamond") -> "HodgeDiamond":
-        out = dict(self.entries)
-        for key, m in other.entries.items():
-            out[key] = out.get(key, 0) - m
-        return HodgeDiamond(out)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, HodgeDiamond) and self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.entries.items()))
 
     def is_effective(self) -> bool:
         return all(m > 0 for m in self.entries.values())
@@ -101,15 +87,14 @@ class HodgeDiamond(Frozen):
     def is_symmetric(self) -> bool:
         return all(self.get(k, q, p) == m for (k, p, q), m in self.entries.items())
 
-    def e_text(self) -> str:
-        """The E-polynomial sum (-1)^k h^(p,q)(H^k) u^p v^q in canonical text."""
-        return signed_sum(
-            (format_monomial(("u", "v"), (p, q)), (-1) ** k * m)
-            for (k, p, q), m in sorted(self.entries.items(), reverse=True)
-        )
+    @staticmethod
+    def _sort_key(key: Entry) -> Entry:
+        return tuple(-e for e in key)
 
-    def __repr__(self) -> str:
-        return f"HodgeDiamond({dict(sorted(self.entries.items()))})"
+    @staticmethod
+    def _format_term(key: Entry, m: int) -> tuple[str, int]:
+        k, p, q = key
+        return format_monomial(("u", "v"), (p, q)), (-1) ** k * m
 
 
 # -- the cubic hypersurface ---------------------------------------------------

@@ -1,10 +1,13 @@
 """Exact dense linear algebra over the rationals.
 
-Matrices are small here (graded pieces of quotient rings, pairing tables).
-Row reduction is fraction-free: rows are scaled to primitive integer rows
-and eliminated over the integers, with one division by each pivot at the
-end; every result is exact.  Kernel bases and solutions are deterministic:
-pivots are chosen as the first nonzero entry in column order.
+Matrices are small here (graded pieces of quotient rings, pairing tables)
+and hold their entries as given, ``int`` or ``Fraction``: the pairings of
+the package are integer matrices.  Row reduction is fraction-free: rows are
+scaled to primitive integer rows and eliminated over the integers, and
+``rref`` returns them so; only ``kernel_basis`` and ``solve_linear`` divide
+by the pivots, at the edge.  Every result is exact.  Kernel bases and
+solutions are deterministic: pivots are chosen as the first nonzero entry
+in column order.
 """
 
 from __future__ import annotations
@@ -21,15 +24,15 @@ Vector = tuple[Fraction, ...]
 
 @dataclass(frozen=True)
 class MatQ:
-    """Immutable rational matrix, built from ``int`` or ``Fraction`` entries."""
+    """Immutable rational matrix of ``int`` or ``Fraction`` entries, kept as given."""
 
     rows: int
     cols: int
-    entries: tuple[Vector, ...]
+    entries: tuple[tuple[int | Fraction, ...], ...]
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[Fraction | int]], cols: int | None = None) -> "MatQ":
-        data = tuple(tuple(Fraction(exact(x)) for x in row) for row in rows)
+        data = tuple(tuple(exact(x) for x in row) for row in rows)
         if data:
             cols = len(data[0])
             if any(len(row) != cols for row in data):
@@ -40,9 +43,7 @@ class MatQ:
 
     @classmethod
     def identity(cls, n: int) -> "MatQ":
-        return cls.from_rows(
-            [[Fraction(int(i == j)) for j in range(n)] for i in range(n)], cols=n
-        )
+        return cls.from_rows([[int(i == j) for j in range(n)] for i in range(n)], cols=n)
 
     def transpose(self) -> "MatQ":
         return MatQ.from_rows(
@@ -50,13 +51,11 @@ class MatQ:
             cols=self.rows,
         )
 
-    def mat_vec(self, v: Sequence[Fraction | int]) -> Vector:
+    def mat_vec(self, v: Sequence[Fraction | int]) -> tuple[int | Fraction, ...]:
         if len(v) != self.cols:
             raise ValueError("dimension mismatch")
-        return tuple(
-            sum((row[j] * Fraction(v[j]) for j in range(self.cols)), Fraction(0))
-            for row in self.entries
-        )
+        v = [exact(x) for x in v]
+        return tuple(sum(a * x for a, x in zip(row, v)) for row in self.entries)
 
     def rank(self) -> int:
         _, pivots = rref(self.entries)
@@ -68,13 +67,14 @@ def _primitive(row: list[int]) -> list[int]:
     return row if g <= 1 else [x // g for x in row]
 
 
-def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices).
+def rref(rows: Sequence[Sequence[int | Fraction]]) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form over the integers; returns (rows, pivot columns).
 
     Each row is cleared of denominators and eliminated over the integers,
-    kept primitive by dividing out its content; the pivots are divided out
-    only at the end.  The reduced form is unique, so this is the same result
-    as Gauss-Jordan over ``Fraction``.
+    kept primitive by dividing out its content.  Each returned row is a
+    primitive integer multiple of the row of the reduced echelon form over
+    ``Fraction`` (which is unique): dividing it by its pivot entry gives
+    that row.
     """
     m: list[list[int]] = []
     for row in rows:
@@ -100,9 +100,7 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list
         r += 1
         if r == n_rows:
             break
-    return [
-        [Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)
-    ], pivots
+    return m[:r], pivots
 
 
 def kernel_basis(matrix: MatQ) -> list[Vector]:
@@ -115,7 +113,7 @@ def kernel_basis(matrix: MatQ) -> list[Vector]:
         v = [Fraction(0)] * matrix.cols
         v[f] = Fraction(1)
         for row, p in zip(reduced, pivots):
-            v[p] = -row[f]
+            v[p] = Fraction(-row[f], row[p])
         basis.append(tuple(v))
     return basis
 
@@ -124,13 +122,11 @@ def solve_linear(matrix: MatQ, b: Sequence[Fraction | int]) -> Vector | None:
     """Some exact solution of M*x = b, or ``None`` when inconsistent."""
     if len(b) != matrix.rows:
         raise ValueError("dimension mismatch")
-    augmented = [list(row) + [Fraction(bi)] for row, bi in zip(matrix.entries, b)]
-    if not augmented:
-        return tuple(Fraction(0) for _ in range(matrix.cols))
+    augmented = [list(row) + [exact(bi)] for row, bi in zip(matrix.entries, b)]
     reduced, pivots = rref(augmented)
     if matrix.cols in pivots:
         return None
     x = [Fraction(0)] * matrix.cols
     for row, p in zip(reduced, pivots):
-        x[p] = row[-1]
+        x[p] = Fraction(row[-1], row[p])
     return tuple(x)

@@ -1,6 +1,13 @@
-"""Exact weighted polynomials over the rationals.
+"""Exact sparse sums over the rationals, and weighted polynomials.
 
-A :class:`WPoly` is a sparse map from exponent vectors to ``Fraction``
+:class:`SparseSum` is the one storage of an exact linear combination: integer
+numerators ``num`` over one denominator ``den``, in normal form (no zero
+numerator, ``den > 0``, ``gcd(den, *num) == 1``, ``den == 1`` for zero).  It
+alone normalises, adds, scales, compares, hashes and prints; ``Fraction``
+appears only at the edge (``terms``, ``coefficient``, text).  Its subclasses
+are :class:`WPoly`, ``hodge.HodgeDiamond`` and the diagonal models.
+
+A :class:`WPoly` is a sparse map from exponent vectors to rational
 coefficients, built from ``int`` or ``Fraction`` coefficients only.  Every
 variable carries a positive integer weight and the weighted degree of a
 monomial is the weight-dot-product of its exponents.
@@ -10,17 +17,18 @@ stand for the first and second Chern class of a rank-2 bundle.
 The canonical text form sorts terms by descending graded-lex order, e.g.
 ``18*x^2*y + 9*y^2``; :meth:`WPoly.parse` inverts it exactly and rejects
 every other text with ``ValueError``.  Its printer, ``signed_sum`` over
-``format_monomial`` bodies, also prints the diagonal model classes and the
-E-polynomials of Hodge diamonds, and :class:`Frozen` is the immutable base
-of every value type shared through caches.
+``format_monomial`` bodies, prints every sparse sum, and :class:`Frozen` is
+the immutable base of every value type shared through caches.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Hashable, Iterable, Mapping
 
 from .errors import exact
 
@@ -80,17 +88,115 @@ def signed_sum(terms: Iterable[tuple[str, object]]) -> str:
     return " ".join(pieces) if pieces else "0"
 
 
-class WPoly(Frozen):
-    """Immutable sparse polynomial with a weighted grading.
+class SparseSum(Frozen):
+    """Exact sparse sum of hashable keys: integer ``num`` over ``den``.
 
-    ``terms`` is a read-only view: polynomials are shared through caches,
-    so a write would poison every later computation in the process.
+    ``num`` is a read-only view in the normal form of the module docstring;
+    ``ctx``, the context (variables and weights, a model's n), is part of
+    the value, and sums take operands of one type and context.  Subclasses
+    validate keys in ``__new__`` and build through ``_exact``; arithmetic
+    results come from the unvalidated ``_reduced``.  The text lists the terms
+    in the order of the subclass's ``_sort_key(key)``, as
+    ``_format_term(key, c)`` pairs.
     """
 
-    __slots__ = ("vars", "weights", "terms")
+    __slots__ = ("ctx", "num", "den")
+    _CONTEXT = "contexts"  # what a mismatch of ``ctx`` is called in errors
 
-    def __init__(
-        self,
+    @classmethod
+    def _exact(cls, ctx, terms: Mapping[Hashable, Fraction | int] | None):
+        """The sum of the ``int`` or ``Fraction`` coefficients ``terms``."""
+        coeffs = {key: exact(c) for key, c in (terms or {}).items()}
+        den = lcm(*(c.denominator for c in coeffs.values()))
+        num = {key: c.numerator * (den // c.denominator) for key, c in coeffs.items()}
+        return cls._reduced(ctx, num, den)
+
+    @classmethod
+    def _reduced(cls, ctx, num: dict, den: int):
+        """The sum ``num / den`` (``den > 0``), brought to normal form."""
+        g = gcd(den, *num.values())  # equals den when every numerator is 0
+        num = {key: c // g for key, c in num.items() if c}
+        out = object.__new__(cls)
+        object.__setattr__(out, "ctx", ctx)
+        object.__setattr__(out, "num", MappingProxyType(num))
+        object.__setattr__(out, "den", den // g)
+        return out
+
+    @property
+    def terms(self) -> Mapping[Hashable, Fraction]:
+        """The coefficients as ``Fraction``s, for callers off the hot paths."""
+        den = self.den
+        return MappingProxyType({key: Fraction(c, den) for key, c in self.num.items()})
+
+    def coefficient(self, key: Hashable) -> Fraction:
+        return Fraction(self.num.get(key, 0), self.den)
+
+    def is_zero(self) -> bool:
+        return not self.num
+
+    def _check(self, other) -> None:
+        if type(other) is not type(self) or other.ctx != self.ctx:
+            raise ValueError(
+                f"mismatched {self._CONTEXT}: {type(self).__name__} {self.ctx!r} vs "
+                f"{type(other).__name__} {getattr(other, 'ctx', None)!r}"
+            )
+
+    def _plus(self, other, sign: int):
+        """``self + sign * other``, over the lcm of the denominators."""
+        self._check(other)
+        den = lcm(self.den, other.den)
+        f, g = den // self.den, sign * (den // other.den)
+        out = {key: c * f for key, c in self.num.items()}
+        for key, c in other.num.items():
+            out[key] = out.get(key, 0) + c * g
+        return self._reduced(self.ctx, out, den)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
+
+    def __sub__(self, other):
+        return self._plus(other, -1)
+
+    def scale(self, c):
+        c = exact(c)
+        num = {key: c.numerator * v for key, v in self.num.items()}
+        return self._reduced(self.ctx, num, c.denominator * self.den)
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.ctx, self.den, self.num) == (other.ctx, other.den, other.num)
+
+    def __hash__(self) -> int:
+        return hash((type(self), self.ctx, self.den, frozenset(self.num.items())))
+
+    def __str__(self) -> str:
+        num, den = self.num, self.den
+        return signed_sum(
+            self._format_term(key, num[key] if den == 1 else Fraction(num[key], den))
+            for key in sorted(num, key=self._sort_key)
+        )
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self})"
+
+
+class WPoly(SparseSum):
+    """Immutable sparse polynomial with a weighted grading.
+
+    Keys are exponent vectors and ``ctx`` is the pair (vars, weights).
+    Polynomials are shared through caches, so ``num`` and ``terms`` are
+    read-only views.
+    """
+
+    __slots__ = ()
+    _CONTEXT = "variable sets"
+
+    def __new__(
+        cls,
         terms: Mapping[Exponents, Fraction | int] | None = None,
         vars: tuple[str, ...] = CHERN_VARS,
         weights: tuple[int, ...] = CHERN_WEIGHTS,
@@ -99,20 +205,12 @@ class WPoly(Frozen):
             raise ValueError("one weight per variable required")
         if any(w <= 0 for w in weights):
             raise ValueError("weights must be positive")
-        clean: dict[Exponents, Fraction] = {}
-        for exps, c in (terms or {}).items():
-            if type(c) is not Fraction:
-                c = Fraction(exact(c))
-            if c == 0:
-                continue
+        for exps in terms or {}:
             if not all(isinstance(e, int) for e in exps):
                 raise TypeError(f"exponents must be int, not {exps!r}")
             if len(exps) != len(vars) or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent vector {exps!r}")
-            clean[exps] = c
-        object.__setattr__(self, "vars", tuple(vars))
-        object.__setattr__(self, "weights", tuple(weights))
-        object.__setattr__(self, "terms", MappingProxyType(clean))
+        return cls._exact((tuple(vars), tuple(weights)), terms)
 
     # -- constructors ------------------------------------------------------
 
@@ -129,7 +227,7 @@ class WPoly(Frozen):
     def variable(cls, name: str, vars=CHERN_VARS, weights=CHERN_WEIGHTS) -> "WPoly":
         i = vars.index(name)
         exps = tuple(1 if j == i else 0 for j in range(len(vars)))
-        return cls({exps: Fraction(1)}, vars, weights)
+        return cls({exps: 1}, vars, weights)
 
     @classmethod
     def monomial(cls, exps: Iterable[int], coeff=1, vars=CHERN_VARS, weights=CHERN_WEIGHTS) -> "WPoly":
@@ -138,107 +236,71 @@ class WPoly(Frozen):
     # -- grading -----------------------------------------------------------
 
     def wdeg(self, exps: Exponents) -> int:
-        return sum(e * w for e, w in zip(exps, self.weights))
-
-    def is_zero(self) -> bool:
-        return not self.terms
+        return sum(e * w for e, w in zip(exps, self.ctx[1]))
 
     def is_homogeneous(self) -> bool:
-        degrees = {self.wdeg(e) for e in self.terms}
+        degrees = {self.wdeg(e) for e in self.num}
         return len(degrees) <= 1
 
     def homogeneous_degree(self) -> int:
         """Weighted degree of a nonzero homogeneous polynomial."""
-        degrees = {self.wdeg(e) for e in self.terms}
+        degrees = {self.wdeg(e) for e in self.num}
         if len(degrees) != 1:
             raise ValueError("polynomial is zero or not homogeneous")
         return degrees.pop()
 
-    def coefficient(self, exps: Iterable[int]) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
-
     # -- arithmetic ----------------------------------------------------------
-
-    def _check_compatible(self, other: "WPoly") -> None:
-        if self.vars != other.vars or self.weights != other.weights:
-            raise ValueError(
-                f"mismatched variable sets: {self.vars}/{self.weights} vs "
-                f"{other.vars}/{other.weights}"
-            )
+    # Sums, differences and scaling are the base's; the operators stay
+    # defined here, so that a constant operand is taken as a polynomial and
+    # perfbench/layer_trace.py finds all six in this class's namespace.
 
     def _coerce(self, other) -> "WPoly":
         if isinstance(other, WPoly):
-            self._check_compatible(other)
             return other
-        return WPoly.constant(other, self.vars, self.weights)
+        return WPoly.constant(other, *self.ctx)
 
     def __add__(self, other) -> "WPoly":
-        other = self._coerce(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return WPoly(out, self.vars, self.weights)
+        return self._plus(self._coerce(other), 1)
 
     __radd__ = __add__
 
-    def __neg__(self) -> "WPoly":
-        return WPoly({e: -c for e, c in self.terms.items()}, self.vars, self.weights)
-
     def __sub__(self, other) -> "WPoly":
-        return self + (-self._coerce(other))
+        return self._plus(self._coerce(other), -1)
 
     def __rsub__(self, other) -> "WPoly":
-        return self._coerce(other) - self
+        return self._coerce(other)._plus(self, -1)
 
     def __mul__(self, other) -> "WPoly":
         if not isinstance(other, WPoly):
-            c = Fraction(exact(other))
-            return WPoly({e: c * v for e, v in self.terms.items()}, self.vars, self.weights)
-        self._check_compatible(other)
-        out: dict[Exponents, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return WPoly(out, self.vars, self.weights)
+            return self.scale(other)
+        self._check(other)
+        out: dict[Exponents, int] = {}
+        get = out.get
+        right = other.num.items()
+        for e1, c1 in self.num.items():
+            for e2, c2 in right:
+                e = tuple(map(add, e1, e2))
+                out[e] = get(e, 0) + c1 * c2
+        return self._reduced(self.ctx, out, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "WPoly":
         if k < 0:
             raise ValueError("negative power")
-        result = WPoly.constant(1, self.vars, self.weights)
+        result = WPoly.constant(1, *self.ctx)
         for _ in range(k):
             result = result * self
         return result
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, WPoly):
-            return NotImplemented
-        return (
-            self.vars == other.vars
-            and self.weights == other.weights
-            and self.terms == other.terms
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.vars, self.weights, frozenset(self.terms.items())))
-
     # -- canonical text form -------------------------------------------------
 
-    def sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
-        """Terms in descending graded-lex order (leading term first)."""
-        return sorted(
-            self.terms.items(), key=lambda t: (self.wdeg(t[0]), t[0]), reverse=True
-        )
+    def _sort_key(self, exps: Exponents):
+        """Descending graded-lex order: leading term first."""
+        return -self.wdeg(exps), tuple(-e for e in exps)
 
-    def __str__(self) -> str:
-        return signed_sum(
-            (format_monomial(self.vars, exps), c) for exps, c in self.sorted_terms()
-        )
-
-    def __repr__(self) -> str:
-        return f"WPoly({self})"
+    def _format_term(self, exps: Exponents, c):
+        return format_monomial(self.ctx[0], exps), c
 
     @classmethod
     def parse(cls, text: str, vars=CHERN_VARS, weights=CHERN_WEIGHTS) -> "WPoly":

@@ -355,6 +355,33 @@ def test_cycle_product_preconditions():
         FormalCycle(0, 3)
 
 
+def test_model_constructors_validate_keys():
+    # both were once accepted: the first equalled xx_monomial(2, 1, 1), the
+    # second printed h1^5 on a model whose exponents stop at n = 2
+    with pytest.raises(TypeError):
+        XXClass(2, {("m", 1.0, 1): 1})
+    with pytest.raises(ValueError):
+        X3Class(2, {("m", 5, 0, 0): 1})
+    for cls, key in (
+        (XXClass, ("m", 1)),  # too few exponents
+        (XXClass, ("D3",)),  # a tag of another model
+        (CohXXClass, ("D",)),
+        (CohX3Class, ("D3",)),
+        (X3Class, "m"),  # not a tuple
+        (X3Class, ("D", 2, 1, 0)),  # a pair outside PAIRS
+        (CohX3Class, ("d", 1, 3, 3)),  # a decoration above n
+        (CohX3Class, ("m", 0, -1, 0)),
+    ):
+        with pytest.raises(ValueError):
+            cls(2, {key: 1})
+    for cls, key in ((X3Class, ("D", 1, 2, 1.0)), (CohX3Class, ("d", 1.0, 2, 0))):
+        with pytest.raises(TypeError):
+            cls(2, {key: 1})
+    # the unvalidated arithmetic path still builds every valid key
+    assert XXClass(2, {("m", 1, 1): 1}) == xx_monomial(2, 1, 1)
+    assert x3_diagonal(2, 1, 2, 2) * x3_small_diagonal(2) == X3Class(2)
+
+
 def test_floats_are_rejected():
     key = ("m", 1, 1)
     for make in (

@@ -377,8 +377,8 @@ def _eliminated_reducers(n):
             if i in free:
                 reducer[mono] = tuple(Fraction(int(f == i)) for f in free)
             else:
-                row = reduced[pivots.index(i)]
-                reducer[mono] = tuple(-row[f] for f in free)
+                row = reduced[pivots.index(i)]  # a primitive integer multiple
+                reducer[mono] = tuple(Fraction(-row[f], row[i]) for f in free)
         out.append((tuple(monos[i] for i in free), reducer))
     return out
 

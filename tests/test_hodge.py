@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cubicchow.hodge as hodge
 from cubicchow.checks import REGISTRY
 from cubicchow.errors import UnsupportedRange
 from cubicchow.hodge import (
@@ -98,7 +99,7 @@ def test_e_hilb2_cubic_surface_frozen():
         {(0, 0, 0): 1, (2, 1, 1): 8, (4, 2, 2): 36, (6, 3, 3): 8, (8, 4, 4): 1}
     )
     assert hilb2_diamond(2) == expected
-    assert hilb2_diamond(2).e_text() == "u^4*v^4 + 8*u^3*v^3 + 36*u^2*v^2 + 8*u*v + 1"
+    assert str(hilb2_diamond(2)) == "u^4*v^4 + 8*u^3*v^3 + 36*u^2*v^2 + 8*u*v + 1"
 
 
 def test_sym2_elliptic_curve_guard():
@@ -117,7 +118,7 @@ def test_sym2_elliptic_curve_guard():
     )
     assert sym == expected
     assert hilb2_diamond(1) == sym
-    assert hodge_cubic(1).e_text() == "u*v - u - v + 1"
+    assert str(hodge_cubic(1)) == "u*v - u - v + 1"
 
 
 def test_hilb2_euler_characteristic():
@@ -298,3 +299,15 @@ def test_cached_e_polynomials_are_immutable():
         (check,) = [c for c in REGISTRY if c.check_id == check_id]
         computed, expected = check.fn(3)
         assert computed == expected, check_id
+
+
+def test_product_ring_ranks_fails_on_wrong_fano_ranks(monkeypatch):
+    # the check once compared degree 3n-3, which is 0 by index arithmetic
+    # whatever taut_rank_F returns; degree 3n-4 reads taut_rank_F(n, 2n-4)
+    (check,) = [c for c in REGISTRY if c.check_id == "hodge.product_ring_ranks"]
+    assert all(check.fn(n) == ("ok", "ok") for n in (3, 5, 8))
+    honest = hodge.taut_rank_F
+    monkeypatch.setattr(hodge, "taut_rank_F", lambda n, k: honest(n, k) if k == 0 else 99)
+    for n in (3, 5, 8):
+        computed, expected = check.fn(n)
+        assert computed == "rank at k=3n-4 is not 1" and expected == "ok", n

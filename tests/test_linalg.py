@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -156,5 +157,7 @@ def test_rref_matches_gauss_jordan_over_fractions(rows):
     reduced, pivots = rref(rows)
     expected_rows, expected_pivots = _rref_over_fractions(rows)
     assert pivots == expected_pivots
-    assert reduced == expected_rows
-    assert all(type(x) is Fraction for row in reduced for x in row)
+    # primitive integer rows, each a multiple of the reduced row: divide by the pivot
+    assert all(type(x) is int for row in reduced for x in row)
+    assert all(gcd(*row) == 1 for row in reduced)
+    assert [[Fraction(x, row[p]) for x in row] for row, p in zip(reduced, pivots)] == expected_rows

@@ -1,10 +1,14 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cubicchow.diagonal import PAIRS, CohX3Class, X3Class
+from cubicchow.grassmann import build_ring, complete_symmetric, fano_poly, pairing
+from cubicchow.hodge import HodgeDiamond
 from cubicchow.wpoly import WPoly
 
 X = WPoly.variable("x")
@@ -169,3 +173,90 @@ def test_equal_polynomials_hash_equal():
     assert len({X * Y, Y * X, WPoly.monomial((1, 1))}) == 1
     # the variable set is part of the value
     assert WPoly.constant(1, ("u",), (1,)) != WPoly.constant(1)
+
+
+# -- the shared sparse-sum base --------------------------------------------------
+
+_SMALL = st.fractions(min_value=-20, max_value=20, max_denominator=30)
+
+
+def _model_keys(n, tags):
+    span = range(n + 1)
+    keys = [("m", i, j, k) for i in span for j in span for k in span]
+    keys += [(tag, a, b, m) for tag in tags for a, b in PAIRS for m in span]
+    return keys + ([("D3",)] if "D" in tags else [])
+
+
+@st.composite
+def _operands(draw):
+    """Two operands of one type and context, and a scalar for ``scale``."""
+    kind = draw(st.sampled_from(["wpoly", "diamond", "x3", "coh_x3"]))
+    if kind == "wpoly":
+        a, b = draw(_POLYS), draw(_POLYS)
+    elif kind == "diamond":
+        entries = st.dictionaries(
+            st.tuples(st.integers(0, 4), st.integers(0, 4)), st.integers(-6, 6), max_size=8
+        ).map(lambda t: HodgeDiamond({(p + q, p, q): m for (p, q), m in t.items()}))
+        a, b = draw(entries), draw(entries)
+    else:
+        cls, tags = (X3Class, ("D",)) if kind == "x3" else (CohX3Class, ("d",))
+        n = draw(st.integers(1, 3))
+        keys = st.sampled_from(_model_keys(n, tags))
+        a, b = (cls(n, draw(st.dictionaries(keys, _SMALL, max_size=6))) for _ in "ab")
+    scalar = draw(st.integers(-5, 5)) if kind == "diamond" else draw(_SMALL)
+    return a, b, scalar
+
+
+def _assert_normal_form(x):
+    assert type(x.den) is int and x.den > 0
+    assert all(type(c) is int and c != 0 for c in x.num.values())
+    assert gcd(x.den, *x.num.values()) == 1  # also den == 1 for zero
+    assert dict(x.terms) == {k: Fraction(c, x.den) for k, c in x.num.items()}
+    if isinstance(x, HodgeDiamond):
+        assert x.den == 1
+
+
+@settings(max_examples=150)
+@given(_operands())
+def test_sparse_sums_stay_in_normal_form(operands):
+    a, b, c = operands
+    results = [a, b, a + b, a - b, -a, a.scale(c), a + b - b]
+    if not isinstance(a, HodgeDiamond):
+        try:
+            results.append(a * b)
+        except ValueError:  # a same-pair primitive product, refused by CohX3Class
+            pass
+    for x in results:
+        _assert_normal_form(x)
+    assert a + b - b == a and hash(a + b - b) == hash(a)
+    assert (a - a).is_zero() and (a - a).den == 1
+    if isinstance(a, HodgeDiamond):  # den stays 1
+        with pytest.raises(ValueError):
+            a.scale(Fraction(1, 2))
+    elif c:
+        back = a.scale(c).scale(1 / Fraction(c))
+        assert back == a and hash(back) == hash(a)
+
+
+def test_integral_arithmetic_builds_no_fraction(monkeypatch):
+    # integral polynomials, the pairings through [F] and their ranks run on
+    # integers from end to end: a Fraction is made only at the edge
+    n = 8
+    ring = build_ring(n)
+    h = complete_symmetric(n + 1)
+    made = []
+    honest_new = Fraction.__new__
+
+    def new(cls, *args, **kwargs):
+        made.append(args)
+        return honest_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(new))
+    product, total = h * fano_poly(), h + X * Y - 3
+    matrices = [pairing(ring, k, fano_poly()) for k in range(2 * (n - 2) + 1)]
+    ranks = [m.rank() for m in matrices]
+    monkeypatch.undo()
+    assert made == []
+    assert product == fano_poly() * h and total - h == WPoly.parse("x*y - 3")
+    assert all(type(x) is int for m in matrices for row in m.entries for x in row)
+    assert ranks[0] == ranks[-1] == 1 and ranks == ranks[::-1]
