@@ -353,7 +353,7 @@ def _defect_pairing(n: int):
                 failures.append(f"monomial dual ({a},{b},{n - a - b})")
     image = diagonal.defect_image(n)
     for a, b in diagonal.PAIRS:
-        dual = diagonal.CohX3Class(n, {(diagonal.PRIM, a, b, 0): Fraction(1)})
+        dual = diagonal.CohX3Class(n, {(diagonal.PRIM, a, b, 0): 1})
         if diagonal.coh_pair(image, dual) != 0:
             failures.append(f"primitive dual d{a}{b}")
     return _ok(failures)

@@ -24,8 +24,9 @@ Every class is a ``wpoly.SparseSum`` over n: integer numerators over one
 denominator.  A model adds its key shapes, which its constructor checks, and
 ``_term_mul``, numerators over the rule denominator ``_DEN`` (27 for X3Class,
 9 for XXClass and CohXXClass, 3 for CohX3Class), so a product is reduced
-once, by one gcd.  ``Fraction`` appears only at the edge: coefficients,
-degrees, pairings and text.
+once, by one gcd.  The key order and the key text belong to the base,
+``_FormalSum``, and are the same for all four models.  ``Fraction`` appears
+only at the edge: coefficients, degrees, pairings and text.
 
 Degrees on X^3 are read off by Poincare duality: ``x3_pair(a, b)`` and
 ``coh_pair(a, b)`` sum only the term pairs whose codimensions add up to 3n,
@@ -80,7 +81,10 @@ class _FormalSum(SparseSum):
 
     A model adds its term product ``_term_mul`` over ``_DEN`` and its key
     shapes ``_KEYS``: tag -> number of ``int`` fields, the first two a pair
-    from ``PAIRS`` for a tag other than ``MONO``.
+    from ``PAIRS`` for a tag other than ``MONO``.  The key order and the key
+    text are the base's, the same for every model: monomials first, by total
+    degree and then by descending exponents, then every other key in plain
+    tuple order, each written by ``_format_key``.
     """
 
     __slots__ = ()
@@ -123,11 +127,30 @@ class _FormalSum(SparseSum):
                         out[key] = out.get(key, 0) + c12 * c
         return self._reduced(self.ctx, out, self.den * other.den * self._DEN)
 
-    def _format_term(self, key: Key, c):
-        return self._format_key(key), c
+    @staticmethod
+    def _sort_key(key: Key):
+        if key[0] == MONO:
+            return (0, sum(key[1:]), tuple(-e for e in key[1:]))
+        return (1, key)
+
+    @staticmethod
+    def _format_term(key: Key, c):
+        return _format_key(key), c
 
 
 _H_NAMES = ("h1", "h2", "h3")  # the hyperplane class on each factor
+
+
+def _format_key(key: Key) -> str:
+    """``h1^2*h3``, ``D``, ``d``, ``D3``, ``D12*h3^2`` or ``d13``."""
+    tag, *body = key
+    if tag == MONO:
+        return format_monomial(_H_NAMES, body)
+    if not body:
+        return tag
+    a, b, m = body
+    tail = format_monomial((f"h{_third(a, b)}",), (m,))
+    return f"{tag}{a}{b}" + (f"*{tail}" if tail else "")
 
 
 # -- X x X: Chow model and cohomological twin -----------------------------------
@@ -171,24 +194,8 @@ class XXClass(_FormalSum):
             _, r, s = mono
             if r + s == 0:
                 return {(DIAG,): 9}
-            return {
-                (MONO, a, n + r + s - a): 3
-                for a in range(max(0, r + s), n + 1)
-                if n + r + s - a <= n
-            }
+            return {(MONO, a, n + r + s - a): 3 for a in range(r + s, n + 1)}
         return _mono2_mul(n, k1, k2, 9)
-
-    @staticmethod
-    def _sort_key(key):
-        if key[0] == MONO:
-            return (0, key[1] + key[2], -key[1], -key[2])
-        return (1,)
-
-    @staticmethod
-    def _format_key(key):
-        if key[0] == MONO:
-            return format_monomial(_H_NAMES, key[1:])
-        return "D"
 
 
 def xx_monomial(n: int, r: int, s: int, coeff=1) -> XXClass:
@@ -227,14 +234,6 @@ class CohXXClass(_FormalSum):
             return {}  # primitive classes are killed by h
         return _mono2_mul(n, k1, k2, 9)
 
-    _sort_key = staticmethod(XXClass._sort_key)
-
-    @staticmethod
-    def _format_key(key):
-        if key[0] == MONO:
-            return format_monomial(_H_NAMES, key[1:])
-        return "d"
-
 
 def xx_diagonal_expansion(n: int) -> CohXXClass:
     """Kunneth expansion (1/3) sum_j h1^j h2^(n-j) + d of the diagonal."""
@@ -265,8 +264,8 @@ def _delta_push(n: int, m: int) -> dict[Key, int]:
     """Small-diagonal pushforward of h^m: (1/9) sum over p+q+r = 2n+m, over 27."""
     out: dict[Key, int] = {}
     total = 2 * n + m
-    for p in range(max(0, total - 2 * n), n + 1):
-        for q in range(max(0, total - n - p), min(n, total - p) + 1):
+    for p in range(m, n + 1):
+        for q in range(n + m - p, n + 1):
             out[(MONO, p, q, total - p - q)] = 3
     return out
 
@@ -295,18 +294,14 @@ class X3Class(_FormalSum):
             _, a, b, m = k1
             c = _third(a, b)
             s, t, u = k2[a], k2[b], k2[c]
-            if s + t == 0:
-                if m + u > n:
-                    return {}
-                return {(DIAG, a, b, m + u): 27}
             if m + u > n:
                 return {}
+            if s + t == 0:
+                return {(DIAG, a, b, m + u): 27}
             out: dict[Key, int] = {}
-            for p in range(max(0, s + t), n + 1):
-                q = n + s + t - p
-                if 0 <= q <= n:
-                    slots = {a: p, b: q, c: m + u}
-                    out[(MONO, slots[1], slots[2], slots[3])] = 9
+            for p in range(s + t, n + 1):
+                slots = {a: p, b: n + s + t - p, c: m + u}
+                out[(MONO, slots[1], slots[2], slots[3])] = 9
             return out
         if k1[0] == SMALL and k2[0] == SMALL:
             return {}  # codimension 4n > 3n
@@ -329,24 +324,6 @@ class X3Class(_FormalSum):
         if m1 + m2 == 0:
             return {(SMALL,): 27}
         return _delta_push(n, m1 + m2)
-
-    @staticmethod
-    def _sort_key(key):
-        if key[0] == MONO:
-            return (0, key[1] + key[2] + key[3], tuple(-e for e in key[1:]))
-        if key[0] == DIAG:
-            return (1, key[1:])
-        return (2,)
-
-    @staticmethod
-    def _format_key(key):
-        if key[0] == MONO:
-            return format_monomial(_H_NAMES, key[1:])
-        if key[0] == DIAG:
-            _, a, b, m = key
-            tail = format_monomial((f"h{_third(a, b)}",), (m,))
-            return f"D{a}{b}" + (f"*{tail}" if tail else "")
-        return "D3"
 
 
 def x3_monomial(n: int, i: int, j: int, k: int, coeff=1) -> X3Class:
@@ -445,20 +422,6 @@ class CohX3Class(_FormalSum):
         rest = sorted(({a1, b1} | {a2, b2}) - {shared})
         return {(PRIM, rest[0], rest[1], n): 1}
 
-    @staticmethod
-    def _sort_key(key):
-        if key[0] == MONO:
-            return (0, key[1] + key[2] + key[3], tuple(-e for e in key[1:]))
-        return (1, key[1:])
-
-    @staticmethod
-    def _format_key(key):
-        if key[0] == MONO:
-            return format_monomial(_H_NAMES, key[1:])
-        _, a, b, m = key
-        tail = format_monomial((f"h{_third(a, b)}",), (m,))
-        return f"d{a}{b}" + (f"*{tail}" if tail else "")
-
 
 def x3_diagonal_expansion(n: int, a: int, b: int, m: int = 0) -> CohX3Class:
     """Kunneth expansion of D_ab * h_c^m in the cohomological model."""
@@ -554,10 +517,9 @@ def corrected_small_diagonal(n: int) -> X3Class:
     """D3 minus a third of each diagonal decorated with the opposite h^n."""
     if n < 1:
         raise UnsupportedRange("corrected_small_diagonal needs n >= 1")
-    out = x3_small_diagonal(n)
-    for a, b in PAIRS:
-        out = out - x3_diagonal(n, a, b, n, Fraction(1, 3))
-    return out
+    num = {(DIAG, a, b, n): -1 for a, b in PAIRS}
+    num[(SMALL,)] = 3
+    return X3Class._reduced(n, num, 3)
 
 
 @lru_cache(maxsize=None)
@@ -575,7 +537,7 @@ def decomposable_coefficients(n: int) -> tuple[Mapping[tuple[int, int, int], int
     for key, c in image.num.items():
         if key[0] != MONO:
             raise CheckFailed(
-                f"primitive term {CohX3Class._format_key(key)} survives at n={n}"
+                f"primitive term {_format_key(key)} survives at n={n}"
             )
         table[key[1:]] = c
     return MappingProxyType(table), image.den

@@ -117,14 +117,16 @@ def ideal_decomposition(n: int, relation: WPoly) -> tuple[WPoly, WPoly] | None:
     if not relation.is_homogeneous() or relation.homogeneous_degree() != n + 3:
         raise ValueError("ideal_decomposition needs homogeneous input of degree n+3")
     g1, g2 = complete_symmetric(n + 1), complete_symmetric(n + 2)
-    # columns x^2*h_(n+1), y*h_(n+1), x*h_(n+2): shifted coefficients
+    # columns x^2*h_(n+1), y*h_(n+1), x*h_(n+2): shifted coefficients, integers
+    # (build_ring asserts it); the relation's denominator scales the matrix
     shifts = ((g1, 2, 0), (g1, 0, 1), (g2, 1, 0))
     monos = weight_monomials(n + 3)
+    den = relation.den
     matrix = MatQ.from_rows(
-        [[gen.coefficient((a - da, b - db)) for gen, da, db in shifts] for a, b in monos],
+        [[den * gen.num.get((a - da, b - db), 0) for gen, da, db in shifts] for a, b in monos],
         cols=len(shifts),
     )
-    target = [relation.coefficient(m) for m in monos]
+    target = [relation.num.get(m, 0) for m in monos]
     solution = solve_linear(matrix, target)
     if solution is None:
         return None

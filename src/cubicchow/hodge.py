@@ -41,9 +41,10 @@ class HodgeDiamond(SparseSum):
     """Multiplicity table (k, p, q) -> integer; zero entries are dropped.
 
     A sparse sum with ``den`` 1 and no context; ``entries`` is ``num``.
-    Intermediate bookkeeping may hold negative multiplicities; diamonds of
-    actual varieties are validated with :meth:`is_effective`.  The text is
-    the E-polynomial sum (-1)^k h^(p,q)(H^k) u^p v^q, highest degree first.
+    Intermediate bookkeeping may hold negative multiplicities;
+    ``fano_diamond`` refuses them in the diamond of the variety of lines.
+    The text is the E-polynomial sum (-1)^k h^(p,q)(H^k) u^p v^q, highest
+    degree first.
     """
 
     __slots__ = ()
@@ -159,37 +160,19 @@ def euler_cubic(n: int) -> int:
 def sym2_diamond(diamond: HodgeDiamond) -> HodgeDiamond:
     """Graded symmetric square of a bigraded multiplicity table.
 
-    Distinct degrees contribute their tensor product once; equal even
-    degrees the honest symmetric square, equal odd degrees the alternating
-    square (super convention).
+    Each unordered pair of entries is met once.  Two distinct entries give
+    their tensor product, m1 * m2; an entry paired with itself gives its
+    symmetric square m(m+1)/2 in even degree and its alternating square
+    m(m-1)/2 in odd degree (super convention).
     """
-    items = sorted(diamond.entries.items())
+    items = list(diamond.entries.items())
     out: dict[Entry, int] = {}
-
-    def bump(key: Entry, m: int) -> None:
-        out[key] = out.get(key, 0) + m
-
-    degrees = sorted({k for (k, _, _) in diamond.entries})
-    by_degree = {
-        k: [((p, q), m) for (kk, p, q), m in items if kk == k] for k in degrees
-    }
-    for i, k1 in enumerate(degrees):
-        for k2 in degrees[i:]:
-            if k1 < k2:
-                for (p1, q1), m1 in by_degree[k1]:
-                    for (p2, q2), m2 in by_degree[k2]:
-                        bump((k1 + k2, p1 + p2, q1 + q2), m1 * m2)
-            else:
-                pieces = by_degree[k1]
-                sign = (-1) ** k1
-                for a, ((p1, q1), m1) in enumerate(pieces):
-                    for (p2, q2), m2 in pieces[a:]:
-                        key = (2 * k1, p1 + p2, q1 + q2)
-                        if (p1, q1) == (p2, q2):
-                            # diagonal block: d(d+1)/2 or d(d-1)/2
-                            bump(key, m1 * (m1 + sign) // 2)
-                        else:
-                            bump(key, m1 * m2)
+    for i, ((k1, p1, q1), m1) in enumerate(items):
+        key = (2 * k1, 2 * p1, 2 * q1)
+        out[key] = out.get(key, 0) + m1 * (m1 + (-1) ** k1) // 2
+        for (k2, p2, q2), m2 in items[i + 1:]:
+            key = (k1 + k2, p1 + p2, q1 + q2)
+            out[key] = out.get(key, 0) + m1 * m2
     return HodgeDiamond(out)
 
 
@@ -236,7 +219,7 @@ def fano_diamond(n: int) -> HodgeDiamond:
     expected_top = 27 if n == 2 else 1
     if top != expected_top:
         raise CheckFailed(f"top coefficient {top} != {expected_top} at n={n}")
-    if not diamond.is_effective() or not diamond.is_symmetric():
+    if not diamond.is_symmetric():
         raise CheckFailed(f"invalid diamond for the variety of lines at n={n}")
     return diamond
 

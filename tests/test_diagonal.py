@@ -40,9 +40,10 @@ from cubicchow.diagonal import (
     xx_monomial,
     xx_to_coh,
 )
-from cubicchow.errors import UnsupportedRange
+from cubicchow.errors import CheckFailed, UnsupportedRange
 from cubicchow.grassmann import complete_symmetric
 from cubicchow.hodge import euler_cubic, hodge_cubic
+from cubicchow.wpoly import format_monomial, signed_sum
 
 
 def test_diagonal_times_hyperplane_example():
@@ -532,6 +533,30 @@ def _run_check(check_id, n):
     return check.fn(n)
 
 
+def test_key_order_and_text_belong_to_the_base():
+    for cls in (XXClass, CohXXClass, X3Class, CohX3Class):
+        own = {"_sort_key", "_format_key", "_format_term"} & set(vars(cls))
+        assert not own, (cls.__name__, own)
+
+
+def test_primitive_cancellation_catches_a_surviving_primitive_term(monkeypatch):
+    honest = diagonal.x3_to_coh
+    n = 3
+
+    def leaky(a):
+        return honest(a) + CohX3Class(a.n, {(PRIM, 1, 2, 0): Fraction(1, 3)})
+
+    decomposable_coefficients.cache_clear()
+    monkeypatch.setattr(diagonal, "x3_to_coh", leaky)
+    try:
+        with pytest.raises(CheckFailed, match=rf"^primitive term d12 survives at n={n}$"):
+            _run_check("diagonal.primitive_cancellation", n)
+    finally:
+        monkeypatch.undo()
+        decomposable_coefficients.cache_clear()
+    assert _run_check("diagonal.primitive_cancellation", n) == ("ok", "ok")
+
+
 def test_cached_diagonal_values_are_read_only():
     cached = decomposable_coefficients(4)
     table, den = cached
@@ -614,6 +639,7 @@ def test_no_fraction_is_built_per_term(monkeypatch):
         lambda: a * a, lambda: b * b, lambda: b + b, lambda: x3_pair(a, a),
         lambda: coh_pair(x, y), lambda: xx_to_coh(b), lambda: x3_to_coh(a),
         lambda: push13(x), lambda: XXClass(n, {k: 1 for k in xx_basis(n)}),
+        lambda: corrected_small_diagonal.__wrapped__(n),
     )
     for i, call in enumerate(calls):
         made.clear()
@@ -1080,3 +1106,74 @@ def test_coh_x3_model_matches_the_fraction_reference(operands):
     x, y = _check_ring_ops(CohX3Class, _ref_coh_x3_rule, n, a, b, c)
     assert coh_pair(x, y) == _ref_coh_pair(n, a, b)
     assert _agrees(push13(x), _ref_push13(n, a))
+
+
+# -- reference: the per-model key order and key text the shared printer replaced --
+
+
+def _ref_xx_sort(key):
+    if key[0] == "m":
+        return (0, key[1] + key[2], -key[1], -key[2])
+    return (1,)
+
+
+def _ref_xx_format(key):
+    if key[0] == "m":
+        return format_monomial(("h1", "h2", "h3"), key[1:])
+    return "D"
+
+
+def _ref_coh_xx_format(key):
+    if key[0] == "m":
+        return format_monomial(("h1", "h2", "h3"), key[1:])
+    return "d"
+
+
+def _ref_x3_sort(key):
+    if key[0] == "m":
+        return (0, key[1] + key[2] + key[3], tuple(-e for e in key[1:]))
+    if key[0] == "D":
+        return (1, key[1:])
+    return (2,)
+
+
+def _ref_x3_format(key):
+    if key[0] == "m":
+        return format_monomial(("h1", "h2", "h3"), key[1:])
+    if key[0] == "D":
+        _, a, b, m = key
+        tail = format_monomial((f"h{_third_slot(a, b)}",), (m,))
+        return f"D{a}{b}" + (f"*{tail}" if tail else "")
+    return "D3"
+
+
+def _ref_coh_x3_sort(key):
+    if key[0] == "m":
+        return (0, key[1] + key[2] + key[3], tuple(-e for e in key[1:]))
+    return (1, key[1:])
+
+
+def _ref_coh_x3_format(key):
+    if key[0] == "m":
+        return format_monomial(("h1", "h2", "h3"), key[1:])
+    _, a, b, m = key
+    tail = format_monomial((f"h{_third_slot(a, b)}",), (m,))
+    return f"d{a}{b}" + (f"*{tail}" if tail else "")
+
+
+_REF_PRINTERS = {
+    XXClass: (_ref_xx_sort, _ref_xx_format),
+    CohXXClass: (_ref_xx_sort, _ref_coh_xx_format),
+    X3Class: (_ref_x3_sort, _ref_x3_format),
+    CohX3Class: (_ref_coh_x3_sort, _ref_coh_x3_format),
+}
+
+
+@settings(max_examples=120)
+@given(st.one_of(*(_classes(cls, basis, 1) for cls, _, basis in _MODELS)))
+def test_shared_printer_matches_the_per_model_printers(classes):
+    (x,) = classes
+    sort_key, format_key = _REF_PRINTERS[type(x)]
+    terms = x.terms
+    expected = signed_sum((format_key(k), terms[k]) for k in sorted(terms, key=sort_key))
+    assert str(x) == expected

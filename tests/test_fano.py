@@ -104,6 +104,30 @@ def test_ideal_decomposition_of_kernel_product():
         assert rebuilt == product
 
 
+def test_ideal_decomposition_builds_fractions_only_for_the_solution(monkeypatch):
+    # the matrix and the target are integers (the relation's denominator
+    # scales the matrix); solve_linear builds the solution, 1 + 3 Fractions
+    n = 8
+    product = extra_relation(n).poly * fano_poly()
+    probe = WPoly.monomial((n + 3, 0))
+    assert product.den == 85
+    honest_new = Fraction.__new__
+    made = []
+
+    def new(cls, *args, **kwargs):
+        made.append(args)
+        return honest_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(new))
+    decomposition = ideal_decomposition(n, product)
+    probe_solvable = ideal_decomposition(n, probe) is not None
+    monkeypatch.undo()
+    assert len(made) <= 4, made
+    a, b = decomposition
+    assert a * complete_symmetric(n + 1) + b * complete_symmetric(n + 2) == product
+    assert probe_solvable == (not any(normal_form(build_ring(n), probe)))
+
+
 def test_ideal_membership_iff_normal_form_vanishes():
     # degree n+3 must stay within the graded range of the quotient (n >= 3)
     rng = random.Random(314159)

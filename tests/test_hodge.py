@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import cubicchow.hodge as hodge
 from cubicchow.checks import REGISTRY
-from cubicchow.errors import UnsupportedRange
+from cubicchow.errors import CheckFailed, NonIntegralResult, UnsupportedRange
 from cubicchow.hodge import (
     HodgeDiamond,
     euler_cubic,
@@ -311,3 +311,29 @@ def test_product_ring_ranks_fails_on_wrong_fano_ranks(monkeypatch):
     for n in (3, 5, 8):
         computed, expected = check.fn(n)
         assert computed == "rank at k=3n-4 is not 1" and expected == "ok", n
+
+
+def test_fano_diamond_guards_each_fail(monkeypatch):
+    # an entry d added to the Hilbert square at (k+4, p+2, q+2) lands in the
+    # diamond of F at (k, p, q); (2, 1, 1) is not divisible by (uv)^2
+    n = 4
+    honest = hilb2_diamond(n)
+    cases = (
+        ((2, 1, 1), 1, NonIntegralResult, "does not divide the numerator at n=4"),
+        ((4, 2, 2), -2, CheckFailed, "negative multiplicity at (p,q)=(0,0) for n=4"),
+        ((14, 7, 7), 1, CheckFailed, "entry (5,5) beyond dimension 4 for n=4"),
+        ((12, 6, 6), 1, CheckFailed, "top coefficient 2 != 1 at n=4"),
+        ((7, 4, 3), 1, CheckFailed, "invalid diamond for the variety of lines at n=4"),
+    )
+    fano_diamond.cache_clear()
+    try:
+        for key, d, error, message in cases:
+            perturbed = honest + HodgeDiamond({key: d})
+            monkeypatch.setattr(hodge, "hilb2_diamond", lambda n: perturbed)
+            with pytest.raises(error) as raised:
+                fano_diamond(n)
+            assert message in str(raised.value), key
+    finally:
+        monkeypatch.undo()
+        fano_diamond.cache_clear()
+    assert fano_diamond(n).get(8, 4, 4) == 1
