@@ -1,6 +1,6 @@
 """Exception types shared across the package, and the gate on exact input.
 
-Plain ``ValueError`` is used for caller mistakes (mismatched variable sets,
+Plain ``ValueError`` is used for caller mistakes (mismatched operands,
 inhomogeneous input where a graded class is required); the classes below mark
 the structured failure modes that the verification checks report on.
 ``TypeError`` marks a coefficient that is not an ``int`` or ``Fraction``: the

@@ -20,15 +20,16 @@ Two independent models of A*(Gr(2, n+2)) are provided:
   the Pieri oracle check multiplies powers of x only.
 
 The two are tied together by c1 = sigma_1, c2 = sigma_(1,1) and the
-Giambelli determinant sigma_(a,b) = h_a*h_b - h_(a+1)*h_(b-1), whose
-quotient coordinates are read off the integer reducers term pair by term
-pair (``giambelli_coords``); the point class sigma_(n,n) = c2^n has degree 1.
-``normal_form``, ``pairing`` and ``poly_schubert`` reject a polynomial over
-any variable set but (x, y) with weights (1, 2) with ``ValueError``.
+Giambelli determinant sigma_(a,b) = h_a*h_b - h_(a+1)*h_(b-1).  In two rows
+it equals h_(a-b)*c2^b, so its quotient coordinates are read off the integer
+reducers, one row per term of h_(a-b) (``giambelli_coords``); the point
+class sigma_(n,n) = c2^n has degree 1.  ``normal_form``, ``pairing`` and
+``poly_schubert`` reject anything but a ``WPoly`` with ``ValueError``.
 
-Also here: Chern classes of symmetric powers of a rank-2 bundle via the
-splitting principle, and the class of the locus of lines on a cubic,
-18*c1^2*c2 + 9*c2^2 (the top Chern class of Sym^3 of the dual subbundle).
+Also here: Chern classes of symmetric powers of a rank-2 bundle, multiplied
+out from conjugate pairs of roots, and the class of the locus of lines on a
+cubic, 18*c1^2*c2 + 9*c2^2 (the top Chern class of Sym^3 of the dual
+subbundle).
 """
 
 from __future__ import annotations
@@ -293,42 +294,20 @@ def giambelli(part: Partition2) -> WPoly:
 def giambelli_coords(ring: GRing, part: Partition2) -> tuple[int, ...]:
     """Quotient coordinates of ``giambelli(part)``, in integers.
 
-    Each term pair c*x^e of h_a and d*x^f of h_b adds c*d times the integer
-    reducer row of x^(e+f); no polynomial product is formed.
+    In two rows sigma_(a,b) = h_(a-b) * c2^b, so each term c*x^e of h_(a-b)
+    adds c times the integer reducer row of x^e * y^b; no polynomial product
+    is formed.
     """
     a, b = part
     reducer = ring.reducers[a + b]
     coords = [0] * ring.dim(a + b)
-    for i, j, sign in ((a, b, 1), (a + 1, b - 1, -1)) if b else ((a, b, 1),):
-        for (e1, e2), c in complete_symmetric(i).num.items():  # den 1: see build_ring
-            for (f1, f2), d in complete_symmetric(j).num.items():
-                coeff = sign * c * d
-                for k, r in enumerate(reducer[(e1 + f1, e2 + f2)]):
-                    coords[k] += coeff * r
+    for (e1, e2), c in complete_symmetric(a - b).num.items():  # den 1: see build_ring
+        for k, r in enumerate(reducer[(e1, e2 + b)]):
+            coords[k] += c * r
     return tuple(coords)
 
 
 # -- symmetric powers and the lines-on-a-cubic class -------------------------
-
-_ROOT_VARS = ("r", "s")
-_ROOT_WEIGHTS = (1, 1)
-
-
-def _symmetric_reduce(p: WPoly) -> WPoly:
-    """Rewrite a symmetric polynomial in the roots as a WPoly in (c1, c2)."""
-    rest = p
-    out = WPoly.zero()
-    while not rest.is_zero():
-        (i, j), c = max(rest.terms.items())
-        if i < j:
-            raise ValueError("input is not symmetric in the two roots")
-        e1 = WPoly.variable("r", _ROOT_VARS, _ROOT_WEIGHTS) + WPoly.variable(
-            "s", _ROOT_VARS, _ROOT_WEIGHTS
-        )
-        e2 = WPoly.monomial((1, 1), 1, _ROOT_VARS, _ROOT_WEIGHTS)
-        out = out + WPoly.monomial((i - j, j), c)
-        rest = rest - (e1 ** (i - j)) * (e2 ** j) * c
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -336,22 +315,22 @@ def sym_power_chern(m: int) -> tuple[WPoly, ...]:
     """Total Chern class [c_0, ..., c_(m+1)] of Sym^m of a rank-2 bundle.
 
     Splitting principle: if the bundle has roots r, s then Sym^m has the
-    m+1 roots i*r + j*s with i + j = m; each elementary symmetric function
-    of those is rewritten in c1 = r + s, c2 = r*s.
+    m+1 roots i*r + (m-i)*s.  The roots i and m-i pair up, with
+    (1 + i*r + (m-i)*s) * (1 + (m-i)*r + i*s)
+    = 1 + m*c1 + i*(m-i)*c1^2 + (m-2i)^2*c2 in c1 = r + s, c2 = r*s; for
+    even m the middle root is (m/2)*c1.  The product of these integer
+    factors, split by weighted degree, is the total class.
     """
     if m < 1:
         raise ValueError("sym_power_chern needs m >= 1")
-    r = WPoly.variable("r", _ROOT_VARS, _ROOT_WEIGHTS)
-    s = WPoly.variable("s", _ROOT_VARS, _ROOT_WEIGHTS)
-    roots = [r * i + s * (m - i) for i in range(m + 1)]
-    elementary = [WPoly.constant(1, _ROOT_VARS, _ROOT_WEIGHTS)]
-    for root in roots:
-        nxt = [elementary[0]]
-        for k in range(1, len(elementary) + 1):
-            term = elementary[k] if k < len(elementary) else WPoly.zero(_ROOT_VARS, _ROOT_WEIGHTS)
-            nxt.append(term + elementary[k - 1] * root)
-        elementary = nxt
-    return tuple(_symmetric_reduce(e) for e in elementary)
+    total = WPoly({(0, 0): 1, (1, 0): m // 2}) if m % 2 == 0 else WPoly.constant(1)
+    for i in range((m + 1) // 2):
+        pair = {(0, 0): 1, (1, 0): m, (2, 0): i * (m - i), (0, 1): (m - 2 * i) ** 2}
+        total = total * WPoly(pair)
+    parts: list[dict[Exponents, int]] = [{} for _ in range(m + 2)]
+    for exps, c in total.num.items():  # den 1: integer factors
+        parts[total.wdeg(exps)][exps] = c
+    return tuple(WPoly(terms) for terms in parts)
 
 
 def fano_poly() -> WPoly:

@@ -82,9 +82,6 @@ class HodgeDiamond(SparseSum):
             None, {(k + 2 * t, p + t, q + t): m for (k, p, q), m in self.entries.items()}, 1
         )
 
-    def is_effective(self) -> bool:
-        return all(m > 0 for m in self.entries.values())
-
     def is_symmetric(self) -> bool:
         return all(self.get(k, q, p) == m for (k, p, q), m in self.entries.items())
 

@@ -7,12 +7,11 @@ alone normalises, adds, scales, compares, hashes and prints; ``Fraction``
 appears only at the edge (``terms``, ``coefficient``, text).  Its subclasses
 are :class:`WPoly`, ``hodge.HodgeDiamond`` and the diagonal models.
 
-A :class:`WPoly` is a sparse map from exponent vectors to rational
-coefficients, built from ``int`` or ``Fraction`` coefficients only.  Every
-variable carries a positive integer weight and the weighted degree of a
-monomial is the weight-dot-product of its exponents.
-Most of the package works in Q[x, y] with weights (1, 2), where x and y
-stand for the first and second Chern class of a rank-2 bundle.
+A :class:`WPoly` is a polynomial in Q[x, y], the one polynomial ring of the
+package: x and y stand for the first and second Chern class of a rank-2
+bundle, with weights 1 and 2, so x^a y^b has weighted degree a + 2b.  It is
+a sparse map from exponent pairs (a, b) to rational coefficients, built from
+``int`` or ``Fraction`` coefficients only.
 
 The canonical text form sorts terms by descending graded-lex order, e.g.
 ``18*x^2*y + 9*y^2``; :meth:`WPoly.parse` inverts it exactly and rejects
@@ -35,7 +34,6 @@ from .errors import exact
 Exponents = tuple[int, ...]
 
 CHERN_VARS = ("x", "y")
-CHERN_WEIGHTS = (1, 2)
 
 # the canonical text form: magnitudes are positive and reduced, factors are
 # name or name^e, terms are joined by " + " and " - "
@@ -92,12 +90,12 @@ class SparseSum(Frozen):
     """Exact sparse sum of hashable keys: integer ``num`` over ``den``.
 
     ``num`` is a read-only view in the normal form of the module docstring;
-    ``ctx``, the context (variables and weights, a model's n), is part of
-    the value, and sums take operands of one type and context.  Subclasses
-    validate keys in ``__new__`` and build through ``_exact``; arithmetic
-    results come from the unvalidated ``_reduced``.  The text lists the terms
-    in the order of the subclass's ``_sort_key(key)``, as
-    ``_format_term(key, c)`` pairs.
+    ``ctx``, the context (a model's n; ``None`` for polynomials and
+    diamonds), is part of the value, and sums take operands of one type and
+    context.  Subclasses validate keys in ``__new__`` and build through
+    ``_exact``; arithmetic results come from the unvalidated ``_reduced``.
+    The text lists the terms in the order of the subclass's
+    ``_sort_key(key)``, as ``_format_term(key, c)`` pairs.
     """
 
     __slots__ = ("ctx", "num", "den")
@@ -185,58 +183,47 @@ class SparseSum(Frozen):
 
 
 class WPoly(SparseSum):
-    """Immutable sparse polynomial with a weighted grading.
+    """Immutable sparse polynomial in x (weight 1) and y (weight 2).
 
-    Keys are exponent vectors and ``ctx`` is the pair (vars, weights).
-    Polynomials are shared through caches, so ``num`` and ``terms`` are
-    read-only views.
+    Keys are exponent pairs and ``ctx`` is ``None``.  Polynomials are shared
+    through caches, so ``num`` and ``terms`` are read-only views.
     """
 
     __slots__ = ()
-    _CONTEXT = "variable sets"
 
-    def __new__(
-        cls,
-        terms: Mapping[Exponents, Fraction | int] | None = None,
-        vars: tuple[str, ...] = CHERN_VARS,
-        weights: tuple[int, ...] = CHERN_WEIGHTS,
-    ):
-        if len(vars) != len(weights):
-            raise ValueError("one weight per variable required")
-        if any(w <= 0 for w in weights):
-            raise ValueError("weights must be positive")
+    def __new__(cls, terms: Mapping[Exponents, Fraction | int] | None = None):
         for exps in terms or {}:
             if not all(isinstance(e, int) for e in exps):
                 raise TypeError(f"exponents must be int, not {exps!r}")
-            if len(exps) != len(vars) or any(e < 0 for e in exps):
+            if len(exps) != 2 or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent vector {exps!r}")
-        return cls._exact((tuple(vars), tuple(weights)), terms)
+        return cls._exact(None, terms)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, vars=CHERN_VARS, weights=CHERN_WEIGHTS) -> "WPoly":
-        return cls({}, vars, weights)
+    def zero(cls) -> "WPoly":
+        return cls({})
 
     @classmethod
-    def constant(cls, c, vars=CHERN_VARS, weights=CHERN_WEIGHTS) -> "WPoly":
-        zero = (0,) * len(vars)
-        return cls({zero: c}, vars, weights)
+    def constant(cls, c) -> "WPoly":
+        return cls({(0, 0): c})
 
     @classmethod
-    def variable(cls, name: str, vars=CHERN_VARS, weights=CHERN_WEIGHTS) -> "WPoly":
-        i = vars.index(name)
-        exps = tuple(1 if j == i else 0 for j in range(len(vars)))
-        return cls({exps: 1}, vars, weights)
+    def variable(cls, name: str) -> "WPoly":
+        if name not in CHERN_VARS:
+            raise ValueError(f"unknown variable {name!r}")
+        return cls({tuple(int(v == name) for v in CHERN_VARS): 1})
 
     @classmethod
-    def monomial(cls, exps: Iterable[int], coeff=1, vars=CHERN_VARS, weights=CHERN_WEIGHTS) -> "WPoly":
-        return cls({tuple(exps): coeff}, vars, weights)
+    def monomial(cls, exps: Iterable[int], coeff=1) -> "WPoly":
+        return cls({tuple(exps): coeff})
 
     # -- grading -----------------------------------------------------------
 
-    def wdeg(self, exps: Exponents) -> int:
-        return sum(e * w for e, w in zip(exps, self.ctx[1]))
+    @staticmethod
+    def wdeg(exps: Exponents) -> int:
+        return exps[0] + 2 * exps[1]
 
     def is_homogeneous(self) -> bool:
         degrees = {self.wdeg(e) for e in self.num}
@@ -257,7 +244,7 @@ class WPoly(SparseSum):
     def _coerce(self, other) -> "WPoly":
         if isinstance(other, WPoly):
             return other
-        return WPoly.constant(other, *self.ctx)
+        return WPoly.constant(other)
 
     def __add__(self, other) -> "WPoly":
         return self._plus(self._coerce(other), 1)
@@ -273,7 +260,6 @@ class WPoly(SparseSum):
     def __mul__(self, other) -> "WPoly":
         if not isinstance(other, WPoly):
             return self.scale(other)
-        self._check(other)
         out: dict[Exponents, int] = {}
         get = out.get
         right = other.num.items()
@@ -285,14 +271,6 @@ class WPoly(SparseSum):
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> "WPoly":
-        if k < 0:
-            raise ValueError("negative power")
-        result = WPoly.constant(1, *self.ctx)
-        for _ in range(k):
-            result = result * self
-        return result
-
     # -- canonical text form -------------------------------------------------
 
     def _sort_key(self, exps: Exponents):
@@ -300,17 +278,17 @@ class WPoly(SparseSum):
         return -self.wdeg(exps), tuple(-e for e in exps)
 
     def _format_term(self, exps: Exponents, c):
-        return format_monomial(self.ctx[0], exps), c
+        return format_monomial(CHERN_VARS, exps), c
 
     @classmethod
-    def parse(cls, text: str, vars=CHERN_VARS, weights=CHERN_WEIGHTS) -> "WPoly":
+    def parse(cls, text: str) -> "WPoly":
         """Parse the canonical text form produced by ``str``.
 
         Anything else raises ``ValueError``: ``parse(text)`` succeeds exactly
         when ``str`` of the result gives ``text`` back.
         """
         if text == "0":
-            return cls.zero(vars, weights)
+            return cls.zero()
         pieces = _SEP_RE.split(text)
         first = pieces[0]
         signs = ["-" if first.startswith("-") else "+"] + pieces[1::2]
@@ -320,14 +298,14 @@ class WPoly(SparseSum):
             m = _TERM_RE.fullmatch(chunk)
             if not m or not (m["coeff"] or m["mono"]):
                 raise ValueError(f"cannot parse term {chunk!r} of {text!r}")
-            exps = [0] * len(vars)
+            exps = [0, 0]
             for name, power in _FACTOR_RE.findall(m["mono"] or ""):
-                if name not in vars:
+                if name not in CHERN_VARS:
                     raise ValueError(f"unknown variable {name!r} in {text!r}")
-                exps[vars.index(name)] += int(power) if power else 1
+                exps[CHERN_VARS.index(name)] += int(power) if power else 1
             coeff = Fraction(m["coeff"] or 1)
             out[tuple(exps)] = coeff if sign == "+" else -coeff
-        poly = cls(out, vars, weights)
+        poly = cls(out)
         if str(poly) != text:
             raise ValueError(f"not in canonical form: {text!r}")
         return poly

@@ -33,7 +33,7 @@ def test_hodge_cubic_symmetry_and_duality():
     for n in range(1, 9):
         diamond = hodge_cubic(n)
         assert diamond.is_symmetric()
-        assert diamond.is_effective()
+        assert all(m > 0 for m in diamond.entries.values())
         for (k, p, q), m in diamond.entries.items():
             assert diamond.get(2 * n - k, n - p, n - q) == m
 
@@ -153,7 +153,7 @@ def test_e_fano_validity_range():
         top = 4 * (n - 2)
         assert diamond.max_degree() == top
         assert diamond.betti(top) == (27 if n == 2 else 1)
-        assert diamond.is_effective()
+        assert all(m > 0 for m in diamond.entries.values())
         assert diamond.is_symmetric()
     with pytest.raises(UnsupportedRange):
         fano_diamond(1)
