@@ -18,13 +18,12 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from .checks import SUITES, Check, checks_for
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     check_id: str
     n: int
     status: str  # pass | fail | skipped
@@ -33,8 +32,7 @@ class CheckResult:
     elapsed_ms: int
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     n_min: int
     n_max: int
     suites: tuple[str, ...]
@@ -78,7 +76,7 @@ def _clip(text: str) -> str:
 def emit(results: list[CheckResult], fmt: str) -> str:
     """Render the report; json carries full strings, text clips long cells."""
     if fmt == "json":
-        return json.dumps([asdict(r) for r in results], indent=2)
+        return json.dumps([r._asdict() for r in results], indent=2)
     if not results:
         return "(no checks selected)\n"
     headers = ("check_id", "n", "status", "computed", "expected", "ms")

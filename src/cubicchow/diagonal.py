@@ -349,7 +349,12 @@ def x3_degree(a: X3Class) -> Fraction:
 
 
 def x3_pair(a: X3Class, b: X3Class) -> Fraction:
-    """deg(a * b), read off by Poincare duality without forming the product.
+    """deg(a * b), read off by Poincare duality without forming the product."""
+    return Fraction(_x3_pair_num(a, b), a.den * b.den)
+
+
+def _x3_pair_num(a: X3Class, b: X3Class) -> int:
+    """The numerator of ``x3_pair(a, b)`` over ``a.den * b.den``, in integers.
 
     The model is graded (a key has codimension i + j + k, n + m or 2n) and
     only the (n, n, n) entry of the product is read, so each term of the
@@ -390,7 +395,7 @@ def x3_pair(a: X3Class, b: X3Class) -> Fraction:
                 v = term_mul(k1, k2).get(top)
                 if v is not None:
                     total += c1 * c2 * v
-    return Fraction(total, a.den * b.den)
+    return total
 
 
 class CohX3Class(_FormalSum):

@@ -18,8 +18,8 @@ h_(n+1) and h_(n+2) (no product is formed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import CheckFailed, UnsupportedRange
 from .grassmann import (
@@ -33,8 +33,7 @@ from .linalg import MatQ, kernel_basis, solve_linear
 from .wpoly import Exponents, WPoly
 
 
-@dataclass(frozen=True)
-class FanoPairing:
+class FanoPairing(NamedTuple):
     """Pairing matrix deg(x_i * y_j * [F]) between A^k and A^(2(n-2)-k)."""
 
     n: int
@@ -44,8 +43,7 @@ class FanoPairing:
     matrix: MatQ
 
 
-@dataclass(frozen=True)
-class ExtraRelation:
+class ExtraRelation(NamedTuple):
     """A degree-(n-1) polynomial killed by [F], normalized to lead with c1^(n-1)."""
 
     n: int

@@ -9,7 +9,10 @@ Two independent models of A*(Gr(2, n+2)) are provided:
   (a + b <= n) and the integer reducer of every monomial are filled degree
   by degree, without elimination; a normal form is the tuple of coordinates
   on that basis.  The top degree is spanned by c2^n, so every intersection
-  number of monomials is one read of the top reducer (``pairing``);
+  number of monomials is one read of the top reducer (``pairing``).  As
+  deg(x^(2m) y^(n-m)) is the Catalan number C_m, the degree-k pairing is,
+  with both index orders reversed, a leading block of the Hankel matrix
+  [C_(e+i+j)], e = k mod 2, whose leading minors are all 1;
 * a Schubert-calculus oracle on partitions (a, b) in the n x 2 box, with
   integer coefficients and multiplication given by the Pieri rule.  Its
   intersection numbers are read off by Poincare duality,
@@ -23,7 +26,10 @@ The two are tied together by c1 = sigma_1, c2 = sigma_(1,1) and the
 Giambelli determinant sigma_(a,b) = h_a*h_b - h_(a+1)*h_(b-1).  In two rows
 it equals h_(a-b)*c2^b, so its quotient coordinates are read off the integer
 reducers, one row per term of h_(a-b) (``giambelli_coords``); the point
-class sigma_(n,n) = c2^n has degree 1.  ``normal_form``, ``pairing`` and
+class sigma_(n,n) = c2^n has degree 1.  So the Pieri oracle check is keyed
+by the exponent sums (a1+a2, b1+b2) and splits in two:
+sigma(x^a1) * sigma(x^a2) = sigma(x^(a1+a2)) for a1, a2 <= n, and the
+Giambelli image of the b-shift of sigma(x^a) is the reducer row of x^a y^b.  ``normal_form``, ``pairing`` and
 ``poly_schubert`` reject anything but a ``WPoly`` with ``ValueError``.
 
 Also here: Chern classes of symmetric powers of a rank-2 bundle, multiplied
@@ -34,7 +40,6 @@ subbundle).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
@@ -86,8 +91,7 @@ def partitions_in_box(n: int, k: int) -> list[Partition2]:
     return [Partition2(k - b, b) for b in range(max(0, k - n), k // 2 + 1)]
 
 
-@dataclass(frozen=True)
-class GRing:
+class GRing(NamedTuple):
     """Quotient-ring presentation of A*(Gr(2, n+2)), all degrees 0..2n.
 
     ``reducers`` are read-only views: rings are shared through the

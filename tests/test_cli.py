@@ -198,3 +198,67 @@ def test_layer_tracer_reaches_every_binding(tmp_path, args):
     if "diagonal" in args:
         assert report["spans"]["wpoly.mul"]["calls"] == 0
         assert report["spans"]["diagonal.cycle_product"]["calls"] > 0
+
+
+# -- start-up: records without dataclasses -------------------------------------
+
+
+def _fresh_python(code):
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_package_import_loads_neither_dataclasses_nor_inspect():
+    code = "import cubicchow, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    assert _fresh_python(code).strip() == "[]"
+
+
+def test_records_are_read_only_and_round_trip():
+    from cubicchow.fano import extra_relation, fano_pairing
+    from cubicchow.grassmann import build_ring
+    from cubicchow.linalg import MatQ
+
+    results = run(RunConfig(2, 3, ("fano", "grassmann")))
+    records = [
+        (MatQ.identity(2), "rows"),
+        (build_ring(3), "n"),
+        (fano_pairing(3, 1), "matrix"),
+        (extra_relation(3), "poly"),
+        (results[0], "status"),
+        (parse_args(["--n-min", "1", "--n-max", "2"]), "n_max"),
+    ]
+    for record, field in records:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            record.extra = None
+    assert results_from_json(emit(results, "json")) == results
+    assert repr(results[0]).startswith("CheckResult(check_id=")
+
+
+@pytest.mark.parametrize(
+    "args, bound",
+    [((1, 24, "diagonal"), 2046), ((1, 10, "all"), 715), ((16, 16, "all"), 139)],
+)
+def test_fresh_verify_runs_build_few_fractions(args, bound):
+    # a count, not a timing: every Fraction a fresh process builds for one run;
+    # diagonal.defect_pairing tests integer numerators, not Fraction degrees
+    code = (
+        "from fractions import Fraction\n"
+        "count, honest = [0], Fraction.__new__\n"
+        "def new(cls, *a, **k):\n"
+        "    count[0] += 1\n"
+        "    return honest(cls, *a, **k)\n"
+        "Fraction.__new__ = staticmethod(new)\n"
+        "from cubicchow.cli import RunConfig, run\n"
+        f"n_min, n_max, suite = {args!r}\n"
+        "assert all(r.status != 'fail' for r in run(RunConfig(n_min, n_max, (suite,))))\n"
+        "print(count[0])\n"
+    )
+    assert int(_fresh_python(code)) <= bound

@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 
 import cubicchow.fano as fano
+import cubicchow.grassmann as grassmann
+from cubicchow.checks import REGISTRY
 from cubicchow.errors import UnsupportedRange
 from cubicchow.fano import (
     extra_relation,
@@ -212,3 +214,41 @@ def test_extra_relation_matrix_equals_the_product_built_one(monkeypatch):
         expected = [list(row) for row in zip(*columns)]
         assert [list(row) for row in matrix.entries] == expected, n
         assert relation == extra_relation(n)
+
+
+# -- the pairing oracle keyed by exponent sums ---------------------------------
+
+
+def _pairing_oracle_check():
+    (check,) = [c for c in REGISTRY if c.check_id == "fano.pairing_oracle"]
+    return check
+
+
+def test_pairing_oracle_catches_a_perturbed_schubert_product(monkeypatch):
+    honest = grassmann.schubert_mul
+
+    def perturbed(n, s1, s2):
+        out = honest(n, s1, s2)
+        point = grassmann.Partition2(n, n)
+        out[point] = out.get(point, 0) + 1
+        return out
+
+    monkeypatch.setattr(grassmann, "schubert_mul", perturbed)
+    computed, expected = _pairing_oracle_check().fn(4)
+    assert computed != expected
+    # deg(x^4 [F]) is off by one, and so are the entries x^4 * 1 and x^3 * x
+    assert "entry (4,0,0)" in computed.split("; ")
+    assert "entry (3,0,0)" in computed.split("; ")
+
+
+def test_pairing_oracle_makes_one_schubert_product_per_key(monkeypatch):
+    calls = []
+    honest = grassmann.schubert_mul
+
+    def counted(n, s1, s2):
+        calls.append(n)
+        return honest(n, s1, s2)
+
+    monkeypatch.setattr(grassmann, "schubert_mul", counted)
+    assert _pairing_oracle_check().fn(10) == ("ok", "ok")
+    assert len(calls) == 10 - 1

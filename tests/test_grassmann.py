@@ -571,7 +571,7 @@ def test_pieri_oracle_catches_a_perturbed_giambelli_entry(monkeypatch):
     (check,) = [c for c in REGISTRY if c.check_id == "grassmann.pieri_oracle"]
     computed, expected = check.fn(4)
     assert computed != expected
-    assert "mismatch at (2, 0)*(1, 0)" in computed
+    assert "back-projection mismatch at (1, 1)" in computed
 
 
 def test_pieri_oracle_rows_above_the_benchmark_range_pass():
@@ -639,3 +639,53 @@ def test_pieri_oracle_multiplies_each_pair_of_x_powers_once(monkeypatch):
     (check,) = [c for c in REGISTRY if c.check_id == "grassmann.pieri_oracle"]
     assert check.fn(10) == ("ok", "ok")
     assert len(calls) == 11 * 11
+
+
+# -- the oracles keyed by exponent sums ----------------------------------------
+
+
+def _poincare_check():
+    (check,) = [c for c in REGISTRY if c.check_id == "grassmann.poincare_pairing"]
+    return check
+
+
+@pytest.mark.parametrize("k", [1, 4])
+def test_poincare_pairing_catches_a_perturbed_entry(monkeypatch, k):
+    # k = 1 lies below the largest matrix of its parity, so only the Catalan
+    # entries see it; at k = 4 = n the determinant becomes 2, still of full rank
+    honest = grassmann.pairing
+
+    def perturbed(ring, degree, weight=None):
+        matrix = honest(ring, degree, weight)
+        if degree != k:
+            return matrix
+        rows = [list(row) for row in matrix.entries]
+        rows[0][0] += 1
+        return linalg.MatQ.from_rows(rows, cols=matrix.cols)
+
+    monkeypatch.setattr(grassmann, "pairing", perturbed)
+    assert perturbed(build_ring(4), k).rank() == build_ring(4).dim(k)
+    computed, expected = _poincare_check().fn(4)
+    assert computed == f"degenerate pairing at k={k}" != expected
+
+
+def test_poincare_pairing_runs_no_row_reduction(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Poincare pairing check ran a row reduction")
+
+    monkeypatch.setattr(linalg, "rref", refuse)
+    for n in range(1, 13):
+        assert _poincare_check().fn(n) == ("ok", "ok"), n
+
+
+def test_poincare_pairing_is_the_reversed_catalan_hankel_block():
+    for n in range(1, 17):
+        ring = build_ring(n)
+        for k in range(2 * n + 1):
+            m = min(k, 2 * n - k)
+            hankel = [
+                [comb(2 * t, t) // (t + 1) for t in range(m % 2 + i, m % 2 + i + m // 2 + 1)]
+                for i in range(m // 2 + 1)
+            ]
+            rows = [list(row[::-1]) for row in pairing(ring, k).entries[::-1]]
+            assert rows == hankel, (n, k)

@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
-from math import gcd
+from itertools import permutations
+from math import comb, gcd, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubicchow.linalg import MatQ, kernel_basis, rref, solve_linear
+from cubicchow.linalg import MatQ, kernel_basis, leading_minors, rref, solve_linear
 
 
 def test_kernel_of_identity_is_empty():
@@ -161,3 +162,50 @@ def test_rref_matches_gauss_jordan_over_fractions(rows):
     assert all(type(x) is int for row in reduced for x in row)
     assert all(gcd(*row) == 1 for row in reduced)
     assert [[Fraction(x, row[p]) for x in row] for row, p in zip(reduced, pivots)] == expected_rows
+
+
+# -- leading principal minors by one Bareiss pass ------------------------------
+
+
+def _leibniz(rows):
+    """Reference: the determinant as a signed sum over permutations."""
+    total = 0
+    for perm in permutations(range(len(rows))):
+        inversions = sum(perm[i] > perm[j] for i in range(len(perm)) for j in range(i + 1, len(perm)))
+        total += (-1) ** inversions * prod(rows[i][p] for i, p in enumerate(perm))
+    return total
+
+
+@st.composite
+def _square_int_matrices(draw):
+    size = draw(st.integers(min_value=0, max_value=5))
+    entries = st.one_of(st.just(0), st.integers(min_value=-4, max_value=4))
+    return [draw(st.lists(entries, min_size=size, max_size=size)) for _ in range(size)]
+
+
+@settings(max_examples=200)
+@given(_square_int_matrices())
+def test_leading_minors_match_the_leibniz_determinants(rows):
+    minors = leading_minors(rows)
+    assert minors == [_leibniz([row[:t] for row in rows[:t]]) for t in range(1, len(rows) + 1)]
+    assert all(type(d) is int for d in minors)
+
+
+def test_leading_minors_past_a_zero_pivot():
+    # d_1 = 0 stops the pass; d_2 and d_3 come from the blocks themselves
+    assert leading_minors([[0, 1, 2], [1, 0, 3], [4, 5, 6]]) == [0, -1, 16]
+    assert leading_minors([[0, 0], [0, 0]]) == [0, 0]
+    assert leading_minors([]) == []
+    with pytest.raises(ValueError):
+        leading_minors([[1, 2]])
+
+
+def test_leading_minors_of_catalan_and_central_binomial_hankel_matrices():
+    def catalan(t):
+        return comb(2 * t, t) // (t + 1)
+
+    for offset in (0, 1):
+        hankel = [[catalan(offset + i + j) for j in range(33)] for i in range(33)]
+        assert leading_minors(hankel) == [1] * 33, offset
+    central = [[comb(2 * (i + j), i + j) for j in range(20)] for i in range(20)]
+    assert leading_minors(central) == [2 ** (m - 1) for m in range(1, 21)]
