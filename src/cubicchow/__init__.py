@@ -12,14 +12,12 @@ from .wpoly import WPoly
 from .linalg import MatQ, kernel_basis, solve_linear
 from .grassmann import (
     GRing,
-    Partition2,
     build_ring,
     complete_symmetric,
     degree_of_poly,
     fano_poly,
     giambelli,
     normal_form,
-    pieri_mul,
     shift11,
     sym_power_chern,
 )

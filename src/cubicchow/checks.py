@@ -115,7 +115,7 @@ def _catalan(n: int):
 def _top_norm(n: int):
     ring = grassmann.build_ring(n)
     quotient = grassmann.degree_of_poly(ring, WPoly.monomial((0, n)))
-    schubert = grassmann.schubert_degree(n, dict(grassmann.monomial_schubert(n, 0, n)))
+    schubert = grassmann.schubert_degree(n, grassmann.monomial_schubert(n, 0, n))
     return f"{quotient},{schubert}", "1,1"
 
 
@@ -124,11 +124,12 @@ def _pieri_oracle(n: int):
     # c2 = sigma_(1,1) shifts the box, so x^a1 y^b1 * x^a2 y^b2 is the
     # (b1 + b2)-shift of sigma(x^a1) * sigma(x^a2).  Every product of basis
     # monomials follows from two checks keyed by the exponent sums: (i) the
-    # product of two powers of x is a power of x in the Schubert basis, and
-    # (ii) the Giambelli image of the b-shift of sigma(x^a) is the reducer row
-    # of x^a y^b.  Only powers of x are multiplied.
+    # Pieri rule of schubert_mul takes two powers of x to the hook-length
+    # closed form of their product, and (ii) the Giambelli image of the
+    # b-shift of sigma(x^a) is the reducer row of x^a y^b.  Only powers of x
+    # are multiplied.
     ring = grassmann.build_ring(n)
-    powers = [dict(grassmann.monomial_schubert(n, a, 0)) for a in range(2 * n + 1)]
+    powers = [grassmann.monomial_schubert(n, a, 0) for a in range(2 * n + 1)]
     failures = []
     for a1 in range(n + 1):
         for a2 in range(n + 1):
@@ -192,7 +193,7 @@ def _pairing_oracle(n: int):
     top = 2 * (n - 2)
     degrees = {}
     for b in range(n - 1):
-        power = dict(grassmann.monomial_schubert(n, top - 2 * b, 0))
+        power = grassmann.monomial_schubert(n, top - 2 * b, 0)
         product = grassmann.shift11(n, grassmann.schubert_mul(n, power, f_sch), b)
         degrees[(top - 2 * b, b)] = grassmann.schubert_degree(n, product)
     failures = []

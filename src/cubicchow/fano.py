@@ -10,9 +10,9 @@ off the top reducer of the quotient ring, one lookup per term of [F]
 ``extra_relation`` finds the polynomial relation of weighted degree n-1
 that holds on F but not on the ambient ring (the kernel of multiplication
 by [F] from degree n-1 to degree n+3, whose columns are read off the
-reducers of degree n+3 in the same way), and ``ideal_decomposition`` checks
-ideal membership in degree n+3 by an independent linear solve against the
-two relation generators, whose columns are the shifted coefficients of
+reducers of degree n+3 by ``grassmann.coords``), and ``ideal_decomposition``
+checks ideal membership in degree n+3 by an independent linear solve against
+the two relation generators, whose columns are the shifted coefficients of
 h_(n+1) and h_(n+2) (no product is formed).
 """
 
@@ -25,6 +25,7 @@ from .errors import CheckFailed, UnsupportedRange
 from .grassmann import (
     build_ring,
     complete_symmetric,
+    coords,
     fano_poly,
     pairing,
     weight_monomials,
@@ -80,17 +81,11 @@ def extra_relation(n: int) -> ExtraRelation:
         raise UnsupportedRange("extra_relation needs n >= 3 (A^(n+3) empty below)")
     ring = build_ring(n)
     source = ring.bases[n - 1]
-    # column of x^a y^b: sum c * reducers[n+3][(a, b) + e] over the numerators
-    # c * x^e of [F]; its denominator would scale the matrix, not the kernel
+    # column of x^a y^b: the degree-(n+3) coordinates of x^a y^b * [F] from the
+    # numerators of [F]; its denominator would scale the matrix, not the kernel
     terms = fano_poly().num.items()
-    reducer = ring.reducers[n + 3]
-    matrix = MatQ.from_rows(
-        [
-            [sum(c * reducer[(a + e1, b + e2)][i] for (e1, e2), c in terms) for a, b in source]
-            for i in range(ring.dim(n + 3))
-        ],
-        cols=len(source),
-    )
+    columns = [coords(ring, n + 3, terms, mono) for mono in source]
+    matrix = MatQ.from_rows(zip(*columns), cols=len(source))
     kernel = kernel_basis(matrix)
     if not kernel:
         raise CheckFailed(f"multiplication by [F] is injective at n={n}")

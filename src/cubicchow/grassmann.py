@@ -13,24 +13,28 @@ Two independent models of A*(Gr(2, n+2)) are provided:
   deg(x^(2m) y^(n-m)) is the Catalan number C_m, the degree-k pairing is,
   with both index orders reversed, a leading block of the Hankel matrix
   [C_(e+i+j)], e = k mod 2, whose leading minors are all 1;
-* a Schubert-calculus oracle on partitions (a, b) in the n x 2 box, with
-  integer coefficients and multiplication given by the Pieri rule.  Its
-  intersection numbers are read off by Poincare duality,
-  deg(sigma_(a,b) * sigma_mu) = [mu = (n-b, n-a)], so the oracle never
-  touches the quotient ring.  As c2 = sigma_(1,1) shifts (a, b) to
-  (a+1, b+1) and drops what leaves the box (``shift11``), the product of
-  x^a1 y^b1 and x^a2 y^b2 is the (b1+b2)-shift of sigma(x^a1) * sigma(x^a2):
-  the Pieri oracle check multiplies powers of x only.
+* a Schubert-calculus oracle on partitions (a, b) in the n x 2 box, keyed
+  by plain (a, b) pairs, with integer coefficients and one Pieri rule
+  (``schubert_mul``).  sigma(x^a) takes no Pieri step: the coefficient of
+  sigma_(a-q,q) in sigma_1^a is the number of standard tableaux of that
+  shape, C(a, q) - C(a, q-1) by the hook-length formula.  Intersection
+  numbers are read off by Poincare duality, deg(sigma_(a,b) * sigma_mu) =
+  [mu = (n-b, n-a)], so the oracle never touches the quotient ring.  As
+  c2 = sigma_(1,1) shifts (a, b) to (a+1, b+1) and drops what leaves the box
+  (``shift11``), the product of x^a1 y^b1 and x^a2 y^b2 is the
+  (b1+b2)-shift of sigma(x^a1) * sigma(x^a2): the Pieri oracle check
+  multiplies powers of x only, against the closed form.
 
 The two are tied together by c1 = sigma_1, c2 = sigma_(1,1) and the
 Giambelli determinant sigma_(a,b) = h_a*h_b - h_(a+1)*h_(b-1).  In two rows
 it equals h_(a-b)*c2^b, so its quotient coordinates are read off the integer
-reducers, one row per term of h_(a-b) (``giambelli_coords``); the point
-class sigma_(n,n) = c2^n has degree 1.  So the Pieri oracle check is keyed
-by the exponent sums (a1+a2, b1+b2) and splits in two:
+reducers, one row per term of h_(a-b) (``coords``); the point class
+sigma_(n,n) = c2^n has degree 1.  So the Pieri oracle check is keyed by the
+exponent sums (a1+a2, b1+b2) and splits in two:
 sigma(x^a1) * sigma(x^a2) = sigma(x^(a1+a2)) for a1, a2 <= n, and the
-Giambelli image of the b-shift of sigma(x^a) is the reducer row of x^a y^b.  ``normal_form``, ``pairing`` and
-``poly_schubert`` reject anything but a ``WPoly`` with ``ValueError``.
+Giambelli image of the b-shift of sigma(x^a) is the reducer row of x^a y^b.
+``normal_form``, ``pairing`` and ``poly_schubert`` reject anything but a
+``WPoly`` with ``ValueError``.
 
 Also here: Chern classes of symmetric powers of a rank-2 bundle, multiplied
 out from conjugate pairs of roots, and the class of the locus of lines on a
@@ -42,8 +46,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import NotTopDegree, UnsupportedRange
 from .linalg import MatQ, rref  # rref: rebound to a guard by the route-independence tests
@@ -53,14 +58,7 @@ X = WPoly.variable("x")
 Y = WPoly.variable("y")
 
 
-class Partition2(NamedTuple):
-    """Partition (a, b) with a >= b >= 0; indexes a Schubert class."""
-
-    a: int
-    b: int
-
-
-SchubertSum = dict[Partition2, int]
+SchubertSum = Mapping[Exponents, int]  # sigma_(a,b) keyed by the partition (a, b)
 
 
 @lru_cache(maxsize=None)
@@ -87,8 +85,8 @@ def partition_count(n: int, k: int) -> int:
     return max(0, hi - lo + 1)
 
 
-def partitions_in_box(n: int, k: int) -> list[Partition2]:
-    return [Partition2(k - b, b) for b in range(max(0, k - n), k // 2 + 1)]
+def partitions_in_box(n: int, k: int) -> list[Exponents]:
+    return [(k - b, b) for b in range(max(0, k - n), k // 2 + 1)]
 
 
 class GRing(NamedTuple):
@@ -174,12 +172,24 @@ def normal_form(ring: GRing, p: WPoly, degree: int | None = None) -> tuple[Fract
             raise ValueError("stated degree disagrees with the polynomial")
     if not 0 <= k <= 2 * ring.n:
         raise ValueError(f"degree {k} outside 0..{2 * ring.n}")
-    coords = [0] * ring.dim(k)
+    return tuple(Fraction(c, p.den) for c in coords(ring, k, p.num.items()))
+
+
+def coords(
+    ring: GRing, k: int, terms: Iterable[tuple[Exponents, int]], shift: Exponents = (0, 0)
+) -> tuple[int, ...]:
+    """Integer coordinates of x^a y^b * sum c * x^e in degree k, for shift (a, b).
+
+    ``terms`` are the pairs (e, c), integers; each adds c times one reducer
+    row, so no polynomial product is formed.
+    """
+    a, b = shift
     reducer = ring.reducers[k]
-    for exps, c in p.num.items():
-        for i, r in enumerate(reducer[exps]):
-            coords[i] += c * r
-    return tuple(Fraction(c, p.den) for c in coords)
+    out = [0] * ring.dim(k)
+    for (e1, e2), c in terms:
+        for i, r in enumerate(reducer[(a + e1, b + e2)]):
+            out[i] += c * r
+    return tuple(out)
 
 
 def degree_of_poly(ring: GRing, p: WPoly) -> Fraction:
@@ -193,40 +203,19 @@ def degree_of_poly(ring: GRing, p: WPoly) -> Fraction:
 # -- Schubert oracle ---------------------------------------------------------
 
 
-def pieri_mul(n: int, part: Partition2, p: int) -> SchubertSum:
-    """sigma_(a,b) * sigma_p by the Pieri rule on Gr(2, n+2).
-
-    Out-of-box partitions contribute zero; for p = 0 this is the identity.
-    """
-    a, b = part
-    return {
-        Partition2(a2, a + b + p - a2): 1
-        for a2 in range(max(a, b + p), min(n, a + p) + 1)
-    }
-
-
-def shift11(n: int, s: SchubertSum, d: int) -> SchubertSum:
+def shift11(n: int, s: SchubertSum, d: int) -> dict[Exponents, int]:
     """Multiplication by sigma_(1,1)^d: (a, b) -> (a+d, b+d), out-of-box terms dropped."""
-    return {Partition2(a + d, b + d): c for (a, b), c in s.items() if a + d <= n}
+    return {(a + d, b + d): c for (a, b), c in s.items() if a + d <= n}
 
 
-def _sum_scale(total: SchubertSum, part_sum: SchubertSum, c: int) -> None:
-    for key, v in part_sum.items():
-        value = total.get(key, 0) + c * v
-        if value:
-            total[key] = value
-        else:
-            total.pop(key, None)
-
-
-def schubert_mul(n: int, s1: SchubertSum, s2: SchubertSum) -> SchubertSum:
+def schubert_mul(n: int, s1: SchubertSum, s2: SchubertSum) -> dict[Exponents, int]:
     """Product of Schubert sums: sigma_(a,b) * sigma_(c,d) in one pass.
 
     sigma_(c,d) = sigma_(1,1)^d * sigma_(c-d): the Pieri rule for sigma_(c-d)
     gives (a2, a+b+c-d-a2) for max(a, b+c-d) <= a2 <= a+c-d, and the shift by
     (d, d) keeps those with a2 + d <= n.
     """
-    out: dict[tuple[int, int], int] = {}
+    out: dict[Exponents, int] = {}
     get = out.get
     for (c, d), coeff2 in s2.items():
         p = c - d
@@ -236,45 +225,43 @@ def schubert_mul(n: int, s1: SchubertSum, s2: SchubertSum) -> SchubertSum:
             for top in range(max(a, b + p) + d, min(n, a + p + d) + 1):
                 key = (top, size - top)
                 out[key] = get(key, 0) + coeff
-    return {Partition2._make(key): v for key, v in out.items() if v}
+    return {key: v for key, v in out.items() if v}
 
 
 @lru_cache(maxsize=None)
-def monomial_schubert(n: int, a: int, b: int) -> tuple[tuple[Partition2, int], ...]:
-    """Expansion of c1^a * c2^b in the Schubert basis (cached, immutably).
+def monomial_schubert(n: int, a: int, b: int) -> SchubertSum:
+    """Expansion of c1^a * c2^b in the Schubert basis, as a read-only view (cached).
 
-    Each c1 is one Pieri step; c2^b is the shift of the c1^a expansion by (b, b).
+    In two rows sigma_1^a has coefficient C(a, q) - C(a, q-1) at (a-q, q),
+    the number of standard tableaux of that shape (hook-length formula,
+    here C(a, q) * (a-2q+1) / (a-q+1)).  The box is the quotient by an ideal
+    of Schubert classes, so truncating is enough, and c2^b shifts by (b, b).
     """
-    if b > 0:
-        out = shift11(n, dict(monomial_schubert(n, a, 0)), b)
-    elif a > 0:
-        prev = monomial_schubert(n, a - 1, 0)
-        out = {}
-        for part, v in prev:
-            _sum_scale(out, pieri_mul(n, part, 1), v)
-    else:
-        out = {Partition2(0, 0): 1}
-    return tuple(sorted(out.items()))
+    return MappingProxyType(
+        {
+            (a - q + b, q + b): comb(a, q) * (a - 2 * q + 1) // (a - q + 1)
+            for q in range(max(0, a + b - n), a // 2 + 1)
+        }
+    )
 
 
-def poly_schubert(n: int, p: WPoly) -> SchubertSum:
+def poly_schubert(n: int, p: WPoly) -> dict[Exponents, int | Fraction]:
     """Expansion of a polynomial in (c1, c2) in the Schubert basis.
 
     The sum runs on the numerators of ``p``, so integral input gives an
     integral sum; its denominator divides the result at the end.
     """
     X._check(p)
-    out: SchubertSum = {}
+    total: dict[Exponents, int] = {}
     for (a, b), c in p.num.items():
-        _sum_scale(out, dict(monomial_schubert(n, a, b)), c)
-    if p.den != 1:
-        out = {part: Fraction(c, p.den) for part, c in out.items()}
-    return out
+        for key, v in monomial_schubert(n, a, b).items():
+            total[key] = total.get(key, 0) + c * v
+    return {key: v if p.den == 1 else Fraction(v, p.den) for key, v in total.items() if v}
 
 
 def schubert_degree(n: int, s: SchubertSum) -> int:
     """Coefficient of the point class sigma_(n,n)."""
-    return s.get(Partition2(n, n), 0)
+    return s.get((n, n), 0)
 
 
 def schubert_pairing(n: int, s1: SchubertSum, s2: SchubertSum) -> int:
@@ -286,7 +273,7 @@ def schubert_pairing(n: int, s1: SchubertSum, s2: SchubertSum) -> int:
     return sum(c * get((n - b, n - a), 0) for (a, b), c in s1.items())
 
 
-def giambelli(part: Partition2) -> WPoly:
+def giambelli(part: Exponents) -> WPoly:
     """sigma_(a,b) as a polynomial in (c1, c2): h_a*h_b - h_(a+1)*h_(b-1)."""
     a, b = part
     det = complete_symmetric(a) * complete_symmetric(b)
@@ -295,20 +282,14 @@ def giambelli(part: Partition2) -> WPoly:
     return det
 
 
-def giambelli_coords(ring: GRing, part: Partition2) -> tuple[int, ...]:
+def giambelli_coords(ring: GRing, part: Exponents) -> tuple[int, ...]:
     """Quotient coordinates of ``giambelli(part)``, in integers.
 
-    In two rows sigma_(a,b) = h_(a-b) * c2^b, so each term c*x^e of h_(a-b)
-    adds c times the integer reducer row of x^e * y^b; no polynomial product
-    is formed.
+    In two rows sigma_(a,b) = h_(a-b) * c2^b: the reducer rows of the terms
+    of h_(a-b), shifted by y^b.
     """
-    a, b = part
-    reducer = ring.reducers[a + b]
-    coords = [0] * ring.dim(a + b)
-    for (e1, e2), c in complete_symmetric(a - b).num.items():  # den 1: see build_ring
-        for k, r in enumerate(reducer[(e1, e2 + b)]):
-            coords[k] += c * r
-    return tuple(coords)
+    a, b = part  # h_(a-b) has den 1: see build_ring
+    return coords(ring, a + b, complete_symmetric(a - b).num.items(), (0, b))
 
 
 # -- symmetric powers and the lines-on-a-cubic class -------------------------

@@ -173,6 +173,20 @@ def test_report_is_byte_identical_to_the_recorded_one():
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def _layer_trace(tmp_path, args):
+    """The statistics of one ``verify`` run under perfbench/layer_trace.py."""
+    stats = tmp_path / "stats.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "layer_trace.py"), str(stats), *args,
+         "--format", "json", "--out", str(tmp_path / "report.json")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(stats.read_text(encoding="utf-8"))
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -184,20 +198,37 @@ def test_layer_tracer_reaches_every_binding(tmp_path, args):
     # perfbench/layer_trace.py patches the package from outside; a binding it
     # misses (an import alias, a method it reads with ``vars(WPoly)[name]``)
     # shows in ``unpatched`` or stops the run
-    stats = tmp_path / "stats.json"
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "layer_trace.py"), str(stats), *args,
-         "--format", "json", "--out", str(tmp_path / "report.json")],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
-    )
-    assert proc.returncode == 0, proc.stderr
-    report = json.loads(stats.read_text(encoding="utf-8"))
+    report = _layer_trace(tmp_path, args)
     assert report["unpatched"] == []
     if "diagonal" in args:
         assert report["spans"]["wpoly.mul"]["calls"] == 0
         assert report["spans"]["diagonal.cycle_product"]["calls"] > 0
+
+
+# public functions that no verify run calls: entry points and readers kept for
+# callers and tests; any other function that verify never reaches is dead code
+IDLE_IN_VERIFY = {
+    "cli.console_main",
+    "cli.results_from_json",
+    "diagonal.primitive_dim",
+    "diagonal.x3_degree",
+    "diagonal.x3_diagonal",
+    "diagonal.x3_pair",
+    "diagonal.x3_small_diagonal",
+    "diagonal.xx_monomial",
+    "grassmann.giambelli",
+    "grassmann.schubert_pairing",
+}
+
+
+def test_every_other_public_function_is_reached_by_verify(tmp_path):
+    idle = None
+    for n_max, suite in (("12", "all"), ("24", "diagonal")):
+        args = ("--n-min", "1", "--n-max", n_max, "--suite", suite)
+        spans = _layer_trace(tmp_path, args)["spans"]
+        zero = {name for name, span in spans.items() if span["calls"] == 0}
+        idle = zero if idle is None else idle & zero
+    assert idle == IDLE_IN_VERIFY
 
 
 # -- start-up: records without dataclasses -------------------------------------

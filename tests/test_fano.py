@@ -229,7 +229,7 @@ def test_pairing_oracle_catches_a_perturbed_schubert_product(monkeypatch):
 
     def perturbed(n, s1, s2):
         out = honest(n, s1, s2)
-        point = grassmann.Partition2(n, n)
+        point = (n, n)
         out[point] = out.get(point, 0) + 1
         return out
 

@@ -13,7 +13,6 @@ from cubicchow.cli import RunConfig, run
 from cubicchow.errors import NotTopDegree, UnsupportedRange
 from cubicchow.fano import fano_pairing
 from cubicchow.grassmann import (
-    Partition2,
     build_ring,
     complete_symmetric,
     degree_of_poly,
@@ -25,7 +24,6 @@ from cubicchow.grassmann import (
     pairing,
     partition_count,
     partitions_in_box,
-    pieri_mul,
     poly_schubert,
     schubert_degree,
     schubert_mul,
@@ -101,15 +99,10 @@ def test_poly_schubert_rejects_a_foreign_variable_set():
 
 
 def test_pieri_examples():
-    assert pieri_mul(2, Partition2(0, 0), 1) == {Partition2(1, 0): 1}
-    assert pieri_mul(2, Partition2(1, 0), 1) == {
-        Partition2(2, 0): 1,
-        Partition2(1, 1): 1,
-    }
-    assert shift11(2, {Partition2(1, 1): 1}, 1) == {Partition2(2, 2): 1}
-    assert shift11(2, {Partition2(2, 0): 1}, 1) == {}
-    assert shift11(3, {Partition2(1, 0): 2, Partition2(3, 2): 1}, 1) == {Partition2(2, 1): 2}
-    assert shift11(3, {Partition2(1, 1): 1}, 0) == {Partition2(1, 1): 1}
+    assert shift11(2, {(1, 1): 1}, 1) == {(2, 2): 1}
+    assert shift11(2, {(2, 0): 1}, 1) == {}
+    assert shift11(3, {(1, 0): 2, (3, 2): 1}, 1) == {(2, 1): 2}
+    assert shift11(3, {(1, 1): 1}, 0) == {(1, 1): 1}
 
 
 def test_degree_map_classical_values():
@@ -120,7 +113,7 @@ def test_degree_map_classical_values():
         assert degree_of_poly(ring, WPoly.monomial((0, n))) == 1
         catalan = comb(2 * n, n) // (n + 1)
         assert degree_of_poly(ring, WPoly.monomial((2 * n, 0))) == catalan
-        assert schubert_degree(n, dict(monomial_schubert(n, 2 * n, 0))) == catalan
+        assert schubert_degree(n, monomial_schubert(n, 2 * n, 0)) == catalan
 
 
 def test_degree_needs_top_codimension():
@@ -220,7 +213,7 @@ def test_degree_is_linear_and_normalized():
     a, b = Fraction(3, 2), Fraction(-7)
     combo = top[0] * a + top[0] * b
     assert degree_of_poly(ring, combo) == (a + b) * degree_of_poly(ring, top[0])
-    assert schubert_degree(n, {Partition2(n, n): Fraction(1)}) == 1
+    assert schubert_degree(n, {(n, n): Fraction(1)}) == 1
 
 
 def test_oracle_equivalence_small_n():
@@ -266,8 +259,8 @@ def test_poly_schubert_of_fano_poly():
     sch = poly_schubert(n, fano_poly())
     direct = schubert_mul(
         n,
-        {Partition2(2, 1): Fraction(18)},
-        {Partition2(0, 0): Fraction(1)},
+        {(2, 1): Fraction(18)},
+        {(0, 0): Fraction(1)},
     )
     # 18 c1^2 c2 + 9 c2^2 expanded degree-wise must integrate to 27 against c2
     paired = schubert_mul(n, sch, dict(monomial_schubert(n, 0, 1)))
@@ -308,6 +301,7 @@ def test_schubert_route_is_independent_of_the_quotient_ring(monkeypatch):
         for module, name in (
             (grassmann, "build_ring"),
             (grassmann, "normal_form"),
+            (grassmann, "coords"),
             (grassmann, "rref"),
             (linalg, "rref"),
         ):
@@ -345,7 +339,7 @@ def test_schubert_sums_have_int_coefficients():
         f_sch = poly_schubert(n, fano_poly())
         assert all(type(c) is int for c in f_sch.values())
     half = poly_schubert(3, WPoly({(1, 0): Fraction(1, 2)}))
-    assert half == {Partition2(1, 0): Fraction(1, 2)}
+    assert half == {(1, 0): Fraction(1, 2)}
 
 
 def test_cached_ring_reducers_are_read_only():
@@ -465,7 +459,6 @@ def test_quotient_route_is_independent_of_the_schubert_oracle(monkeypatch):
     with monkeypatch.context() as patch:
         for name in (
             "schubert_mul",
-            "pieri_mul",
             "shift11",
             "monomial_schubert",
             "poly_schubert",
@@ -508,18 +501,28 @@ def test_giambelli_coords_are_the_normal_form_in_integers():
                 assert all(type(c) is int for c in coords), (n, part)
 
 
-def _schubert_mul_reference(n, s1, s2):
-    """The product as written before the tuple keys: a Partition2 per term."""
+def _pieri_row(n, s, p):
+    """s * sigma_p: add p boxes to (a, b), no two in one column; sigma_p = 0 for p > n."""
     out = {}
-    get = out.get
-    for (c, d), coeff2 in s2.items():
-        p = c - d
-        for (a, b), coeff1 in s1.items():
-            coeff = coeff1 * coeff2
-            size = a + b + c + d
-            for top in range(max(a, b + p) + d, min(n, a + p + d) + 1):
-                key = Partition2(top, size - top)
-                out[key] = get(key, 0) + coeff
+    if p > n:
+        return out
+    for (a, b), c in s.items():
+        for b2 in range(b, min(a, b + p) + 1):
+            a2 = a + b + p - b2
+            if a2 <= n:
+                out[(a2, b2)] = out.get((a2, b2), 0) + c
+    return out
+
+
+def _schubert_mul_reference(n, s1, s2):
+    """The product by Giambelli: sigma_(c,d) = sigma_c*sigma_d - sigma_(c+1)*sigma_(d-1)."""
+    out = {}
+    for (c, d), coeff in s2.items():
+        for sign, p, q in ((1, c, d), (-1, c + 1, d - 1)):
+            if q < 0:
+                continue
+            for key, v in _pieri_row(n, _pieri_row(n, s1, p), q).items():
+                out[key] = out.get(key, 0) + sign * coeff * v
     return {key: v for key, v in out.items() if v}
 
 
@@ -534,7 +537,6 @@ def test_schubert_mul_matches_reference_on_monomials():
             for s2 in sums:
                 got = schubert_mul(n, s1, s2)
                 assert got == _schubert_mul_reference(n, s1, s2), (n, s1, s2)
-                assert all(type(key) is Partition2 for key in got), (n, s1, s2)
 
 
 @st.composite
@@ -555,7 +557,6 @@ def test_schubert_mul_matches_reference_on_inhomogeneous_sums(case):
     n, s1, s2 = case
     got = schubert_mul(n, s1, s2)
     assert got == _schubert_mul_reference(n, s1, s2)
-    assert all(type(key) is Partition2 for key in got)
 
 
 def test_pieri_oracle_catches_a_perturbed_giambelli_entry(monkeypatch):
@@ -563,7 +564,7 @@ def test_pieri_oracle_catches_a_perturbed_giambelli_entry(monkeypatch):
 
     def perturbed(ring, part):
         coords = honest(ring, part)
-        if part == Partition2(2, 1):
+        if part == (2, 1):
             return (coords[0] + 1,) + coords[1:]
         return coords
 
@@ -616,8 +617,8 @@ def test_pieri_oracle_catches_a_perturbed_schubert_product(monkeypatch):
 
     def perturbed(n, s1, s2):
         out = honest(n, s1, s2)
-        if Partition2(2, 1) in out:
-            out[Partition2(2, 1)] += 1
+        if (2, 1) in out:
+            out[(2, 1)] += 1
         return out
 
     monkeypatch.setattr(grassmann, "schubert_mul", perturbed)
@@ -689,3 +690,54 @@ def test_poincare_pairing_is_the_reversed_catalan_hankel_block():
             ]
             rows = [list(row[::-1]) for row in pairing(ring, k).entries[::-1]]
             assert rows == hankel, (n, k)
+
+
+# -- sigma(x^a) from the hook-length formula -----------------------------------
+
+
+def test_sigma1_power_golden():
+    # sigma_1^6 on Gr(2, 6): 9 and 5 standard tableaux of shapes (4, 2) and (3, 3)
+    assert monomial_schubert(4, 6, 0) == {(4, 2): 9, (3, 3): 5}
+
+
+def test_closed_form_is_sigma1_applied_by_the_pieri_rule():
+    for n in range(1, 13):
+        power = {(0, 0): 1}
+        for a in range(2 * n + 1):
+            assert monomial_schubert(n, a, 0) == power, (n, a)
+            for b in range(n + 1):
+                assert monomial_schubert(n, a, b) == shift11(n, power, b), (n, a, b)
+            power = schubert_mul(n, power, {(1, 0): 1})
+
+
+def test_closed_form_shares_no_code_with_the_pieri_rule(monkeypatch):
+    # loop (i) of the Pieri oracle compares two routes, not one rule with itself
+    expansion = grassmann.monomial_schubert.__wrapped__  # uncached, not recursive
+    with monkeypatch.context() as patch:
+        for name in ("schubert_mul", "shift11", "monomial_schubert"):
+            patch.setattr(grassmann, name, _refuse_schubert)
+        assert expansion(6, 7, 1) == {(6, 3): 14, (5, 4): 14}
+
+
+def test_cached_expansions_are_read_only():
+    expansion = monomial_schubert(3, 2, 0)
+    with pytest.raises(TypeError):
+        expansion[(2, 0)] = 5
+    assert monomial_schubert(3, 2, 0) == {(2, 0): 1, (1, 1): 1}
+
+
+def test_pieri_oracle_catches_a_perturbed_closed_form(monkeypatch):
+    honest = grassmann.monomial_schubert
+
+    def perturbed(n, a, b):
+        out = dict(honest(n, a, b))
+        if (a, b) == (3, 0) and (2, 1) in out:
+            out[(2, 1)] += 1
+        return out
+
+    monkeypatch.setattr(grassmann, "monomial_schubert", perturbed)
+    (check,) = [c for c in REGISTRY if c.check_id == "grassmann.pieri_oracle"]
+    failing = [n for n in range(1, 8) if check.fn(n) != ("ok", "ok")]
+    assert failing == list(range(2, 8))  # sigma(x^3) leaves the box at n = 1
+    assert "mismatch at (1, 0)*(2, 0)" in check.fn(4)[0]
+
