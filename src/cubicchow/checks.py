@@ -362,11 +362,11 @@ def _defect_vanishes(n: int):
 @_register("diagonal.defect_pairing", "diagonal", 1)
 def _defect_pairing(n: int):
     defect = diagonal.small_diagonal_defect(n)
+    pair = diagonal._x3_pair_key  # deg(defect * key) over defect.den; no class per dual
     failures = []
     for a in range(n + 1):
         for b in range(n + 1 - a):
-            dual = diagonal.x3_monomial(n, a, b, n - a - b)
-            if diagonal._x3_pair_num(defect, dual):  # deg(defect * dual) != 0
+            if pair(defect, (diagonal.MONO, a, b, n - a - b)):  # deg(defect * dual) != 0
                 failures.append(f"monomial dual ({a},{b},{n - a - b})")
     image = diagonal.defect_image(n)
     for a, b in diagonal.PAIRS:
@@ -412,14 +412,15 @@ def _product_rank_one(n: int):
     # kept as the (num, den) pair of a FormalCycle
     scaled = [[(ma * mb / 3).as_integer_ratio() for mb in moments] for ma in moments]
     units = cycles[0]
+    product = diagonal.cycle_product
     for i in range(1, n):
         for j in range(1, n - i):
-            if diagonal.cycle_product(n, units[i], units[j]) != units[i + j]:
+            if product(n, units[i], units[j]) != units[i + j]:
                 failures.append(f"h^{i} * h^{j} != h^{i + j}")
             for alphas, row in zip(cycles, scaled):
                 alpha = alphas[i]
                 for betas, (num, den) in zip(cycles, row):
-                    out = diagonal.cycle_product(n, alpha, betas[j])
+                    out = product(n, alpha, betas[j])
                     if (out.codim, out.num, out.den) != (i + j, num, den):
                         failures.append(f"moment scaling fails at ({i},{j})")
     return _ok(failures)

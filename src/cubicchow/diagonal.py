@@ -32,6 +32,11 @@ Degrees on X^3 are read off by Poincare duality: ``x3_pair(a, b)`` and
 ``coh_pair(a, b)`` sum only the term pairs whose codimensions add up to 3n,
 without forming the product a * b.  Each takes only its own model's classes
 (``X3Class`` and ``CohX3Class``) and raises ``ValueError`` on any other.
+``x3_pair`` is a sum, over the terms of the smaller operand, of one per-key
+reader, ``_x3_pair_key(a, key)``: the integer numerator of deg(a * key) over
+``a.den``.  A caller that pairs a class against many single keys (the
+``defect_pairing`` check) calls the reader directly and builds no class per
+key.
 
 On top of the models: the decomposable coefficients of the small diagonal
 after removing its axis corrections, the vanishing of the resulting
@@ -40,6 +45,8 @@ positive-codimension cycle classes is (1/9) * m_alpha * m_beta * h^(i+j),
 a rank-1 image, on integers: the decomposable table is numerators over one
 denominator, and ``cycle_product`` returns a ``FormalCycle`` (a cycle on X:
 codimension i + j and moment m_alpha * m_beta / 3, held as num / den).
+``cycle_product`` builds its result inline, through the three slot setters
+of ``FormalCycle`` bound once at import: one gcd and one object per call.
 """
 
 from __future__ import annotations
@@ -102,7 +109,7 @@ class _FormalSum(SparseSum):
         if fields is None or len(key) != 1 + fields:
             raise ValueError(f"{key!r} is not a key of {cls.__name__}")
         body = key[1:]
-        if not all(isinstance(e, int) for e in body):
+        if not all(type(e) is int for e in body):  # a bool too
             raise TypeError(f"key entries must be int, not {key!r}")
         if key[0] != MONO and body:
             if body[:2] not in PAIRS:
@@ -292,17 +299,21 @@ class X3Class(_FormalSum):
                     return {(SMALL,): 27}
                 return _delta_push(n, m)
             _, a, b, m = k1
-            c = _third(a, b)
+            c = 6 - a - b  # _third(a, b), inline on the pairing path
             s, t, u = k2[a], k2[b], k2[c]
             if m + u > n:
                 return {}
             if s + t == 0:
                 return {(DIAG, a, b, m + u): 27}
-            out: dict[Key, int] = {}
-            for p in range(s + t, n + 1):
-                slots = {a: p, b: n + s + t - p, c: m + u}
-                out[(MONO, slots[1], slots[2], slots[3])] = 9
-            return out
+            # h_a^p h_b^(n + s + t - p) h_c^(m + u), written in slot order
+            w, r = m + u, n + s + t
+            if c == 3:
+                keys = ((MONO, p, r - p, w) for p in range(s + t, n + 1))
+            elif c == 2:
+                keys = ((MONO, p, w, r - p) for p in range(s + t, n + 1))
+            else:
+                keys = ((MONO, w, p, r - p) for p in range(s + t, n + 1))
+            return dict.fromkeys(keys, 9)
         if k1[0] == SMALL and k2[0] == SMALL:
             return {}  # codimension 4n > 3n
         if k1[0] == SMALL or k2[0] == SMALL:
@@ -327,12 +338,7 @@ class X3Class(_FormalSum):
 
 
 def x3_monomial(n: int, i: int, j: int, k: int, coeff=1) -> X3Class:
-    # the constructor's key check, then _reduced: its coefficient pass would add
-    # 1-2 us to each of the 2 924 calls of a 1..24 diagonal run
-    key = (MONO, i, j, k)
-    X3Class._check_key(n, key)
-    c = exact(coeff)
-    return X3Class._reduced(n, {key: c.numerator}, c.denominator)
+    return X3Class(n, {(MONO, i, j, k): coeff})
 
 
 def x3_diagonal(n: int, a: int, b: int, m: int = 0, coeff=1) -> X3Class:
@@ -356,45 +362,51 @@ def x3_pair(a: X3Class, b: X3Class) -> Fraction:
 def _x3_pair_num(a: X3Class, b: X3Class) -> int:
     """The numerator of ``x3_pair(a, b)`` over ``a.den * b.den``, in integers.
 
-    The model is graded (a key has codimension i + j + k, n + m or 2n) and
-    only the (n, n, n) entry of the product is read, so each term of the
-    smaller operand meets few terms of the larger one.  A monomial of
-    degree d meets its complementary monomial (one lookup, value one), the
-    decorated diagonals D_ab * h_c^(2n - d) and, for d = n, D3; a diagonal
-    term meets every term.  The diagonal pairs go through
-    ``X3Class._term_mul``, so the product rules stay in one place; its
-    numerators are over 27 = deg(h1^n h2^n h3^n), so they are the degrees.
+    It sums ``_x3_pair_key`` over the terms of the smaller operand, each
+    times its numerator.
     """
     if type(a) is not X3Class:
         raise ValueError("x3_pair pairs X3Class classes only")
     a._check(b)
     if len(a.num) < len(b.num):
         a, b = b, a
+    return sum(c * _x3_pair_key(a, key) for key, c in b.num.items())
+
+
+def _x3_pair_key(a: X3Class, key: Key) -> int:
+    """The numerator of deg(a * key) over ``a.den``, for one basis key of X^3.
+
+    The model is graded (a key has codimension i + j + k, n + m or 2n) and
+    only the (n, n, n) entry of the product is read, so the key meets few
+    terms of ``a``.  A monomial of degree d meets its complementary monomial
+    (one lookup, degree one), the decorated diagonals D_ab * h_c^(2n - d) and,
+    for d = n, D3; a diagonal key meets every term.  The diagonal pairs go
+    through ``X3Class._term_mul``, so the product rules stay in one place;
+    its numerators are over 27 = deg(h1^n h2^n h3^n), so they are the
+    degrees.  No class is built for the key, and the key is not checked.
+    """
     n = a.n
-    top = (MONO, n, n, n)
     big = a.num
+    if key[0] == MONO:
+        _, i, j, k = key
+        total = 27 * big.get((MONO, n - i, n - j, n - k), 0)
+        m = 2 * n - i - j - k
+        if not 0 <= m <= n:
+            return total
+        partners = [(DIAG, p, q, m) for p, q in PAIRS]
+        if m == n:
+            partners.append((SMALL,))
+    else:
+        total = 0
+        partners = big
+    top = (MONO, n, n, n)
     term_mul = a._term_mul
-    total = 0
-    for k2, c2 in b.num.items():
-        if k2[0] == MONO:
-            _, i, j, k = k2
-            c1 = big.get((MONO, n - i, n - j, n - k))
-            if c1 is not None:
-                total += 27 * c1 * c2
-            m = 2 * n - i - j - k
-            if not 0 <= m <= n:
-                continue
-            partners = [(DIAG, p, q, m) for p, q in PAIRS]
-            if m == n:
-                partners.append((SMALL,))
-        else:
-            partners = big
-        for k1 in partners:
-            c1 = big.get(k1)
-            if c1 is not None:
-                v = term_mul(k1, k2).get(top)
-                if v is not None:
-                    total += c1 * c2 * v
+    for k1 in partners:
+        c1 = big.get(k1)
+        if c1 is not None:
+            v = term_mul(k1, key).get(top)
+            if v is not None:
+                total += c1 * v
     return total
 
 
@@ -584,7 +596,7 @@ class FormalCycle(Frozen):
     __slots__ = ("codim", "num", "den")
 
     def __new__(cls, codim: int, moment: int | Fraction):
-        if not isinstance(codim, int):
+        if type(codim) is not int:  # a bool too: True would print as codim=True
             raise TypeError(f"codimension must be int, not {codim!r}")
         if codim <= 0:
             raise ValueError("formal cycles must have positive codimension")
@@ -595,10 +607,10 @@ class FormalCycle(Frozen):
     def _reduced(cls, codim: int, num: int, den: int) -> FormalCycle:
         """The cycle of moment ``num / den`` (``den > 0``), by one gcd."""
         g = gcd(num, den)
-        out = object.__new__(cls)
-        object.__setattr__(out, "codim", codim)
-        object.__setattr__(out, "num", num // g)
-        object.__setattr__(out, "den", den // g)
+        out = _new_cycle(cls)
+        _set_codim(out, codim)
+        _set_num(out, num // g)
+        _set_den(out, den // g)
         return out
 
     @property
@@ -615,6 +627,13 @@ class FormalCycle(Frozen):
 
     def __repr__(self) -> str:
         return f"FormalCycle(codim={self.codim}, moment={self.moment})"
+
+
+# one-step construction: the slot setters bypass Frozen.__setattr__, bound once
+_new_cycle = object.__new__
+_set_codim = FormalCycle.__dict__["codim"].__set__
+_set_num = FormalCycle.__dict__["num"].__set__
+_set_den = FormalCycle.__dict__["den"].__set__
 
 
 def cycle_product(n: int, alpha: FormalCycle, beta: FormalCycle) -> FormalCycle:
@@ -635,7 +654,8 @@ def cycle_product(n: int, alpha: FormalCycle, beta: FormalCycle) -> FormalCycle:
 
     The product is entry * m_alpha * m_beta * h^(i+j), a multiple of one
     class; as deg h^n = 3, its moment is three times its coefficient: for
-    the entry t / den, 3 t num_alpha num_beta / (den den_alpha den_beta).
+    the entry t / den, 3 t num_alpha num_beta / (den den_alpha den_beta),
+    reduced by one gcd.
     """
     i, j = alpha.codim, beta.codim
     if not (0 < i and 0 < j and i + j < n):
@@ -644,4 +664,10 @@ def cycle_product(n: int, alpha: FormalCycle, beta: FormalCycle) -> FormalCycle:
         )
     table, den = decomposable_coefficients(n)
     num = 3 * table[(n - i, n - j, i + j)] * alpha.num * beta.num
-    return FormalCycle._reduced(i + j, num, den * alpha.den * beta.den)
+    den *= alpha.den * beta.den
+    g = gcd(num, den)
+    out = _new_cycle(FormalCycle)
+    _set_codim(out, i + j)
+    _set_num(out, num // g)
+    _set_den(out, den // g)
+    return out

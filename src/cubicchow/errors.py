@@ -6,7 +6,8 @@ the structured failure modes that the verification checks report on.
 ``TypeError`` marks a coefficient that is not an ``int`` or ``Fraction``: the
 value constructors pass every coefficient through ``exact``, so no float
 enters the engine.  It also marks an exponent (of a ``WPoly`` or a diagonal
-model key) or a formal-cycle codimension that is not an ``int``.
+model key) or a formal-cycle codimension that is not an ``int``; a ``bool``
+is refused there too, though ``isinstance(True, int)`` holds.
 """
 
 from fractions import Fraction

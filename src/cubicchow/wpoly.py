@@ -193,7 +193,7 @@ class WPoly(SparseSum):
 
     def __new__(cls, terms: Mapping[Exponents, Fraction | int] | None = None):
         for exps in terms or {}:
-            if not all(isinstance(e, int) for e in exps):
+            if not all(type(e) is int for e in exps):  # a bool too
                 raise TypeError(f"exponents must be int, not {exps!r}")
             if len(exps) != 2 or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent vector {exps!r}")

@@ -213,6 +213,7 @@ IDLE_IN_VERIFY = {
     "diagonal.primitive_dim",
     "diagonal.x3_degree",
     "diagonal.x3_diagonal",
+    "diagonal.x3_monomial",
     "diagonal.x3_pair",
     "diagonal.x3_small_diagonal",
     "diagonal.xx_monomial",

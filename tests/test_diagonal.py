@@ -172,6 +172,24 @@ def test_x3_diagonal_times_own_slot_reduces():
     assert result == expected
 
 
+def test_x3_diagonal_times_own_slots_on_every_pair():
+    # D_ab * h_a^s h_b^t h_c^u = (1/3) sum_p h_a^p h_b^(n+s+t-p) h_c^u, for
+    # s + t >= 1 and u <= n, with each exponent written in its own slot
+    n = 3
+    for a, b in PAIRS:
+        c = 6 - a - b
+        for s, t, u in ((1, 0, 0), (0, 2, 1), (1, 1, 3)):
+            mono = [0, 0, 0, 0]
+            mono[a], mono[b], mono[c] = s, t, u
+            expected = {}
+            for p in range(s + t, n + 1):
+                slots = [0, 0, 0, 0]
+                slots[a], slots[b], slots[c] = p, n + s + t - p, u
+                expected[("m", *slots[1:])] = Fraction(1, 3)
+            product = x3_diagonal(n, a, b) * x3_monomial(n, *mono[1:])
+            assert product == X3Class(n, expected), (a, b, s, t, u)
+
+
 def test_x3_grading_additive():
     def codim(key, n):
         if key[0] == "m":
@@ -400,6 +418,13 @@ def test_floats_are_rejected():
         lambda: x3_diagonal(2, 1, 2, 1.0),
         lambda: x3_diagonal(2, 1.0, 2, 0),
         lambda: x3_diagonal(2, 1, 3.0, 0),
+        # isinstance(True, int) holds, so a bool passed the old checks: a
+        # codimension of True printed as codim=True
+        lambda: FormalCycle(True, 3),
+        lambda: xx_monomial(2, True, 1),
+        lambda: x3_monomial(2, 1, False, 0),
+        lambda: x3_diagonal(2, 1, 2, True),
+        lambda: CohX3Class(2, {("d", 1, 2, False): 1}),
     ):
         with pytest.raises(TypeError):
             make()
@@ -426,6 +451,8 @@ def test_formal_cycle_holds_its_moment_in_lowest_terms():
     assert (out.codim, out.num, out.den) == (3, 35, 18)
     assert FormalCycle(1, 0) == FormalCycle._reduced(1, 0, 27)
     assert FormalCycle(1, 3) != FormalCycle(2, 3) and FormalCycle(1, 3) != Fraction(3)
+    # equality is type-strict: the fields (1, 3, 1) are not the cycle
+    assert FormalCycle(1, 3) != (1, 3, 1) and FormalCycle(1, 3) != [1, 3, 1]
     assert FormalCycle(1, Fraction(1, 2)) != FormalCycle(1, Fraction(1, 3))
 
 
@@ -478,6 +505,38 @@ def test_product_rank_one_builds_few_fractions(monkeypatch):
     assert result == ("ok", "ok")
     assert counts["products"] == 550
     assert counts["fractions"] < counts["products"] / 5, counts
+
+
+def test_defect_pairing_builds_no_class_per_dual(monkeypatch):
+    # the check pairs the defect against each monomial key: no X3Class and no
+    # Fraction is built per dual (a count, not a timing)
+    n = 12
+    assert _run_check("diagonal.defect_pairing", n) == ("ok", "ok")  # warm caches
+    honest_pair, honest_new = diagonal._x3_pair_key, Fraction.__new__
+    honest_reduced = X3Class._reduced.__func__
+    counts = {"pairs": 0, "classes": 0, "fractions": 0}
+
+    def pair(*args):
+        counts["pairs"] += 1
+        return honest_pair(*args)
+
+    def reduced(cls, *args):
+        counts["classes"] += 1
+        return honest_reduced(cls, *args)
+
+    def new(cls, *args, **kwargs):
+        counts["fractions"] += 1
+        return honest_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(diagonal, "_x3_pair_key", pair)
+    monkeypatch.setattr(X3Class, "_reduced", classmethod(reduced))
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(new))
+    result = _run_check("diagonal.defect_pairing", n)
+    monkeypatch.undo()
+    assert result == ("ok", "ok")
+    assert counts["pairs"] == 91  # (n + 1)(n + 2) / 2 monomials of degree n
+    assert counts["classes"] == 0, counts
+    assert counts["fractions"] < counts["pairs"] / 5, counts
 
 
 def test_coh_pair_rejects_mismatched_operands():

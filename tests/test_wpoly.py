@@ -77,7 +77,8 @@ def test_floats_are_rejected():
 
 def test_non_int_exponents_are_rejected():
     # a float exponent was once truncated: WPoly({(1.7, 0): 1}) printed x
-    for exps in ((1.7, 0), (Fraction(1), 0), (1.0, 0), ("1", 0)):
+    # and a bool passed as an int, since isinstance(True, int) holds
+    for exps in ((1.7, 0), (Fraction(1), 0), (1.0, 0), ("1", 0), (True, 0), (0, False)):
         with pytest.raises(TypeError):
             WPoly({exps: 1})
     assert str(WPoly({(1, 0): 1})) == "x"
