@@ -10,12 +10,21 @@ precondition fails, a visible ``skipped`` row names it.  Reports list one
 row per (check, n), sorted by (check_id, n), with exact computed/expected
 strings and per-check elapsed milliseconds.  Exit code 0 means every
 executed check passed, 1 that at least one failed, 2 a usage or I/O error.
+
+``main`` is the in-process API: it returns the exit code and leaves the
+interpreter running.  ``console_main``, behind the ``verify`` script and
+``python -m cubicchow``, flushes standard output and error once ``main``
+returns and ends the process with ``os._exit``, skipping the interpreter's
+teardown of modules, caches and rings, which costs more than a single-n run's
+largest check.  An exception from ``main`` or from a flush (argparse's
+``SystemExit`` included) still leaves through the ordinary exit.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from typing import NamedTuple
@@ -151,7 +160,10 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def console_main() -> None:
-    sys.exit(main())
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

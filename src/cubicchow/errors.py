@@ -6,8 +6,9 @@ the structured failure modes that the verification checks report on.
 ``TypeError`` marks a coefficient that is not an ``int`` or ``Fraction``: the
 value constructors pass every coefficient through ``exact``, so no float
 enters the engine.  It also marks an exponent (of a ``WPoly`` or a diagonal
-model key) or a formal-cycle codimension that is not an ``int``; a ``bool``
-is refused there too, though ``isinstance(True, int)`` holds.
+model key) or a formal-cycle codimension that is not an ``int``.  A ``bool``
+is refused everywhere, as a coefficient or moment too, though
+``isinstance(True, int)`` holds: ``True`` is never read as 1.
 """
 
 from fractions import Fraction
@@ -30,7 +31,10 @@ class NonIntegralResult(ArithmeticError):
 
 
 def exact(c):
-    """``c`` itself if it is an ``int`` or a ``Fraction``; ``TypeError`` otherwise."""
-    if isinstance(c, (int, Fraction)):
+    """``c`` itself if it is an ``int`` or a ``Fraction``; ``TypeError`` otherwise.
+
+    A ``bool`` is refused: ``True`` would otherwise be read as the integer 1.
+    """
+    if isinstance(c, (int, Fraction)) and type(c) is not bool:
         return c
     raise TypeError(f"exact arithmetic takes int or Fraction, not {type(c).__name__} {c!r}")

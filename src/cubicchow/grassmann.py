@@ -330,7 +330,9 @@ def pairing(ring: GRing, k: int, weight: WPoly | None = None) -> MatQ:
     over the numerators c * x^e of the weight: one read of the top reducer
     per term, and any representative of the weight in the quotient will do.
     The entries are integers, divided by the weight's denominator when it is
-    not 1.
+    not 1.  The basis of degree d is x^(d-2b) y^b for consecutive b, so an
+    entry depends only on b_i + b_j: each value is computed once, and row i
+    is the window of ``len(right)`` values starting at the i-th.
     """
     weight = WPoly.constant(1) if weight is None else weight
     X._check(weight)
@@ -339,14 +341,10 @@ def pairing(ring: GRing, k: int, weight: WPoly | None = None) -> MatQ:
     if not 0 <= k <= top:
         raise UnsupportedRange(f"k must lie in 0..{top}")
     point = ring.reducers[2 * ring.n]
-    right = ring.bases[top - k]
-    rows = [
-        [
-            sum(c * point[(a1 + a2 + e1, b1 + b2 + e2)][0] for (e1, e2), c in terms)
-            for a2, b2 in right
-        ]
-        for a1, b1 in ring.bases[k]
-    ]
-    if den != 1:
-        rows = [[Fraction(x, den) for x in row] for row in rows]
-    return MatQ.from_rows(rows, cols=len(right))
+    left, right = ring.bases[k], ring.bases[top - k]
+    values = []
+    for b in range(left[0][1] + right[0][1], left[-1][1] + right[-1][1] + 1):
+        value = sum(c * point[(top - 2 * b + e1, b + e2)][0] for (e1, e2), c in terms)
+        values.append(value if den == 1 else Fraction(value, den))
+    cols = len(right)
+    return MatQ.from_rows((values[i : i + cols] for i in range(len(left))), cols=cols)

@@ -174,8 +174,16 @@ def sym2_diamond(diamond: HodgeDiamond) -> HodgeDiamond:
 
 
 def times_projective(d: HodgeDiamond, m: int) -> HodgeDiamond:
-    """Diamond of d x P^m: the sum of the shifts d.shift(t), 0 <= t <= m."""
-    return sum((d.shift(t) for t in range(m + 1)), HodgeDiamond())
+    """Diamond of d x P^m: the sum of the shifts d.shift(t), 0 <= t <= m.
+
+    Every shifted entry is added into one table, in one pass.
+    """
+    out: dict[Entry, int] = {}
+    for (k, p, q), c in d.entries.items():
+        for t in range(m + 1):
+            key = (k + 2 * t, p + t, q + t)
+            out[key] = out.get(key, 0) + c
+    return HodgeDiamond._reduced(None, out, 1)
 
 
 @lru_cache(maxsize=None)

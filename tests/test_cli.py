@@ -125,16 +125,6 @@ def test_main_reports_write_failures(tmp_path, capsys):
     assert "cannot write report" in capsys.readouterr().err
 
 
-def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "cubicchow", "--n-min", "2", "--n-max", "2", "--suite", "fano"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0
-    assert "fano.lines_count" in proc.stdout
-
-
 def test_failure_exit_code_via_stub(monkeypatch):
     import cubicchow.cli as cli
 
@@ -171,6 +161,81 @@ def test_report_is_byte_identical_to_the_recorded_one():
 
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+# -- the entry point: console_main ends by os._exit once it has flushed ----------
+
+
+def _entry_point(*args, code=None):
+    """``python -m cubicchow args`` (or ``python -c code args``), output piped.
+
+    PYTHONUNBUFFERED is dropped, so standard output is block-buffered as in
+    a plain pipe: a report smaller than the buffer reaches the reader only
+    through console_main's flush.
+    """
+    argv = ["-m", "cubicchow"] if code is None else ["-c", code]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.run(
+        [sys.executable, *argv, *args],
+        capture_output=True,
+        text=True,
+        env={**env, "PYTHONPATH": str(ROOT / "src")},
+    )
+
+
+def test_entry_point_report_larger_than_a_pipe_buffer_arrives_whole():
+    # the 1..12 report of the byte-identical gate, through the entry point
+    proc = _entry_point("--n-min", "1", "--n-max", "12", "--suite", "all", "--format", "json")
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout) > 65536
+    rows = json.loads(proc.stdout)
+    for row in rows:
+        del row["elapsed_ms"]
+    assert json.dumps(rows, indent=2) + "\n" == (DATA / "verify_1_12_all.json").read_text(
+        encoding="utf-8"
+    )
+
+
+def test_module_entry_point():
+    # a report smaller than the stdout buffer: it arrives only through the flush
+    proc = _entry_point("--n-min", "2", "--n-max", "2", "--suite", "fano", "--format", "json")
+    assert proc.returncode == 0, proc.stderr
+    assert 0 < len(proc.stdout) < 8192
+    expected = run(RunConfig(2, 2, ("fano",)))
+    assert _strip_elapsed(results_from_json(proc.stdout)) == _strip_elapsed(expected)
+
+
+def test_entry_point_exits_1_with_the_full_text_report_of_a_failing_check():
+    stub = [
+        CheckResult("stub.check", 1, "pass", "ok", "ok", 0),
+        CheckResult("stub.check", 2, "fail", "0", "1", 0),
+    ]
+    code = (
+        "import atexit, cubicchow.cli as cli\n"
+        "atexit.register(print, 'teardown ran')\n"
+        f"rows = {[tuple(r) for r in stub]!r}\n"
+        "cli.run = lambda config: [cli.CheckResult(*row) for row in rows]\n"
+        "cli.console_main()\n"
+    )
+    proc = _entry_point("--n-min", "1", "--n-max", "2", code=code)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == emit(stub, "text")
+    # os._exit skips the interpreter's teardown, atexit handlers with it
+    assert "teardown ran" not in proc.stdout
+
+
+def test_entry_point_exits_2_on_an_unwritable_report(tmp_path):
+    proc = _entry_point("--n-min", "2", "--n-max", "2", "--suite", "fano", "--out", str(tmp_path))
+    assert proc.returncode == 2
+    assert f"cannot write report to {tmp_path}" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_entry_point_exits_2_with_the_usage_line_on_a_bad_range():
+    proc = _entry_point("--n-min", "0", "--n-max", "2")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage: verify ")
+    assert "--n-min must be at least 1" in proc.stderr
 
 
 def _layer_trace(tmp_path, args):

@@ -438,6 +438,20 @@ def test_floats_are_rejected():
     assert str(x3_monomial(2, 1, 1, 0)) == "h1*h2"
 
 
+def test_bool_coefficients_and_moments_are_rejected():
+    # errors.exact once read True as 1: FormalCycle(1, True) was the cycle of
+    # moment 1 and XXClass(2, {("m", 1, 1): True}) printed h1*h2
+    for make in (
+        lambda: FormalCycle(1, True),
+        lambda: FormalCycle(1, False),
+        lambda: XXClass(2, {("m", 1, 1): True}),
+        lambda: CohX3Class(2, {("m", 1, 1, 1): False}),
+        lambda: xx_diagonal(2).scale(True),
+    ):
+        with pytest.raises(TypeError):
+            make()
+
+
 def test_formal_cycle_holds_its_moment_in_lowest_terms():
     a, b = FormalCycle(1, Fraction(6, 4)), FormalCycle(1, Fraction(3, 2))
     assert a == b and hash(a) == hash(b)

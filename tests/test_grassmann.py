@@ -443,6 +443,27 @@ def test_pairing_matches_triple_products():
                 assert [list(r) for r in pairing(ring, k, weight).entries] == expected
 
 
+def test_pairing_reads_the_top_reducer_for_every_cell():
+    # the matrix is built from one value per exponent sum; reference: one
+    # read of the top reducer per cell and weight term, up to n = 20 (the
+    # triple-product reference above stops at n = 8)
+    for n in range(1, 21):
+        ring = build_ring(n)
+        point = ring.reducers[2 * n]
+        for weight in (WPoly.constant(1), fano_poly()):
+            top = 2 * n - weight.homogeneous_degree()
+            for k in range(top + 1):
+                expected = [
+                    [
+                        sum(c * point[(a1 + a2 + e1, b1 + b2 + e2)][0]
+                            for (e1, e2), c in weight.num.items())
+                        for a2, b2 in ring.bases[top - k]
+                    ]
+                    for a1, b1 in ring.bases[k]
+                ]
+                assert [list(r) for r in pairing(ring, k, weight).entries] == expected
+
+
 def test_pairing_range_errors():
     ring = build_ring(3)
     with pytest.raises(UnsupportedRange):

@@ -159,6 +159,20 @@ def test_e_fano_validity_range():
         fano_diamond(1)
 
 
+def test_times_projective_is_the_sum_of_shifts():
+    # one pass over the entries; a difference of shifts telescopes, so
+    # cancelled entries must drop out as they do from a sum of diamonds
+    for n in range(1, 13):
+        x = hodge_cubic(n)
+        diamonds = [x, x - x.shift(1), HodgeDiamond()]
+        if n >= 2:
+            diamonds.append(primitive_middle(n))
+        for d in diamonds:
+            for m in range(-1, n + 2):
+                shifts = sum((d.shift(t) for t in range(m + 1)), HodgeDiamond())
+                assert times_projective(d, m) == shifts
+
+
 def test_hilb2_identity_exact():
     for n in range(2, 11):
         lhs = hilb2_diamond(n)

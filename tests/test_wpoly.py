@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import cubicchow.grassmann as grassmann
 from cubicchow.diagonal import PAIRS, CohX3Class, X3Class
+from cubicchow.errors import exact
 from cubicchow.grassmann import build_ring, complete_symmetric, fano_poly, pairing
 from cubicchow.hodge import HodgeDiamond
 from cubicchow.wpoly import WPoly
@@ -73,6 +74,20 @@ def test_floats_are_rejected():
         with pytest.raises(TypeError):
             make()
     assert WPoly({(1, 0): 2, (0, 1): Fraction(1, 3)}) == WPoly.parse("1/3*y + 2*x")
+
+
+def test_bool_coefficients_are_rejected():
+    # errors.exact once read True as 1: WPoly.constant(True) printed 1
+    for make in (
+        lambda: WPoly.constant(True),
+        lambda: WPoly({(1, 0): False}),
+        lambda: WPoly.monomial((1, 0), True),
+        lambda: X * True,
+        lambda: exact(True),
+    ):
+        with pytest.raises(TypeError):
+            make()
+    assert exact(1) == 1 and exact(Fraction(1, 2)) == Fraction(1, 2)
 
 
 def test_non_int_exponents_are_rejected():
