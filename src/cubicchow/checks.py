@@ -328,7 +328,7 @@ def _product_ring_ranks(n: int):
 @_register("diagonal.euler_self_intersection", "diagonal", 1)
 def _euler_self_intersection(n: int):
     d = diagonal.xx_diagonal(n)
-    return str(diagonal.xx_degree(d * d)), str(hodge.euler_cubic(n))
+    return str(diagonal.degree(d * d)), str(hodge.euler_cubic(n))
 
 
 @_register("diagonal.kunneth_third", "diagonal", 1)
@@ -368,11 +368,6 @@ def _defect_pairing(n: int):
         for b in range(n + 1 - a):
             if pair(defect, (diagonal.MONO, a, b, n - a - b)):  # deg(defect * dual) != 0
                 failures.append(f"monomial dual ({a},{b},{n - a - b})")
-    image = diagonal.defect_image(n)
-    for a, b in diagonal.PAIRS:
-        dual = diagonal.CohX3Class(n, {(diagonal.PRIM, a, b, 0): 1})
-        if diagonal.coh_pair(image, dual) != 0:
-            failures.append(f"primitive dual d{a}{b}")
     return _ok(failures)
 
 

@@ -28,12 +28,13 @@ once, by one gcd.  The key order and the key text belong to the base,
 ``_FormalSum``, and are the same for all four models.  ``Fraction`` appears
 only at the edge: coefficients, degrees, pairings and text.
 
-Degrees on X^3 are read off by Poincare duality: ``x3_pair(a, b)`` and
-``coh_pair(a, b)`` sum only the term pairs whose codimensions add up to 3n,
-without forming the product a * b.  Each takes only its own model's classes
-(``X3Class`` and ``CohX3Class``) and raises ``ValueError`` on any other.
-``x3_pair`` is a sum, over the terms of the smaller operand, of one per-key
-reader, ``_x3_pair_key(a, key)``: the integer numerator of deg(a * key) over
+``degree(a)`` integrates a class of any model: the coefficient of the top
+monomial times its degree, 3^s on X^s.  On X^3 the one pairing is the
+Chow-side ``x3_pair(a, b)``, read off by Poincare duality: it sums only the
+term pairs whose codimensions add up to 3n, without forming the product
+a * b, and takes ``X3Class`` classes only (``ValueError`` on any other).
+It is a sum, over the terms of the smaller operand, of one per-key reader,
+``_x3_pair_key(a, key)``: the integer numerator of deg(a * key) over
 ``a.den``.  A caller that pairs a class against many single keys (the
 ``defect_pairing`` check) calls the reader directly and builds no class per
 key.
@@ -160,6 +161,12 @@ def _format_key(key: Key) -> str:
     return f"{tag}{a}{b}" + (f"*{tail}" if tail else "")
 
 
+def degree(a: _FormalSum) -> Fraction:
+    """Integral of the top piece of a class on X^s: deg(h1^n ... hs^n) = 3^s."""
+    s = a._KEYS[MONO]
+    return 3**s * a.coefficient((MONO,) + (a.n,) * s)
+
+
 # -- X x X: Chow model and cohomological twin -----------------------------------
 
 MONO = "m"
@@ -211,11 +218,6 @@ def xx_monomial(n: int, r: int, s: int, coeff=1) -> XXClass:
 
 def xx_diagonal(n: int) -> XXClass:
     return XXClass(n, {(DIAG,): 1})
-
-
-def xx_degree(a: XXClass) -> Fraction:
-    """Integral of the codimension-2n piece; deg(h1^n h2^n) = 9."""
-    return 9 * a.coefficient((MONO, a.n, a.n))
 
 
 def xx_basis(n: int) -> list[Key]:
@@ -349,28 +351,18 @@ def x3_small_diagonal(n: int, coeff=1) -> X3Class:
     return X3Class(n, {(SMALL,): coeff})
 
 
-def x3_degree(a: X3Class) -> Fraction:
-    """Integral of the codimension-3n piece; deg(h1^n h2^n h3^n) = 27."""
-    return 27 * a.coefficient((MONO, a.n, a.n, a.n))
-
-
 def x3_pair(a: X3Class, b: X3Class) -> Fraction:
-    """deg(a * b), read off by Poincare duality without forming the product."""
-    return Fraction(_x3_pair_num(a, b), a.den * b.den)
+    """deg(a * b), read off by Poincare duality without forming the product.
 
-
-def _x3_pair_num(a: X3Class, b: X3Class) -> int:
-    """The numerator of ``x3_pair(a, b)`` over ``a.den * b.den``, in integers.
-
-    It sums ``_x3_pair_key`` over the terms of the smaller operand, each
-    times its numerator.
+    The numerator over ``a.den * b.den`` sums ``_x3_pair_key`` over the terms
+    of the smaller operand, each times its numerator.
     """
     if type(a) is not X3Class:
         raise ValueError("x3_pair pairs X3Class classes only")
     a._check(b)
     if len(a.num) < len(b.num):
         a, b = b, a
-    return sum(c * _x3_pair_key(a, key) for key, c in b.num.items())
+    return Fraction(sum(c * _x3_pair_key(a, key) for key, c in b.num.items()), a.den * b.den)
 
 
 def _x3_pair_key(a: X3Class, key: Key) -> int:
@@ -498,38 +490,9 @@ def push13(a: CohX3Class) -> CohXXClass:
     return CohXXClass._reduced(a.n, out, a.den)
 
 
-def coh_pair(a: CohX3Class, b: CohX3Class) -> Fraction:
-    """Integration pairing on the cohomological model, read off by Poincare duality.
-
-    Monomials pair against complementary monomials (value 27); primitive
-    terms pair against same-pair primitive terms with complementary
-    decorations (value 3 * (chi - n - 1), the primitive self-pairing times
-    the degree of h^n); the two sectors are orthogonal.  So each term of the
-    smaller operand meets one term of the larger one: one lookup.
-    """
-    if type(a) is not CohX3Class:
-        raise ValueError("coh_pair pairs CohX3Class classes only")
-    a._check(b)
-    if len(a.num) < len(b.num):
-        a, b = b, a
-    n = a.n
-    big = a.num
-    prim = 3 * primitive_self_pairing(n)
-    total = 0
-    for key, c in b.num.items():
-        if key[0] == MONO:
-            _, i, j, k = key
-            total += 27 * c * big.get((MONO, n - i, n - j, n - k), 0)
-        else:
-            _, p, q, m = key
-            total += prim * c * big.get((PRIM, p, q, n - m), 0)
-    return Fraction(total, a.den * b.den)
-
-
 # -- the decomposition of the small diagonal ------------------------------------
 
 
-@lru_cache(maxsize=None)
 def corrected_small_diagonal(n: int) -> X3Class:
     """D3 minus a third of each diagonal decorated with the opposite h^n."""
     if n < 1:
@@ -569,14 +532,8 @@ def small_diagonal_defect(n: int) -> X3Class:
     )
 
 
-@lru_cache(maxsize=None)
-def defect_image(n: int) -> CohX3Class:
-    """Cohomology class of the defect cycle, shared by the checks that read it."""
-    return x3_to_coh(small_diagonal_defect(n))
-
-
 def defect_vanishes_cohomologically(n: int) -> bool:
-    image = defect_image(n)
+    image = x3_to_coh(small_diagonal_defect(n))
     if not image.is_zero():
         raise CheckFailed(f"defect cycle has nonzero image at n={n}: {image}")
     return True
@@ -600,17 +557,11 @@ class FormalCycle(Frozen):
             raise TypeError(f"codimension must be int, not {codim!r}")
         if codim <= 0:
             raise ValueError("formal cycles must have positive codimension")
-        moment = exact(moment)
-        return cls._reduced(codim, moment.numerator, moment.denominator)
-
-    @classmethod
-    def _reduced(cls, codim: int, num: int, den: int) -> FormalCycle:
-        """The cycle of moment ``num / den`` (``den > 0``), by one gcd."""
-        g = gcd(num, den)
+        moment = exact(moment)  # an int or a Fraction: in lowest terms, den > 0
         out = _new_cycle(cls)
         _set_codim(out, codim)
-        _set_num(out, num // g)
-        _set_den(out, den // g)
+        _set_num(out, moment.numerator)
+        _set_den(out, moment.denominator)
         return out
 
     @property

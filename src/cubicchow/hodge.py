@@ -122,7 +122,6 @@ def hodge_cubic(n: int) -> HodgeDiamond:
     return HodgeDiamond(entries)
 
 
-@lru_cache(maxsize=None)
 def primitive_middle(n: int) -> HodgeDiamond:
     """Primitive middle cohomology with a (1,1) twist; pure of degree n-2."""
     if n < 2:

@@ -36,9 +36,10 @@ class MatQ(NamedTuple):
     def from_rows(cls, rows: Iterable[Iterable[Fraction | int]], cols: int | None = None) -> "MatQ":
         data = tuple(tuple(exact(x) for x in row) for row in rows)
         if data:
-            cols = len(data[0])
+            if cols is None:
+                cols = len(data[0])
             if any(len(row) != cols for row in data):
-                raise ValueError("ragged rows")
+                raise ValueError(f"rows must all have length cols={cols}")
         elif cols is None:
             raise ValueError("empty matrix needs an explicit column count")
         return cls(len(data), cols, data)

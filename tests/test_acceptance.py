@@ -121,9 +121,7 @@ def test_criterion_07_diagonal():
             for b in range(n + 1 - a):
                 assert diagonal.x3_pair(defect, diagonal.x3_monomial(n, a, b, n - a - b)) == 0
         image = diagonal.x3_to_coh(defect)
-        for a, b in diagonal.PAIRS:
-            dual = diagonal.CohX3Class(n, {(diagonal.PRIM, a, b, 0): Fraction(1)})
-            assert diagonal.coh_pair(image, dual) == 0
+        assert image.is_zero()
 
 
 @criterion(8, "product map has rank one: (1/9) m m h^(i+j) for all valid (i, j), n <= 10")
@@ -168,7 +166,7 @@ def test_criterion_09_oracles():
                         assert direct == rebuilt, (n, m1, m2)
     for n in range(1, 11):
         d = diagonal.xx_diagonal(n)
-        assert diagonal.xx_degree(d * d) == hodge.euler_cubic(n)
+        assert diagonal.degree(d * d) == hodge.euler_cubic(n)
 
 
 @criterion(10, "full verification suite over 1 <= n <= 10 in under 60 seconds")

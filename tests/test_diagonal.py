@@ -17,24 +17,22 @@ from cubicchow.diagonal import (
     FormalCycle,
     X3Class,
     XXClass,
-    coh_pair,
     corrected_small_diagonal,
     cycle_product,
     decomposable_coefficients,
+    degree,
     defect_vanishes_cohomologically,
     primitive_dim,
     primitive_self_pairing,
     push13,
     small_diagonal_coh,
     small_diagonal_defect,
-    x3_degree,
     x3_diagonal,
     x3_monomial,
     x3_pair,
     x3_small_diagonal,
     x3_to_coh,
     xx_basis,
-    xx_degree,
     xx_diagonal,
     xx_diagonal_expansion,
     xx_monomial,
@@ -61,7 +59,7 @@ def test_diagonal_times_top_monomial_vanishes():
 def test_diagonal_self_intersection_is_euler():
     for n in range(1, 11):
         d = xx_diagonal(n)
-        assert xx_degree(d * d) == euler_cubic(n)
+        assert degree(d * d) == euler_cubic(n)
 
 
 def test_diagonal_acts_as_identity_correspondence():
@@ -291,16 +289,17 @@ def test_defect_vanishes_and_pairs_to_zero():
             for b in range(n + 1 - a):
                 dual = x3_monomial(n, a, b, n - a - b)
                 assert x3_pair(defect, dual) == 0
-        image = x3_to_coh(defect)
-        gamma_image = x3_to_coh(corrected_small_diagonal(n))
-        for a, b in PAIRS:
-            dual = CohX3Class(n, {(PRIM, a, b, 0): Fraction(1)})
-            assert coh_pair(image, dual) == 0
-            assert coh_pair(gamma_image, dual) == 0
 
 
-def test_x3_degree_of_top_monomial():
-    assert x3_degree(x3_monomial(2, 2, 2, 2)) == 27
+def test_degree_of_top_monomials():
+    # deg(h1^n ... hs^n) = 3^s on X^s, in every model; lower pieces integrate to 0
+    for n in (1, 2, 5):
+        assert degree(x3_monomial(n, n, n, n)) == 27
+        assert degree(CohX3Class(n, {("m", n, n, n): 1})) == 27
+        assert degree(xx_monomial(n, n, n, Fraction(1, 3))) == 3
+        assert degree(CohXXClass(n, {("m", n, n): 1})) == 9
+        assert degree(x3_monomial(n, n, n, n - 1)) == 0
+        assert degree(xx_diagonal(n)) == 0
 
 
 def test_cycle_product_reproduces_h_powers():
@@ -463,7 +462,7 @@ def test_formal_cycle_holds_its_moment_in_lowest_terms():
     # a product of negative moments keeps a positive denominator too
     out = cycle_product(5, FormalCycle(1, Fraction(-7, 2)), FormalCycle(2, Fraction(5, -3)))
     assert (out.codim, out.num, out.den) == (3, 35, 18)
-    assert FormalCycle(1, 0) == FormalCycle._reduced(1, 0, 27)
+    assert FormalCycle(1, 0) == FormalCycle(1, Fraction(0, 27))
     assert FormalCycle(1, 3) != FormalCycle(2, 3) and FormalCycle(1, 3) != Fraction(3)
     # equality is type-strict: the fields (1, 3, 1) are not the cycle
     assert FormalCycle(1, 3) != (1, 3, 1) and FormalCycle(1, 3) != [1, 3, 1]
@@ -553,38 +552,24 @@ def test_defect_pairing_builds_no_class_per_dual(monkeypatch):
     assert counts["fractions"] < counts["pairs"] / 5, counts
 
 
-def test_coh_pair_rejects_mismatched_operands():
-    a = small_diagonal_coh(3)
+def test_x3_pair_rejects_mismatched_operands():
+    a = x3_small_diagonal(3)
     with pytest.raises(ValueError):
-        coh_pair(a, small_diagonal_coh(4))
+        x3_pair(a, x3_small_diagonal(4))
     with pytest.raises(ValueError):
-        coh_pair(x3_small_diagonal(3), a)
-    with pytest.raises(ValueError):
-        coh_pair(a, x3_small_diagonal(3))
-    # x3_pair refuses the same operands in the same way
-    with pytest.raises(ValueError):
-        x3_pair(x3_small_diagonal(3), x3_small_diagonal(4))
+        x3_pair(a, small_diagonal_coh(3))
 
 
 def test_x3_pair_refuses_the_cohomological_model():
-    # two CohX3Class monomials of complementary degree once paired to 27
+    # two CohX3Class monomials of complementary degree: their product has
+    # degree 27, but they are not Chow classes
     a = CohX3Class(3, {("m", 1, 1, 1): 1})
     b = CohX3Class(3, {("m", 2, 2, 2): 1})
-    assert coh_pair(a, b) == 27
+    assert degree(a * b) == 27
     with pytest.raises(ValueError):
         x3_pair(a, b)
     with pytest.raises(ValueError):
         x3_pair(small_diagonal_coh(3), small_diagonal_coh(3))
-
-
-def test_coh_pair_refuses_the_chow_model():
-    # two X3Class monomials of complementary degree once paired to 27
-    a, b = x3_monomial(3, 1, 1, 1), x3_monomial(3, 2, 2, 2)
-    assert x3_pair(a, b) == 27
-    with pytest.raises(ValueError):
-        coh_pair(a, b)
-    with pytest.raises(ValueError):
-        coh_pair(x3_small_diagonal(3), corrected_small_diagonal(3))
 
 
 def test_canonical_print_forms():
@@ -710,9 +695,9 @@ def test_no_fraction_is_built_per_term(monkeypatch):
     calls = (
         lambda: x + y, lambda: x - y, lambda: x * y, lambda: a + a, lambda: a - a,
         lambda: a * a, lambda: b * b, lambda: b + b, lambda: x3_pair(a, a),
-        lambda: coh_pair(x, y), lambda: xx_to_coh(b), lambda: x3_to_coh(a),
-        lambda: push13(x), lambda: XXClass(n, {k: 1 for k in xx_basis(n)}),
-        lambda: corrected_small_diagonal.__wrapped__(n),
+        lambda: xx_to_coh(b), lambda: x3_to_coh(a), lambda: push13(x),
+        lambda: XXClass(n, {k: 1 for k in xx_basis(n)}),
+        lambda: corrected_small_diagonal(n),
     )
     for i, call in enumerate(calls):
         made.clear()
@@ -770,36 +755,78 @@ def test_defect_pairing_catches_a_perturbed_defect(monkeypatch):
     def perturbed(n):
         return honest(n) + x3_monomial(n, n, n, 0, Fraction(1, 9))
 
-    # the cached image is replaced too, so the check sees one consistent
-    # defect and nothing perturbed is left in a cache
+    # the perturbed defect is not cached: nothing perturbed is left behind
     monkeypatch.setattr(diagonal, "small_diagonal_defect", perturbed)
-    monkeypatch.setattr(diagonal, "defect_image", lambda n: x3_to_coh(perturbed(n)))
     computed, expected = _run_check("diagonal.defect_pairing", n)
-    assert computed != expected
-    assert f"monomial dual (0,0,{n})" in computed
-    assert "primitive dual" not in computed
+    assert computed == f"monomial dual (0,0,{n})" and expected == "ok"
     monkeypatch.undo()
     assert _run_check("diagonal.defect_pairing", n) == ("ok", "ok")
     assert _run_check("diagonal.defect_vanishes", n) == ("ok", "ok")
 
 
-def test_defect_image_is_shared_and_read_only():
-    for n in (1, 4, 9):
-        image = diagonal.defect_image(n)
-        assert image is diagonal.defect_image(n)
-        assert image == x3_to_coh(small_diagonal_defect(n)) and image.is_zero()
-    image = diagonal.defect_image(4)
-    with pytest.raises(TypeError):
-        image.num[("m", 4, 4, 4)] = 1
-    with pytest.raises(TypeError):
-        image.terms[("m", 4, 4, 4)] = Fraction(1)
-    with pytest.raises(AttributeError):
-        image.den = 2
-    with pytest.raises(AttributeError):
-        del image.num
-    assert diagonal.defect_image(4).is_zero()
-    for check_id in ("diagonal.defect_vanishes", "diagonal.defect_pairing"):
-        assert _run_check(check_id, 4) == ("ok", "ok")
+# -- flip tests: one named fault per row that has no flip test above ------------
+
+
+def _self_intersection_off_by_one(monkeypatch):
+    # D * D = ((chi + 1)/9) h1^n h2^n in the Chow model of X^2
+    honest = diagonal.euler_cubic
+    monkeypatch.setattr(diagonal, "euler_cubic", lambda n: honest(n) + 1)
+
+
+def _contraction_doubled(monkeypatch):
+    # d_ab * d_bc = (2/3) h_b^n d_ac; the cached small diagonal is rebuilt under it
+    honest = CohX3Class._term_mul
+
+    def rule(self, k1, k2):
+        out = honest(self, k1, k2)
+        if k1[0] == k2[0] == PRIM:
+            out = {key: 2 * c for key, c in out.items()}
+        return out
+
+    monkeypatch.setattr(CohX3Class, "_term_mul", rule)
+    small_diagonal_coh.cache_clear()
+
+
+def _primitive_leak_into_the_defect_image(monkeypatch):
+    # the cycle-class map adds (1/3) d12 to every image; the decomposable table
+    # is cached before the fault, so the leak reaches only the defect's image
+    honest = diagonal.x3_to_coh
+
+    def leaky(a):
+        return honest(a) + CohX3Class(a.n, {(PRIM, 1, 2, 0): Fraction(1, 3)})
+
+    monkeypatch.setattr(diagonal, "x3_to_coh", leaky)
+
+
+_FAULTS = [  # (row, fault, text of the failure at n = 4, where chi = 27)
+    ("diagonal.euler_self_intersection", _self_intersection_off_by_one, "28"),
+    ("diagonal.kunneth_third", _contraction_doubled, "1/3,2/3,1/3"),
+    ("diagonal.projector_law", _contraction_doubled, " + 2*d"),
+    (
+        "diagonal.defect_vanishes",
+        _primitive_leak_into_the_defect_image,
+        "defect cycle has nonzero image at n=4: 1/3*d12",
+    ),
+]
+
+
+@pytest.mark.parametrize("row, fault, failure", _FAULTS, ids=[row for row, _, _ in _FAULTS])
+def test_diagonal_row_fails_under_a_fault_in_its_route(monkeypatch, row, fault, failure):
+    n = 4
+    honest = _run_check(row, n)  # also warms the caches the fault leaves alone
+    assert honest[0] == honest[1]
+    fault(monkeypatch)
+    try:
+        try:
+            computed = _run_check(row, n)[0]
+        except CheckFailed as exc:
+            computed = str(exc)
+    finally:
+        monkeypatch.undo()
+        for cache in (small_diagonal_coh, decomposable_coefficients, small_diagonal_defect):
+            cache.cache_clear()  # no value built under the fault stays cached
+    assert computed != honest[1] and failure in computed, computed
+    assert _run_check(row, n) == honest
 
 
 def test_diagonal_suite_passes_up_to_24(report_gate):
@@ -815,7 +842,7 @@ def test_x3_pair_matches_product_degree_on_basis():
             a = X3Class(n, {k1: 1})
             for k2 in keys:
                 b = X3Class(n, {k2: 1})
-                assert x3_pair(a, b) == x3_degree(a * b), (n, k1, k2)
+                assert x3_pair(a, b) == degree(a * b), (n, k1, k2)
 
 
 # -- property tests: the cycle-class maps are linear, xx_to_coh multiplicative --
@@ -869,8 +896,8 @@ def test_xx_to_coh_is_multiplicative(classes):
 @given(_classes(X3Class, _x3_basis, 2))
 def test_x3_pair_is_the_degree_of_the_product(classes):
     a, b = classes
-    assert x3_pair(a, b) == x3_degree(a * b)
-    assert x3_pair(b, a) == x3_degree(b * a)
+    assert x3_pair(a, b) == degree(a * b)
+    assert x3_pair(b, a) == degree(b * a)
 
 
 # -- reference: the Fraction implementation the integer models replaced ---------
@@ -1059,20 +1086,6 @@ def _ref_x3_pair(n, a, b):
     return 27 * _ref_mul(_ref_x3_rule, n, a, b).get(("m", n, n, n), _F(0))
 
 
-def _ref_coh_pair(n, a, b):
-    total = _F(0)
-    s = primitive_self_pairing(n)
-    for k1, c1 in a.items():
-        for k2, c2 in b.items():
-            if k1[0] == "m" and k2[0] == "m":
-                if all(e1 + e2 == n for e1, e2 in zip(k1[1:], k2[1:])):
-                    total += 27 * c1 * c2
-            elif k1[0] == PRIM and k2[0] == PRIM:
-                if k1[1:3] == k2[1:3] and k1[3] + k2[3] == n:
-                    total += 3 * s * c1 * c2
-    return total
-
-
 def _coh_xx_basis(n):
     return [k for k in xx_basis(n) if k[0] == "m"] + [(PRIM,)]
 
@@ -1176,8 +1189,7 @@ def test_x3_model_matches_the_fraction_reference(operands):
 @given(_operands(_coh_x3_basis))
 def test_coh_x3_model_matches_the_fraction_reference(operands):
     n, a, b, c = operands
-    x, y = _check_ring_ops(CohX3Class, _ref_coh_x3_rule, n, a, b, c)
-    assert coh_pair(x, y) == _ref_coh_pair(n, a, b)
+    x, _ = _check_ring_ops(CohX3Class, _ref_coh_x3_rule, n, a, b, c)
     assert _agrees(push13(x), _ref_push13(n, a))
 
 

@@ -105,6 +105,16 @@ def test_empty_matrix_needs_column_count():
     assert len(kernel_basis(m)) == 3
 
 
+def test_column_count_must_match_the_rows():
+    with pytest.raises(ValueError, match="cols=3"):
+        MatQ.from_rows([[1, 2]], cols=3)
+    with pytest.raises(ValueError, match="cols=1"):
+        MatQ.from_rows([[1, 2], [3, 4]], cols=1)
+    with pytest.raises(ValueError, match="cols=2"):
+        MatQ.from_rows([[1, 2], [3]])  # ragged rows
+    assert MatQ.from_rows([[1, 2]], cols=2) == MatQ.from_rows([[1, 2]])
+
+
 # -- property test: fraction-free rref against Gauss-Jordan over Fraction --
 
 
