@@ -42,15 +42,13 @@ class Check:
 REGISTRY: list[Check] = []
 
 
-def _register(check_id: str, suite: str, n_min: int, n_max: int | None = None,
-              precondition: str | None = None):
-    if precondition is None:
-        if n_max is None:
-            precondition = f"n >= {n_min}"
-        elif n_min == n_max:
-            precondition = f"n == {n_min}"
-        else:
-            precondition = f"{n_min} <= n <= {n_max}"
+def _register(check_id: str, suite: str, n_min: int, n_max: int | None = None):
+    if n_max is None:
+        precondition = f"n >= {n_min}"
+    elif n_min == n_max:
+        precondition = f"n == {n_min}"
+    else:
+        precondition = f"{n_min} <= n <= {n_max}"
 
     def wrap(fn: CheckFn) -> CheckFn:
         REGISTRY.append(Check(check_id, suite, n_min, n_max, precondition, fn))

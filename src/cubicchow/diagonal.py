@@ -59,7 +59,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .errors import CheckFailed, UnsupportedRange, exact
-from .hodge import euler_cubic, hodge_cubic
+from .hodge import euler_cubic
 from .wpoly import Frozen, SparseSum, format_monomial
 
 Key = tuple
@@ -69,11 +69,6 @@ PAIRS = ((1, 2), (1, 3), (2, 3))
 
 def _third(a: int, b: int) -> int:
     return 6 - a - b
-
-
-def primitive_dim(n: int) -> int:
-    """Dimension of the primitive middle cohomology of the cubic."""
-    return hodge_cubic(n).betti(n) - (1 if n % 2 == 0 else 0)
 
 
 def primitive_self_pairing(n: int) -> int:

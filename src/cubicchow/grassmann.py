@@ -8,11 +8,12 @@ Two independent models of A*(Gr(2, n+2)) are provided:
   of the ideal form a Groebner basis, so the basis monomials x^a y^b
   (a + b <= n) and the integer reducer of every monomial are filled degree
   by degree, without elimination; a normal form is the tuple of coordinates
-  on that basis.  The top degree is spanned by c2^n, so every intersection
-  number of monomials is one read of the top reducer (``pairing``).  As
-  deg(x^(2m) y^(n-m)) is the Catalan number C_m, the degree-k pairing is,
-  with both index orders reversed, a leading block of the Hankel matrix
-  [C_(e+i+j)], e = k mod 2, whose leading minors are all 1;
+  on that basis (``grassmann.basis_dims``, not the ring, counts it against
+  the partitions).  The top degree is spanned by c2^n, so every
+  intersection number of monomials is one read of the top reducer
+  (``pairing``).  As deg(x^(2m) y^(n-m)) is the Catalan number C_m, the
+  degree-k pairing is, with both index orders reversed, a leading block of
+  the Hankel matrix [C_(e+i+j)], e = k mod 2, whose leading minors are all 1;
 * a Schubert-calculus oracle on partitions (a, b) in the n x 2 box, keyed
   by plain (a, b) pairs, with integer coefficients and one Pieri rule
   (``schubert_mul``).  sigma(x^a) takes no Pieri step: the coefficient of
@@ -38,8 +39,8 @@ Giambelli image of the b-shift of sigma(x^a) is the reducer row of x^a y^b.
 
 Also here: Chern classes of symmetric powers of a rank-2 bundle, multiplied
 out from conjugate pairs of roots, and the class of the locus of lines on a
-cubic, 18*c1^2*c2 + 9*c2^2 (the top Chern class of Sym^3 of the dual
-subbundle).
+cubic, read off them: [F] = c4(Sym^3 S*) = 18*c1^2*c2 + 9*c2^2, the top
+Chern class of Sym^3 of the dual subbundle (``fano_poly``).
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import NotTopDegree, UnsupportedRange
-from .linalg import MatQ, rref  # rref: rebound to a guard by the route-independence tests
+from .linalg import MatQ
 from .wpoly import Exponents, WPoly
 
 X = WPoly.variable("x")
@@ -128,10 +129,6 @@ def build_ring(n: int) -> GRing:
     for k in range(2 * n + 1):
         lo = max(0, k - n)  # x^(k-2b) y^b is standard iff b >= lo
         basis = tuple((k - 2 * b, b) for b in range(lo, k // 2 + 1))
-        if len(basis) != partition_count(n, k):
-            raise AssertionError(
-                f"degree {k}: basis size {len(basis)} != partition count"
-            )
         reducer: dict[Exponents, tuple[int, ...]] = {}
         if lo:  # k = n+1+j with j = lo-1: reduce by e_j, then step to e_(j+1)
             if elem.get(lo - 1) != 1:
@@ -152,8 +149,6 @@ def build_ring(n: int) -> GRing:
             reducer[mono] = tuple(int(i == j) for j in range(len(basis)))
         bases.append(basis)
         reducers.append(MappingProxyType(reducer))
-    if len(bases[2 * n]) != 1:
-        raise AssertionError("top degree is not one-dimensional")
     return GRing(n, tuple(bases), tuple(reducers))
 
 
@@ -319,8 +314,8 @@ def sym_power_chern(m: int) -> tuple[WPoly, ...]:
 
 
 def fano_poly() -> WPoly:
-    """18*x^2*y + 9*y^2, the class of the lines on a cubic inside the ring."""
-    return WPoly({(2, 1): 18, (0, 2): 9})
+    """[F] = c4(Sym^3 S*) = 18*x^2*y + 9*y^2, the class of the lines on a cubic."""
+    return sym_power_chern(3)[4]
 
 
 def pairing(ring: GRing, k: int, weight: WPoly | None = None) -> MatQ:

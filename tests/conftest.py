@@ -33,3 +33,21 @@ def assert_rows_match_reference(results, workload):
 @pytest.fixture
 def report_gate():
     return assert_rows_match_reference
+
+
+def report_row(check_id, n):
+    """The report row of one registered check at one n, as ``verify`` makes it.
+
+    A check that raises gives a ``fail`` row whose computed string starts
+    with ``error:``; a check whose two routes disagree gives one that does not.
+    """
+    from cubicchow.checks import REGISTRY
+    from cubicchow.cli import _execute
+
+    (check,) = [c for c in REGISTRY if c.check_id == check_id]
+    return _execute(check, n)
+
+
+@pytest.fixture
+def row_at():
+    return report_row

@@ -275,7 +275,6 @@ def test_layer_tracer_reaches_every_binding(tmp_path, args):
 IDLE_IN_VERIFY = {
     "cli.console_main",
     "cli.results_from_json",
-    "diagonal.primitive_dim",
     "diagonal.x3_diagonal",
     "diagonal.x3_monomial",
     "diagonal.x3_pair",

@@ -22,7 +22,6 @@ from cubicchow.diagonal import (
     decomposable_coefficients,
     degree,
     defect_vanishes_cohomologically,
-    primitive_dim,
     primitive_self_pairing,
     push13,
     small_diagonal_coh,
@@ -142,11 +141,9 @@ def test_cycle_class_map_injective_on_basis():
 
 def test_primitive_self_pairing_matches_hodge_data():
     for n in range(1, 11):
-        expected = (-1) ** n * primitive_dim(n)
-        assert primitive_self_pairing(n) == expected
-        assert primitive_dim(n) == sum(
-            m for (k, _, _), m in hodge_cubic(n).entries.items() if k == n
-        ) - (1 if n % 2 == 0 else 0)
+        # the middle Betti number less h^n's power, if n is even
+        dim = hodge_cubic(n).betti(n) - (1 if n % 2 == 0 else 0)
+        assert primitive_self_pairing(n) == (-1) ** n * dim
 
 
 def test_x3_product_of_distinct_diagonals_is_small_diagonal():

@@ -194,7 +194,7 @@ def test_fano_class_values():
 
 
 def test_fano_class_equals_sym3_top():
-    assert fano_poly() == sym_power_chern(3)[4]
+    assert fano_poly() == WPoly({(2, 1): 18, (0, 2): 9})
 
 
 def test_poincare_pairing_invertible():
@@ -302,7 +302,6 @@ def test_schubert_route_is_independent_of_the_quotient_ring(monkeypatch):
             (grassmann, "build_ring"),
             (grassmann, "normal_form"),
             (grassmann, "coords"),
-            (grassmann, "rref"),
             (linalg, "rref"),
         ):
             patch.setattr(module, name, _refuse)
@@ -611,7 +610,6 @@ def test_sigma11_shift_of_x_power_products_is_the_full_product(monkeypatch):
         for module, name in (
             (grassmann, "build_ring"),
             (grassmann, "normal_form"),
-            (grassmann, "rref"),
             (linalg, "rref"),
         ):
             patch.setattr(module, name, _refuse)
@@ -762,3 +760,69 @@ def test_pieri_oracle_catches_a_perturbed_closed_form(monkeypatch):
     assert failing == list(range(2, 8))  # sigma(x^3) leaves the box at n = 1
     assert "mismatch at (1, 0)*(2, 0)" in check.fn(4)[0]
 
+
+def test_basis_dims_alone_fails_on_a_wrong_partition_count(monkeypatch, row_at):
+    # build_ring asserts no basis size, so a partition count one too large at
+    # k = 2 fails the row that compares the two, and the rows that read the
+    # ring pass
+    honest = grassmann.partition_count
+    monkeypatch.setattr(grassmann, "partition_count", lambda n, k: honest(n, k) + (k == 2))
+    build_ring.cache_clear()
+    try:
+        rows = {
+            (check_id, n): row_at(check_id, n)
+            for check_id in (
+                "grassmann.basis_dims",
+                "grassmann.degree_catalan",
+                "grassmann.poincare_pairing",
+            )
+            for n in (1, 4, 7)
+        }
+    finally:
+        monkeypatch.undo()
+        build_ring.cache_clear()
+    for (check_id, n), row in rows.items():
+        if check_id == "grassmann.basis_dims":
+            # a comparison of the true sizes, not an ``error:`` row
+            assert row.status == "fail", row
+            assert row.computed == str([honest(n, k) for k in range(2 * n + 1)]), row
+        else:
+            assert row.status == "pass", row
+    assert row_at("grassmann.basis_dims", 4).status == "pass"
+
+
+def test_every_lines_row_reads_the_computed_fano_class(monkeypatch, row_at):
+    # fano_poly() is sym_power_chern(3)[4]: adding x^2 y - 2 y^2 to it moves
+    # sym_cubic_class, deg [F] = 27 on Gr(2, 4) and deg(c2 [F]) = 27 on
+    # Gr(2, 5); deg(c1^2 [F]) = 45 does not see it (2 - 2 = 0 there)
+    honest = grassmann.sym_power_chern
+    delta = WPoly({(2, 1): 1, (0, 2): -2})
+
+    def perturbed(m):
+        chern = honest(m)
+        return chern[:4] + (chern[4] + delta,) if m == 3 else chern
+
+    monkeypatch.setattr(grassmann, "sym_power_chern", perturbed)
+    try:
+        rows = {
+            check_id: row_at(check_id, n)
+            for check_id, n in (
+                ("grassmann.sym_cubic_class", 1),
+                ("fano.lines_count", 2),
+                ("fano.surface_c2", 3),
+                ("fano.surface_g2", 3),
+            )
+        }
+    finally:
+        monkeypatch.undo()
+        fano_pairing.cache_clear()  # no pairing built under the fault stays cached
+    failed = {
+        "grassmann.sym_cubic_class": "19*x^2*y + 7*y^2",
+        "fano.lines_count": "26",
+        "fano.surface_c2": "26",
+    }
+    for check_id, computed in failed.items():  # comparisons, not ``error:`` rows
+        row = rows[check_id]
+        assert (row.status, row.computed) == ("fail", computed), row
+    assert rows["fano.surface_g2"].status == "pass", rows["fano.surface_g2"]
+    assert row_at("fano.lines_count", 2).status == "pass"

@@ -336,7 +336,6 @@ def test_fano_diamond_guards_each_fail(monkeypatch):
         ((2, 1, 1), 1, NonIntegralResult, "does not divide the numerator at n=4"),
         ((4, 2, 2), -2, CheckFailed, "negative multiplicity at (p,q)=(0,0) for n=4"),
         ((14, 7, 7), 1, CheckFailed, "entry (5,5) beyond dimension 4 for n=4"),
-        ((12, 6, 6), 1, CheckFailed, "top coefficient 2 != 1 at n=4"),
         ((7, 4, 3), 1, CheckFailed, "invalid diamond for the variety of lines at n=4"),
     )
     fano_diamond.cache_clear()
@@ -351,3 +350,56 @@ def test_fano_diamond_guards_each_fail(monkeypatch):
         monkeypatch.undo()
         fano_diamond.cache_clear()
     assert fano_diamond(n).get(8, 4, 4) == 1
+
+
+def test_euler_consistency_fails_alone_on_a_wrong_hodge_number(monkeypatch, row_at):
+    # one more h^(2,1) at n = 3 moves the Betti route to -7; euler_cubic keeps
+    # the Chern route's -6, so the row that compares the two fails as a
+    # comparison, and the diagonal's D * D, which reads the Chern route, passes
+    honest = hodge.primitive_hodge_numbers
+
+    def perturbed(n):
+        numbers = honest(n)
+        if n == 3:
+            numbers[(2, 1)] += 1
+        return numbers
+
+    caches = (hodge_cubic, euler_cubic)
+    monkeypatch.setattr(hodge, "primitive_hodge_numbers", perturbed)
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        consistency = row_at("hodge.euler_consistency", 3)
+        self_intersection = row_at("diagonal.euler_self_intersection", 3)
+    finally:
+        monkeypatch.undo()
+        for cache in caches:
+            cache.cache_clear()  # no diamond built under the fault stays cached
+    # a comparison, not an ``error:`` row
+    assert (consistency.status, consistency.computed, consistency.expected) == (
+        "fail",
+        "-6",
+        "-7",
+    ), consistency
+    assert self_intersection.status == "pass", self_intersection
+    assert row_at("hodge.euler_consistency", 3).status == "pass"
+
+
+def test_fano_dimension_reads_the_top_entry_of_the_diamond(monkeypatch, row_at):
+    # one more class in the Hilbert square at (12, 6, 6) lands on the top
+    # entry (8, 4, 4) of the diamond of F at n = 4; no library guard reads it
+    n = 4
+    perturbed = hilb2_diamond(n) + HodgeDiamond({(12, 6, 6): 1})
+    monkeypatch.setattr(hodge, "hilb2_diamond", lambda n: perturbed)
+    fano_diamond.cache_clear()
+    try:
+        row = row_at("hodge.fano_dimension", n)
+    finally:
+        monkeypatch.undo()
+        fano_diamond.cache_clear()
+    assert (row.status, row.computed, row.expected) == (
+        "fail",
+        "top_degree=8,top_multiplicity=2",
+        "top_degree=8,top_multiplicity=1",
+    ), row
+    assert row_at("hodge.fano_dimension", n).status == "pass"
