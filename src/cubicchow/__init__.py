@@ -41,6 +41,7 @@ from .diagonal import (
     CohX3Class,
     corrected_small_diagonal,
     cycle_product,
+    cycle_products,
     decomposable_coefficients,
     defect_vanishes_cohomologically,
     small_diagonal_coh,

@@ -360,13 +360,10 @@ def _defect_vanishes(n: int):
 @_register("diagonal.defect_pairing", "diagonal", 1)
 def _defect_pairing(n: int):
     defect = diagonal.small_diagonal_defect(n)
-    pair = diagonal._x3_pair_key  # deg(defect * key) over defect.den; no class per dual
-    failures = []
-    for a in range(n + 1):
-        for b in range(n + 1 - a):
-            if pair(defect, (diagonal.MONO, a, b, n - a - b)):  # deg(defect * dual) != 0
-                failures.append(f"monomial dual ({a},{b},{n - a - b})")
-    return _ok(failures)
+    duals = [(a, b, n - a - b) for a in range(n + 1) for b in range(n + 1 - a)]
+    # deg(defect * dual) over defect.den, one reader call; no class per dual
+    values = diagonal._x3_pair_keys(defect, [(diagonal.MONO, *e) for e in duals])
+    return _ok([f"monomial dual ({a},{b},{c})" for (a, b, c), v in zip(duals, values) if v])
 
 
 @_register("diagonal.symmetry", "diagonal", 1)
@@ -397,25 +394,27 @@ def _interior_coefficient(n: int):
 def _product_rank_one(n: int):
     failures = []
     moments = (Fraction(3), Fraction(7, 2), Fraction(-5, 3))
-    # cycles[s][c]: codimension c, moment moments[s]; moment 3 is h^c itself
-    cycles = [
-        [None] + [diagonal.FormalCycle(c, m) for c in range(1, n)] for m in moments
-    ]
+    # cycles[c][s]: codimension c, moment moments[s]; moment 3 is h^c itself
+    cycles = [None] + [tuple(diagonal.FormalCycle(c, m) for m in moments) for c in range(1, n)]
     # (1/9) m_alpha m_beta h^(i+j) has moment m_alpha m_beta / 3, as deg h^n = 3;
     # kept as the (num, den) pair of a FormalCycle
-    scaled = [[(ma * mb / 3).as_integer_ratio() for mb in moments] for ma in moments]
-    units = cycles[0]
-    product = diagonal.cycle_product
+    scaled = [(ma * mb / 3).as_integer_ratio() for ma in moments for mb in moments]
+    # expected[c]: the fields of the grid's entries, row by row, in codimension c
+    expected = [[(c, num, den) for num, den in scaled] for c in range(n)]
+    products = diagonal.cycle_products
     for i in range(1, n):
+        alphas = cycles[i]
         for j in range(1, n - i):
-            if product(n, units[i], units[j]) != units[i + j]:
+            grid = products(n, alphas, cycles[j])
+            if grid[0][0] != cycles[i + j][0]:  # h^i * h^j
                 failures.append(f"h^{i} * h^{j} != h^{i + j}")
-            for alphas, row in zip(cycles, scaled):
-                alpha = alphas[i]
-                for betas, (num, den) in zip(cycles, row):
-                    out = product(n, alpha, betas[j])
-                    if (out.codim, out.num, out.den) != (i + j, num, den):
-                        failures.append(f"moment scaling fails at ({i},{j})")
+            fields = [(out.codim, out.num, out.den) for row in grid for out in row]
+            if fields != expected[i + j]:
+                failures += [
+                    f"moment scaling fails at ({i},{j})"
+                    for got, want in zip(fields, expected[i + j])
+                    if got != want
+                ]
     return _ok(failures)
 
 

@@ -106,8 +106,30 @@ def emit(results: list[CheckResult], fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+_ROW_TYPES = {"check_id": str, "n": int, "status": str, "computed": str, "expected": str,
+              "elapsed_ms": int}
+_STATUSES = ("pass", "fail", "skipped")
+
+
 def results_from_json(text: str) -> list[CheckResult]:
-    return [CheckResult(**row) for row in json.loads(text)]
+    """The rows of a ``--format json`` report; ``ValueError`` on any other text.
+
+    A report is a list of objects with exactly the six fields of
+    ``CheckResult``, each of its type (an ``int`` field refuses a ``bool``),
+    and a status of pass, fail or skipped.
+    """
+    rows = json.loads(text)
+    if type(rows) is not list:
+        raise ValueError("a report is a JSON list of rows")
+    for row in rows:
+        if type(row) is not dict or row.keys() != _ROW_TYPES.keys():
+            raise ValueError(f"a report row has exactly the fields {list(_ROW_TYPES)}: {row!r}")
+        for field, kind in _ROW_TYPES.items():
+            if type(row[field]) is not kind:
+                raise ValueError(f"field {field!r} must be {kind.__name__}: {row!r}")
+        if row["status"] not in _STATUSES:
+            raise ValueError(f"status must be one of {', '.join(_STATUSES)}: {row!r}")
+    return [CheckResult(**row) for row in rows]
 
 
 def exit_code(results: list[CheckResult]) -> int:

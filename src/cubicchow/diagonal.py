@@ -33,11 +33,12 @@ monomial times its degree, 3^s on X^s.  On X^3 the one pairing is the
 Chow-side ``x3_pair(a, b)``, read off by Poincare duality: it sums only the
 term pairs whose codimensions add up to 3n, without forming the product
 a * b, and takes ``X3Class`` classes only (``ValueError`` on any other).
-It is a sum, over the terms of the smaller operand, of one per-key reader,
-``_x3_pair_key(a, key)``: the integer numerator of deg(a * key) over
-``a.den``.  A caller that pairs a class against many single keys (the
-``defect_pairing`` check) calls the reader directly and builds no class per
-key.
+It reads the terms of the smaller operand through one many-key reader,
+``_x3_pair_keys(a, keys)``: the integer numerators of deg(a * key) over
+``a.den``, in key order, with the partners of monomial keys of one degree
+looked up once.  A caller that pairs a class against many single keys (the
+``defect_pairing`` check) calls the reader directly, once, and builds no
+class per key.
 
 On top of the models: the decomposable coefficients of the small diagonal
 after removing its axis corrections, the vanishing of the resulting
@@ -46,8 +47,10 @@ positive-codimension cycle classes is (1/9) * m_alpha * m_beta * h^(i+j),
 a rank-1 image, on integers: the decomposable table is numerators over one
 denominator, and ``cycle_product`` returns a ``FormalCycle`` (a cycle on X:
 codimension i + j and moment m_alpha * m_beta / 3, held as num / den).
-``cycle_product`` builds its result inline, through the three slot setters
-of ``FormalCycle`` bound once at import: one gcd and one object per call.
+``cycle_products`` evaluates a whole grid of such products in one call,
+reading the table and the operand fields once, and builds each entry
+through the three slot setters of ``FormalCycle`` bound once at import: one
+gcd and one object per product.  ``cycle_product`` is its 1 x 1 case.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import mul
 from types import MappingProxyType
 from typing import Mapping
 
@@ -349,52 +353,61 @@ def x3_small_diagonal(n: int, coeff=1) -> X3Class:
 def x3_pair(a: X3Class, b: X3Class) -> Fraction:
     """deg(a * b), read off by Poincare duality without forming the product.
 
-    The numerator over ``a.den * b.den`` sums ``_x3_pair_key`` over the terms
-    of the smaller operand, each times its numerator.
+    The numerator over ``a.den * b.den`` pairs the larger operand with every
+    key of the smaller through ``_x3_pair_keys`` and sums the results, each
+    times its numerator.
     """
     if type(a) is not X3Class:
         raise ValueError("x3_pair pairs X3Class classes only")
     a._check(b)
     if len(a.num) < len(b.num):
         a, b = b, a
-    return Fraction(sum(c * _x3_pair_key(a, key) for key, c in b.num.items()), a.den * b.den)
+    values = _x3_pair_keys(a, b.num)
+    return Fraction(sum(map(mul, b.num.values(), values)), a.den * b.den)
 
 
-def _x3_pair_key(a: X3Class, key: Key) -> int:
-    """The numerator of deg(a * key) over ``a.den``, for one basis key of X^3.
+def _x3_pair_keys(a: X3Class, keys) -> list[int]:
+    """The numerators of deg(a * key) over ``a.den``, in the order of ``keys``.
 
     The model is graded (a key has codimension i + j + k, n + m or 2n) and
-    only the (n, n, n) entry of the product is read, so the key meets few
-    terms of ``a``.  A monomial of degree d meets its complementary monomial
-    (one lookup, degree one), the decorated diagonals D_ab * h_c^(2n - d) and,
-    for d = n, D3; a diagonal key meets every term.  The diagonal pairs go
-    through ``X3Class._term_mul``, so the product rules stay in one place;
-    its numerators are over 27 = deg(h1^n h2^n h3^n), so they are the
-    degrees.  No class is built for the key, and the key is not checked.
+    only the (n, n, n) entry of a product is read, so a key meets few terms
+    of ``a``.  A monomial of degree d meets its complementary monomial (one
+    lookup, degree one), the decorated diagonals D_ab * h_c^(2n - d) and,
+    for d = n, D3; those partners are looked up in ``a`` once per degree and
+    shared by every monomial key of that degree.  A diagonal key meets every
+    term.  The diagonal pairs go through ``X3Class._term_mul``, so the
+    product rules stay in one place; its numerators are over
+    27 = deg(h1^n h2^n h3^n), so they are the degrees.  No class is built
+    for a key, and the keys are not checked.
     """
     n = a.n
     big = a.num
-    if key[0] == MONO:
-        _, i, j, k = key
-        total = 27 * big.get((MONO, n - i, n - j, n - k), 0)
-        m = 2 * n - i - j - k
-        if not 0 <= m <= n:
-            return total
-        partners = [(DIAG, p, q, m) for p, q in PAIRS]
-        if m == n:
-            partners.append((SMALL,))
-    else:
-        total = 0
-        partners = big
-    top = (MONO, n, n, n)
+    get = big.get
     term_mul = a._term_mul
-    for k1 in partners:
-        c1 = big.get(k1)
-        if c1 is not None:
+    top = (MONO, n, n, n)
+    every = big.items()
+    by_degree: dict[int, list] = {}  # 2n - d -> the diagonal terms of a it meets
+    out = []
+    for key in keys:
+        if key[0] == MONO:
+            _, i, j, k = key
+            total = 27 * get((MONO, n - i, n - j, n - k), 0)
+            m = 2 * n - i - j - k
+            partners = by_degree.get(m)
+            if partners is None:
+                candidates = [(DIAG, p, q, m) for p, q in PAIRS] if 0 <= m <= n else []
+                if m == n:
+                    candidates.append((SMALL,))
+                partners = by_degree[m] = [(k1, big[k1]) for k1 in candidates if k1 in big]
+        else:
+            total = 0
+            partners = every
+        for k1, c1 in partners:
             v = term_mul(k1, key).get(top)
             if v is not None:
                 total += c1 * v
-    return total
+        out.append(total)
+    return out
 
 
 class CohX3Class(_FormalSum):
@@ -583,10 +596,16 @@ _set_den = FormalCycle.__dict__["den"].__set__
 
 
 def cycle_product(n: int, alpha: FormalCycle, beta: FormalCycle) -> FormalCycle:
-    """Product of two formal cycles through the small-diagonal decomposition.
+    """Product of two formal cycles: the 1 x 1 case of :func:`cycle_products`."""
+    return cycle_products(n, (alpha,), (beta,))[0][0]
 
-    Evaluates the pushforward to the third slot of
-    pi1* alpha * pi2* beta * (corrected small diagonal):
+
+def cycle_products(n: int, alphas, betas) -> list[list[FormalCycle]]:
+    """Products of formal cycles through the small-diagonal decomposition.
+
+    Returns the grid of ``alpha * beta`` for every alpha in ``alphas`` and
+    every beta in ``betas``, row by row.  Each entry is the pushforward to the
+    third slot of pi1* alpha * pi2* beta * (corrected small diagonal):
 
     * the D12 * h3^n correction integrates alpha * beta over X^2 and dies
       because its codimension n + i + j is below 2n (i + j < n);
@@ -601,19 +620,32 @@ def cycle_product(n: int, alpha: FormalCycle, beta: FormalCycle) -> FormalCycle:
     The product is entry * m_alpha * m_beta * h^(i+j), a multiple of one
     class; as deg h^n = 3, its moment is three times its coefficient: for
     the entry t / den, 3 t num_alpha num_beta / (den den_alpha den_beta),
-    reduced by one gcd.
+    reduced by one gcd.  The table and the fields of each beta are read once
+    per grid, the fields of each alpha once per row, and each entry is built
+    in one step through the slot setters of ``FormalCycle``.  The first pair
+    out of range, in row order, raises ``UnsupportedRange``.
     """
-    i, j = alpha.codim, beta.codim
-    if not (0 < i and 0 < j and i + j < n):
-        raise UnsupportedRange(
-            f"cycle_product needs 0 < i, 0 < j, i + j < n; got i={i}, j={j}, n={n}"
-        )
-    table, den = decomposable_coefficients(n)
-    num = 3 * table[(n - i, n - j, i + j)] * alpha.num * beta.num
-    den *= alpha.den * beta.den
-    g = gcd(num, den)
-    out = _new_cycle(FormalCycle)
-    _set_codim(out, i + j)
-    _set_num(out, num // g)
-    _set_den(out, den // g)
-    return out
+    # no pair of positive codimensions is in range below n = 3, and the
+    # table needs n >= 1: the range check below raises first
+    table, den = decomposable_coefficients(n) if n >= 3 else (None, 1)
+    fields = [(beta.codim, beta.num, beta.den) for beta in betas]
+    new, set_codim, set_num, set_den = _new_cycle, _set_codim, _set_num, _set_den
+    grid = []
+    for alpha in alphas:
+        i, num_a, den_a = alpha.codim, 3 * alpha.num, den * alpha.den
+        row = []
+        for j, num_b, den_b in fields:
+            if not (0 < i and 0 < j and i + j < n):
+                raise UnsupportedRange(
+                    f"cycle_product needs 0 < i, 0 < j, i + j < n; got i={i}, j={j}, n={n}"
+                )
+            num = table[(n - i, n - j, i + j)] * num_a * num_b
+            d = den_a * den_b
+            g = gcd(num, d)
+            out = new(FormalCycle)
+            set_codim(out, i + j)
+            set_num(out, num // g)
+            set_den(out, d // g)
+            row.append(out)
+        grid.append(row)
+    return grid

@@ -49,7 +49,7 @@ class Frozen:
     """Base of the value types shared through caches: no attribute writes.
 
     A write to a cached value would poison every later computation in the
-    process, so attributes are set once with ``object.__setattr__`` and
+    process, so attributes are set once, through their slot setters, and
     rebinding or deleting one raises ``AttributeError``.
     """
 
@@ -69,20 +69,25 @@ def format_monomial(names: Iterable[str], exps: Iterable[int]) -> str:
     )
 
 
-def signed_sum(terms: Iterable[tuple[str, object]]) -> str:
-    """Canonical text of nonzero (body, coefficient) pairs, in the given order.
+def signed_sum(terms: Iterable[tuple[str, int]], den: int) -> str:
+    """Canonical text of nonzero (body, numerator) pairs over ``den > 0``.
 
-    A magnitude 1 is left out before a nonempty body; the first term carries
-    a bare ``-`` and later ones `` + `` or `` - ``; no terms print ``0``.
+    Each coefficient ``numerator / den`` is reduced by one gcd and printed as
+    ``p`` or ``p/q``, in the given order.  A magnitude 1 is left out before a
+    nonempty body; the first term carries a bare ``-`` and later ones `` + ``
+    or `` - ``; no terms print ``0``.
     """
     pieces = []
-    for body, c in terms:
-        mag = abs(c)
-        text = body if (body and mag == 1) else (f"{mag}*{body}" if body else str(mag))
+    for body, num in terms:
+        g = gcd(num, den)
+        mag = abs(num) // g
+        text = str(mag) if g == den else f"{mag}/{den // g}"
+        if body:
+            text = body if text == "1" else f"{text}*{body}"
         if pieces:
-            pieces.append(f"+ {text}" if c > 0 else f"- {text}")
+            pieces.append(f"+ {text}" if num > 0 else f"- {text}")
         else:
-            pieces.append(text if c > 0 else f"-{text}")
+            pieces.append(text if num > 0 else f"-{text}")
     return " ".join(pieces) if pieces else "0"
 
 
@@ -95,7 +100,8 @@ class SparseSum(Frozen):
     context.  Subclasses validate keys in ``__new__`` and build through
     ``_exact``; arithmetic results come from the unvalidated ``_reduced``.
     The text lists the terms in the order of the subclass's
-    ``_sort_key(key)``, as ``_format_term(key, c)`` pairs.
+    ``_sort_key(key)``, as ``_format_term(key, c)`` pairs of a body and an
+    integer numerator, which ``signed_sum`` prints over ``den``.
     """
 
     __slots__ = ("ctx", "num", "den")
@@ -111,13 +117,16 @@ class SparseSum(Frozen):
 
     @classmethod
     def _reduced(cls, ctx, num: dict, den: int):
-        """The sum ``num / den`` (``den > 0``), brought to normal form."""
+        """The sum ``num / den`` (``den > 0``), brought to normal form.
+
+        One gcd reduces it, and its three slots are set through the setters
+        bound once at import, below the class.
+        """
         g = gcd(den, *num.values())  # equals den when every numerator is 0
-        num = {key: c // g for key, c in num.items() if c}
-        out = object.__new__(cls)
-        object.__setattr__(out, "ctx", ctx)
-        object.__setattr__(out, "num", MappingProxyType(num))
-        object.__setattr__(out, "den", den // g)
+        out = _new_sum(cls)
+        _set_ctx(out, ctx)
+        _set_num(out, MappingProxyType({key: c // g for key, c in num.items() if c}))
+        _set_den(out, den // g)
         return out
 
     @property
@@ -172,14 +181,21 @@ class SparseSum(Frozen):
         return hash((type(self), self.ctx, self.den, frozenset(self.num.items())))
 
     def __str__(self) -> str:
-        num, den = self.num, self.den
+        num = self.num
         return signed_sum(
-            self._format_term(key, num[key] if den == 1 else Fraction(num[key], den))
-            for key in sorted(num, key=self._sort_key)
+            (self._format_term(key, num[key]) for key in sorted(num, key=self._sort_key)),
+            self.den,
         )
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self})"
+
+
+# one-step construction: the slot setters bypass Frozen.__setattr__, bound once
+_new_sum = object.__new__
+_set_ctx = SparseSum.__dict__["ctx"].__set__
+_set_num = SparseSum.__dict__["num"].__set__
+_set_den = SparseSum.__dict__["den"].__set__
 
 
 class WPoly(SparseSum):

@@ -70,6 +70,53 @@ def test_json_roundtrip():
     assert results_from_json(text) == results
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{}",
+        '{"check_id": "x", "n": 1, "status": "pass", "computed": "", "expected": "", '
+        '"elapsed_ms": 0}',
+        "[1]",
+        '[{"check_id": "x", "n": "1", "status": "maybe", "computed": "", "expected": "", '
+        '"elapsed_ms": 1.5}]',
+        '[{"check_id": "x", "n": "1", "status": "pass", "computed": "", "expected": "", '
+        '"elapsed_ms": 0}]',
+        '[{"check_id": "x", "n": 1, "status": "maybe", "computed": "", "expected": "", '
+        '"elapsed_ms": 0}]',
+        '[{"check_id": "x", "n": 1, "status": "pass", "computed": "", "expected": "", '
+        '"elapsed_ms": 1.5}]',
+        '[{"check_id": "x", "n": true, "status": "pass", "computed": "", "expected": "", '
+        '"elapsed_ms": 0}]',
+        '[{"check_id": "x", "n": 1, "status": "pass", "computed": "", "expected": "", '
+        '"elapsed_ms": false}]',
+        '[{"check_id": 7, "n": 1, "status": "pass", "computed": "", "expected": "", '
+        '"elapsed_ms": 0}]',
+        '[{"check_id": "x", "n": 1, "status": "pass", "computed": "", "expected": null, '
+        '"elapsed_ms": 0}]',
+        '[{"check_id": "x", "n": 1, "status": "pass", "computed": "", "expected": ""}]',
+        '[{"check_id": "x", "n": 1, "status": "pass", "computed": "", "expected": "", '
+        '"elapsed_ms": 0, "extra": 1}]',
+    ],
+)
+def test_results_from_json_refuses_a_malformed_report(text):
+    # '{}' once read as no rows, a row of wrong types was accepted, and a
+    # missing or extra field raised TypeError
+    with pytest.raises(ValueError):
+        results_from_json(text)
+
+
+def test_results_from_json_reads_every_status():
+    text = json.dumps(
+        [
+            {"check_id": "x", "n": 1, "status": s, "computed": "", "expected": "",
+             "elapsed_ms": 0}
+            for s in ("pass", "fail", "skipped")
+        ]
+    )
+    assert [r.status for r in results_from_json(text)] == ["pass", "fail", "skipped"]
+    assert results_from_json("[]") == []
+
+
 def test_emit_empty_and_exit_codes():
     assert emit([], "json") == "[]"
     assert exit_code([]) == 0
@@ -267,7 +314,7 @@ def test_layer_tracer_reaches_every_binding(tmp_path, args):
     assert report["unpatched"] == []
     if "diagonal" in args:
         assert report["spans"]["wpoly.mul"]["calls"] == 0
-        assert report["spans"]["diagonal.cycle_product"]["calls"] > 0
+        assert report["spans"]["diagonal.cycle_products"]["calls"] > 0
 
 
 # public functions that no verify run calls: entry points and readers kept for
@@ -275,6 +322,7 @@ def test_layer_tracer_reaches_every_binding(tmp_path, args):
 IDLE_IN_VERIFY = {
     "cli.console_main",
     "cli.results_from_json",
+    "diagonal.cycle_product",
     "diagonal.x3_diagonal",
     "diagonal.x3_monomial",
     "diagonal.x3_pair",

@@ -19,6 +19,7 @@ from cubicchow.diagonal import (
     XXClass,
     corrected_small_diagonal,
     cycle_product,
+    cycle_products,
     decomposable_coefficients,
     degree,
     defect_vanishes_cohomologically,
@@ -40,7 +41,7 @@ from cubicchow.diagonal import (
 from cubicchow.errors import CheckFailed, UnsupportedRange
 from cubicchow.grassmann import complete_symmetric
 from cubicchow.hodge import euler_cubic, hodge_cubic
-from cubicchow.wpoly import format_monomial, signed_sum
+from cubicchow.wpoly import WPoly, format_monomial, signed_sum
 
 
 def test_diagonal_times_hyperplane_example():
@@ -492,43 +493,83 @@ def test_cycle_product_matches_the_fraction_law(n, ma, mb):
             assert out == FormalCycle(i + j, Fraction(ma) * mb / 3), (n, i, j)
 
 
+@st.composite
+def _cycle_grids(draw):
+    # codimensions all in range, or up to n so that some pairs fall out of it
+    n = draw(st.integers(min_value=0, max_value=12))
+    top = max(1, draw(st.sampled_from(((n - 1) // 2, n))))
+    cycles = st.builds(FormalCycle, st.integers(1, top), _MOMENTS)
+    return n, draw(st.lists(cycles, max_size=4)), draw(st.lists(cycles, max_size=4))
+
+
+@settings(max_examples=80)
+@given(_cycle_grids())
+def test_cycle_products_match_the_fraction_law_pair_by_pair(grid):
+    n, alphas, betas = grid
+    bad = [(a, b) for a in alphas for b in betas if not a.codim + b.codim < n]
+    if bad:
+        # the first pair out of range, in row order, raises as it does alone
+        alpha, beta = bad[0]
+        text = (
+            "cycle_product needs 0 < i, 0 < j, i + j < n; "
+            f"got i={alpha.codim}, j={beta.codim}, n={n}"
+        )
+        for call in (lambda: cycle_products(n, alphas, betas), lambda: cycle_product(n, alpha, beta)):
+            with pytest.raises(UnsupportedRange) as info:
+                call()
+            assert str(info.value) == text
+        return
+    out = cycle_products(n, alphas, betas)
+    assert [len(row) for row in out] == [len(betas)] * len(alphas)
+    for alpha, row in zip(alphas, out):
+        for beta, product in zip(betas, row):
+            # (1/9) m_alpha m_beta h^(i+j), whose moment is m_alpha m_beta / 3
+            law = FormalCycle(alpha.codim + beta.codim, alpha.moment * beta.moment / 3)
+            assert product == law, (n, alpha, beta)
+
+
 def test_product_rank_one_builds_few_fractions(monkeypatch):
     # the check's loop runs on integers: a Fraction is built for each of its
-    # constants, not for each cycle_product call (a count, not a timing)
+    # constants, not for each product (a count, not a timing); one 3 x 3 grid
+    # per (i, j) holds h^i * h^j as its entry of moments (3, 3)
     n = 12
     assert _run_check("diagonal.product_rank_one", n) == ("ok", "ok")  # warm caches
-    honest_product, honest_new = diagonal.cycle_product, Fraction.__new__
-    counts = {"products": 0, "fractions": 0}
+    honest_products, honest_new = diagonal.cycle_products, Fraction.__new__
+    counts = {"grids": 0, "products": 0, "fractions": 0}
 
-    def product(*args):
-        counts["products"] += 1
-        return honest_product(*args)
+    def products(*args):
+        grid = honest_products(*args)
+        counts["grids"] += 1
+        counts["products"] += sum(map(len, grid))
+        return grid
 
     def new(cls, *args, **kwargs):
         counts["fractions"] += 1
         return honest_new(cls, *args, **kwargs)
 
-    monkeypatch.setattr(diagonal, "cycle_product", product)
+    monkeypatch.setattr(diagonal, "cycle_products", products)
     monkeypatch.setattr(Fraction, "__new__", staticmethod(new))
     result = _run_check("diagonal.product_rank_one", n)
     monkeypatch.undo()
     assert result == ("ok", "ok")
-    assert counts["products"] == 550
+    assert counts["grids"] == 55  # one per (i, j) with i, j >= 1 and i + j < n
+    assert counts["products"] == 495
     assert counts["fractions"] < counts["products"] / 5, counts
 
 
 def test_defect_pairing_builds_no_class_per_dual(monkeypatch):
-    # the check pairs the defect against each monomial key: no X3Class and no
-    # Fraction is built per dual (a count, not a timing)
+    # the check pairs the defect against every monomial key in one reader
+    # call: no X3Class and no Fraction is built per dual (a count, not a timing)
     n = 12
     assert _run_check("diagonal.defect_pairing", n) == ("ok", "ok")  # warm caches
-    honest_pair, honest_new = diagonal._x3_pair_key, Fraction.__new__
+    honest_pair, honest_new = diagonal._x3_pair_keys, Fraction.__new__
     honest_reduced = X3Class._reduced.__func__
-    counts = {"pairs": 0, "classes": 0, "fractions": 0}
+    counts = {"calls": 0, "keys": 0, "classes": 0, "fractions": 0}
 
-    def pair(*args):
-        counts["pairs"] += 1
-        return honest_pair(*args)
+    def pair(a, keys):
+        counts["calls"] += 1
+        counts["keys"] += len(keys)
+        return honest_pair(a, keys)
 
     def reduced(cls, *args):
         counts["classes"] += 1
@@ -538,15 +579,16 @@ def test_defect_pairing_builds_no_class_per_dual(monkeypatch):
         counts["fractions"] += 1
         return honest_new(cls, *args, **kwargs)
 
-    monkeypatch.setattr(diagonal, "_x3_pair_key", pair)
+    monkeypatch.setattr(diagonal, "_x3_pair_keys", pair)
     monkeypatch.setattr(X3Class, "_reduced", classmethod(reduced))
     monkeypatch.setattr(Fraction, "__new__", staticmethod(new))
     result = _run_check("diagonal.defect_pairing", n)
     monkeypatch.undo()
     assert result == ("ok", "ok")
-    assert counts["pairs"] == 91  # (n + 1)(n + 2) / 2 monomials of degree n
+    assert counts["calls"] == 1
+    assert counts["keys"] == 91  # (n + 1)(n + 2) / 2 monomials of degree n
     assert counts["classes"] == 0, counts
-    assert counts["fractions"] < counts["pairs"] / 5, counts
+    assert counts["fractions"] < counts["keys"] / 5, counts
 
 
 def test_x3_pair_rejects_mismatched_operands():
@@ -719,15 +761,17 @@ def test_product_rank_one_catches_a_stray_coefficient(monkeypatch):
     # a shifted moment, a shifted codimension and a halved moment (the checked
     # moments have odd numerators, so halving changes only the denominator)
     # must all be seen
-    honest = diagonal.cycle_product
+    honest = diagonal.cycle_products
     strays = ((0, lambda m: m + 1), (1, lambda m: m), (0, lambda m: m / 2))
     for case, (codim_shift, moment_of) in enumerate(strays):
 
-        def stray(n, alpha, beta):
-            out = honest(n, alpha, beta)
-            return FormalCycle(out.codim + codim_shift, moment_of(out.moment))
+        def stray(n, alphas, betas):
+            return [
+                [FormalCycle(out.codim + codim_shift, moment_of(out.moment)) for out in row]
+                for row in honest(n, alphas, betas)
+            ]
 
-        monkeypatch.setattr(diagonal, "cycle_product", stray)
+        monkeypatch.setattr(diagonal, "cycle_products", stray)
         computed, expected = _run_check("diagonal.product_rank_one", 4)
         assert computed != expected
         assert "h^1 * h^1 != h^2" in computed, case
@@ -1257,5 +1301,93 @@ def test_shared_printer_matches_the_per_model_printers(classes):
     (x,) = classes
     sort_key, format_key = _REF_PRINTERS[type(x)]
     terms = x.terms
-    expected = signed_sum((format_key(k), terms[k]) for k in sorted(terms, key=sort_key))
+    expected = signed_sum(
+        ((format_key(k), x.num[k]) for k in sorted(terms, key=sort_key)), x.den
+    )
     assert str(x) == expected
+
+
+# -- the many-key X^3 pairing reader against the degree of the product ----------
+
+
+def _x3_key_shapes(n):
+    """One strategy per key shape: a monomial of any degree, D_ab * h_c^m, D3."""
+    span = range(n + 1)
+    return st.one_of(
+        st.sampled_from([("m", i, j, k) for i in span for j in span for k in span]),
+        st.sampled_from([("D", a, b, m) for a, b in PAIRS for m in span]),
+        st.just(("D3",)),
+    )
+
+
+@st.composite
+def _x3_classes_and_keys(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    shapes = _x3_key_shapes(n)
+    a = X3Class(n, draw(st.dictionaries(shapes, _COEFFS, max_size=8)))
+    return a, draw(st.lists(shapes, max_size=12))
+
+
+def _assert_pair_keys(a, keys):
+    values = diagonal._x3_pair_keys(a, keys)
+    assert len(values) == len(keys)
+    for key, v in zip(keys, values):
+        assert type(v) is int
+        assert Fraction(v, a.den) == degree(a * X3Class(a.n, {key: 1})), key
+
+
+@_PROPERTY_SETTINGS
+@given(_x3_classes_and_keys())
+def test_x3_pair_keys_read_the_degree_of_each_product(case):
+    _assert_pair_keys(*case)
+
+
+def test_x3_pair_keys_on_the_defect_and_every_key():
+    for n in range(1, 7):
+        for a in (small_diagonal_defect(n), corrected_small_diagonal(n)):
+            _assert_pair_keys(a, _x3_basis(n))
+
+
+# -- the integer printer against a Fraction printer of ``terms`` -----------------
+
+
+def _ref_text(terms, sort_key, format_key):
+    """Signed sum of the ``Fraction`` coefficients ``terms``, by ``str(Fraction)``."""
+    pieces = []
+    for key in sorted(terms, key=sort_key):
+        c, body = terms[key], format_key(key)
+        mag = abs(c)
+        text = body if body and mag == 1 else (f"{mag}*{body}" if body else str(mag))
+        sign = ("+ " if c > 0 else "- ") if pieces else ("" if c > 0 else "-")
+        pieces.append(sign + text)
+    return " ".join(pieces) or "0"
+
+
+def _ref_poly_sort(exps):
+    a, b = exps
+    return (-(a + 2 * b), -a, -b)
+
+
+def _ref_poly_format(exps):
+    return "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip("xy", exps) if e)
+
+
+_POLYS = st.dictionaries(
+    st.tuples(st.integers(0, 5), st.integers(0, 3)), _COEFFS, max_size=6
+).map(WPoly)
+
+
+@settings(max_examples=120)
+@given(
+    st.one_of(
+        _POLYS,
+        _classes(CohXXClass, _coh_xx_basis, 1).map(lambda c: c[0]),
+        _classes(X3Class, _x3_basis, 1).map(lambda c: c[0]),
+    )
+)
+def test_integer_printer_matches_a_fraction_printer(x):
+    if type(x) is WPoly:
+        sort_key, format_key = _ref_poly_sort, _ref_poly_format
+    else:
+        sort_key, format_key = _REF_PRINTERS[type(x)]
+    assert str(x) == _ref_text(x.terms, sort_key, format_key)
