@@ -10,10 +10,9 @@ preconditions hold so the runner can emit visible skips elsewhere.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Callable
 
 from . import diagonal, fano, grassmann, hodge, linalg
@@ -368,20 +367,23 @@ def _defect_pairing(n: int):
 
 @_register("diagonal.symmetry", "diagonal", 1)
 def _symmetry(n: int):
+    # an S3-orbit is constant exactly when every entry equals the entry at its
+    # sorted key; every key of an orbit that is not is reported, in table order
     table, _ = diagonal.decomposable_coefficients(n)  # integer numerators
-    failures = []
-    for (i, j, k), value in table.items():
-        for perm in itertools.permutations((i, j, k)):
-            if table[perm] != value:
-                failures.append(f"asymmetry at {(i, j, k)}")
-                break
-    return _ok(failures)
+    broken = set()  # the sorted keys of the orbits that are not constant
+    for key, value in table.items():
+        orbit = tuple(sorted(key))
+        if table[orbit] != value:
+            broken.add(orbit)
+    if not broken:
+        return _ok([])
+    return _ok([f"asymmetry at {key}" for key in table if tuple(sorted(key)) in broken])
 
 
 @_register("diagonal.interior_coefficient", "diagonal", 3)
 def _interior_coefficient(n: int):
     table, den = diagonal.decomposable_coefficients(n)
-    interior = [t for key, t in table.items() if all(0 < e < n for e in key)]
+    interior = [t for (i, j, k), t in table.items() if 0 < i < n and 0 < j < n and 0 < k < n]
     failures = []
     if not interior:
         failures.append("no interior indices")
@@ -397,22 +399,23 @@ def _product_rank_one(n: int):
     # cycles[c][s]: codimension c, moment moments[s]; moment 3 is h^c itself
     cycles = [None] + [tuple(diagonal.FormalCycle(c, m) for m in moments) for c in range(1, n)]
     # (1/9) m_alpha m_beta h^(i+j) has moment m_alpha m_beta / 3, as deg h^n = 3;
-    # kept as the (num, den) pair of a FormalCycle
+    # a product is the (codim, num, den) triple of its FormalCycle
     scaled = [(ma * mb / 3).as_integer_ratio() for ma in moments for mb in moments]
-    # expected[c]: the fields of the grid's entries, row by row, in codimension c
+    # expected[c]: the triples of a grid's entries, row by row, in codimension c
     expected = [[(c, num, den) for num, den in scaled] for c in range(n)]
+    powers = [None] + [(h.codim, h.num, h.den) for h, *_ in cycles[1:]]  # h^c
     products = diagonal.cycle_products
     for i in range(1, n):
         alphas = cycles[i]
         for j in range(1, n - i):
             grid = products(n, alphas, cycles[j])
-            if grid[0][0] != cycles[i + j][0]:  # h^i * h^j
+            if grid[0][0] != powers[i + j]:  # h^i * h^j
                 failures.append(f"h^{i} * h^{j} != h^{i + j}")
-            fields = [(out.codim, out.num, out.den) for row in grid for out in row]
-            if fields != expected[i + j]:
+            triples = grid[0] + grid[1] + grid[2]
+            if triples != expected[i + j]:
                 failures += [
                     f"moment scaling fails at ({i},{j})"
-                    for got, want in zip(fields, expected[i + j])
+                    for got, want in zip(triples, expected[i + j])
                     if got != want
                 ]
     return _ok(failures)
@@ -422,13 +425,37 @@ def _product_rank_one(n: int):
 def _model_compatibility(n: int):
     # both models are associative and xx_to_coh is linear and unital, so
     # f(g * b) = f(g) * f(b) for the generators g = h1, h2, D and every basis
-    # class b makes it a ring map (induct on words in the generators)
-    classes = {k: diagonal.XXClass(n, {k: 1}) for k in diagonal.xx_basis(n)}
-    images = {k: diagonal.xx_to_coh(a) for k, a in classes.items()}
+    # class b makes it a ring map (induct on words in the generators).  Both
+    # sides are read term by term, as numerators over one denominator each,
+    # and compared cross-multiplied: no class is built per pair
+    images = {
+        k: diagonal.xx_to_coh(diagonal.XXClass(n, {k: 1})) for k in diagonal.xx_basis(n)
+    }
+    common = lcm(*(image.den for image in images.values()))
+    scale = {k: common // image.den for k, image in images.items()}
+    xx_mul = diagonal.XXClass(n)._term_mul
+    coh_mul = diagonal.CohXXClass(n)._term_mul
+    lhs_den = diagonal.XXClass._DEN * common
     failures = []
     for g in ((diagonal.MONO, 1, 0), (diagonal.MONO, 0, 1), (diagonal.DIAG,)):
-        for k, b in classes.items():
-            if diagonal.xx_to_coh(classes[g] * b) != images[g] * images[k]:
+        fg = images[g]
+        for k, fb in images.items():
+            lhs: dict = {}  # f(g * b), over lhs_den
+            for key, c in xx_mul(g, k).items():
+                c *= scale[key]
+                for key2, v in images[key].num.items():
+                    lhs[key2] = lhs.get(key2, 0) + c * v
+            rhs: dict = {}  # f(g) * f(b), over rhs_den
+            for k1, c1 in fg.num.items():
+                for k2, c2 in fb.num.items():
+                    c12 = c1 * c2
+                    for key2, v in coh_mul(k1, k2).items():
+                        rhs[key2] = rhs.get(key2, 0) + c12 * v
+            rhs_den = fg.den * fb.den * diagonal.CohXXClass._DEN
+            if any(
+                lhs.get(key2, 0) * rhs_den != rhs.get(key2, 0) * lhs_den
+                for key2 in lhs.keys() | rhs.keys()
+            ):
                 failures.append(f"not a ring map at {g} * {k}")
     return _ok(failures)
 

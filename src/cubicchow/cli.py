@@ -13,16 +13,21 @@ executed check passed, 1 that at least one failed, 2 a usage or I/O error.
 
 ``main`` is the in-process API: it returns the exit code and leaves the
 interpreter running.  ``console_main``, behind the ``verify`` script and
-``python -m cubicchow``, flushes standard output and error once ``main``
-returns and ends the process with ``os._exit``, skipping the interpreter's
-teardown of modules, caches and rings, which costs more than a single-n run's
-largest check.  An exception from ``main`` or from a flush (argparse's
+``python -m cubicchow``, runs ``main`` with the cyclic garbage collector
+off, flushes standard output and error once ``main`` returns and ends the
+process with ``os._exit``, skipping the interpreter's teardown of modules,
+caches and rings, which costs more than a single-n run's largest check.  The
+engine makes no reference cycles, so reference counting frees all it
+allocates, and the collector passes its many short-lived objects trigger
+would find nothing.  ``main`` leaves the collector as it finds it.  An
+exception from ``main`` or from a flush (argparse's
 ``SystemExit`` included) still leaves through the ordinary exit.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -182,6 +187,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def console_main() -> None:
+    gc.disable()
     code = main()
     sys.stdout.flush()
     sys.stderr.flush()

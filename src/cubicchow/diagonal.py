@@ -45,12 +45,13 @@ after removing its axis corrections, the vanishing of the resulting
 defect cycle, and the symbolic evaluator showing that the product of two
 positive-codimension cycle classes is (1/9) * m_alpha * m_beta * h^(i+j),
 a rank-1 image, on integers: the decomposable table is numerators over one
-denominator, and ``cycle_product`` returns a ``FormalCycle`` (a cycle on X:
-codimension i + j and moment m_alpha * m_beta / 3, held as num / den).
-``cycle_products`` evaluates a whole grid of such products in one call,
-reading the table and the operand fields once, and builds each entry
-through the three slot setters of ``FormalCycle`` bound once at import: one
-gcd and one object per product.  ``cycle_product`` is its 1 x 1 case.
+denominator.  ``cycle_products`` evaluates a whole grid of such products in
+one call, reading the table and the operand fields once, and returns each
+product as the integer triple ``(codim, num, den)`` of a cycle on X:
+codimension i + j and moment m_alpha * m_beta / 3 = num / den in lowest
+terms, one gcd and no object per product.  ``FormalCycle`` stays at the
+edge: the operands are ``FormalCycle``s, and ``cycle_product``, the 1 x 1
+case, builds one from its triple through the slot setters bound at import.
 """
 
 from __future__ import annotations
@@ -597,15 +598,22 @@ _set_den = FormalCycle.__dict__["den"].__set__
 
 def cycle_product(n: int, alpha: FormalCycle, beta: FormalCycle) -> FormalCycle:
     """Product of two formal cycles: the 1 x 1 case of :func:`cycle_products`."""
-    return cycle_products(n, (alpha,), (beta,))[0][0]
+    codim, num, den = cycle_products(n, (alpha,), (beta,))[0][0]
+    out = _new_cycle(FormalCycle)
+    _set_codim(out, codim)
+    _set_num(out, num)
+    _set_den(out, den)
+    return out
 
 
-def cycle_products(n: int, alphas, betas) -> list[list[FormalCycle]]:
+def cycle_products(n: int, alphas, betas) -> list[list[tuple[int, int, int]]]:
     """Products of formal cycles through the small-diagonal decomposition.
 
     Returns the grid of ``alpha * beta`` for every alpha in ``alphas`` and
-    every beta in ``betas``, row by row.  Each entry is the pushforward to the
-    third slot of pi1* alpha * pi2* beta * (corrected small diagonal):
+    every beta in ``betas``, row by row, each product as the fields
+    ``(codim, num, den)`` of its ``FormalCycle``.  Each product is the
+    pushforward to the third slot of pi1* alpha * pi2* beta * (corrected
+    small diagonal):
 
     * the D12 * h3^n correction integrates alpha * beta over X^2 and dies
       because its codimension n + i + j is below 2n (i + j < n);
@@ -621,15 +629,14 @@ def cycle_products(n: int, alphas, betas) -> list[list[FormalCycle]]:
     class; as deg h^n = 3, its moment is three times its coefficient: for
     the entry t / den, 3 t num_alpha num_beta / (den den_alpha den_beta),
     reduced by one gcd.  The table and the fields of each beta are read once
-    per grid, the fields of each alpha once per row, and each entry is built
-    in one step through the slot setters of ``FormalCycle``.  The first pair
-    out of range, in row order, raises ``UnsupportedRange``.
+    per grid, the fields of each alpha once per row, and no object but the
+    triple is built per product.  The first pair out of range, in row order,
+    raises ``UnsupportedRange``.
     """
     # no pair of positive codimensions is in range below n = 3, and the
     # table needs n >= 1: the range check below raises first
     table, den = decomposable_coefficients(n) if n >= 3 else (None, 1)
     fields = [(beta.codim, beta.num, beta.den) for beta in betas]
-    new, set_codim, set_num, set_den = _new_cycle, _set_codim, _set_num, _set_den
     grid = []
     for alpha in alphas:
         i, num_a, den_a = alpha.codim, 3 * alpha.num, den * alpha.den
@@ -642,10 +649,6 @@ def cycle_products(n: int, alphas, betas) -> list[list[FormalCycle]]:
             num = table[(n - i, n - j, i + j)] * num_a * num_b
             d = den_a * den_b
             g = gcd(num, d)
-            out = new(FormalCycle)
-            set_codim(out, i + j)
-            set_num(out, num // g)
-            set_den(out, d // g)
-            row.append(out)
+            row.append((i + j, num // g, d // g))
         grid.append(row)
     return grid

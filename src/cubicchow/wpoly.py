@@ -36,13 +36,15 @@ Exponents = tuple[int, ...]
 CHERN_VARS = ("x", "y")
 
 # the canonical text form: magnitudes are positive and reduced, factors are
-# name or name^e, terms are joined by " + " and " - "
-_SEP_RE = re.compile(r" ([+-]) ")
-_TERM_RE = re.compile(
+# name or name^e, terms are joined by " + " and " - ".  Patterns, not compiled
+# ones: only ``WPoly.parse`` reads them, and ``re`` compiles each on its first
+# use and caches it, so importing the package compiles nothing
+_SEP_RE = r" ([+-]) "
+_TERM_RE = (
     r"(?:(?P<coeff>[1-9]\d*(?:/[1-9]\d*)?)(?:\*|$))?"
     r"(?P<mono>[A-Za-z]\w*(?:\^\d+)?(?:\*[A-Za-z]\w*(?:\^\d+)?)*)?"
 )
-_FACTOR_RE = re.compile(r"([A-Za-z]\w*)(?:\^(\d+))?")
+_FACTOR_RE = r"([A-Za-z]\w*)(?:\^(\d+))?"
 
 
 class Frozen:
@@ -305,17 +307,17 @@ class WPoly(SparseSum):
         """
         if text == "0":
             return cls.zero()
-        pieces = _SEP_RE.split(text)
+        pieces = re.split(_SEP_RE, text)
         first = pieces[0]
         signs = ["-" if first.startswith("-") else "+"] + pieces[1::2]
         chunks = [first[1:] if first.startswith("-") else first] + pieces[2::2]
         out: dict[Exponents, Fraction] = {}
         for sign, chunk in zip(signs, chunks):
-            m = _TERM_RE.fullmatch(chunk)
+            m = re.fullmatch(_TERM_RE, chunk)
             if not m or not (m["coeff"] or m["mono"]):
                 raise ValueError(f"cannot parse term {chunk!r} of {text!r}")
             exps = [0, 0]
-            for name, power in _FACTOR_RE.findall(m["mono"] or ""):
+            for name, power in re.findall(_FACTOR_RE, m["mono"] or ""):
                 if name not in CHERN_VARS:
                     raise ValueError(f"unknown variable {name!r} in {text!r}")
                 exps[CHERN_VARS.index(name)] += int(power) if power else 1

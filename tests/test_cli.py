@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -380,6 +381,63 @@ def _fresh_python(code):
 def test_package_import_loads_neither_dataclasses_nor_inspect():
     code = "import cubicchow, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
     assert _fresh_python(code).strip() == "[]"
+
+
+def test_package_import_compiles_no_regex():
+    # fractions compiles its own pattern on import; the package compiles none:
+    # WPoly.parse hands its patterns to re, which compiles them on first use
+    code = (
+        "import fractions, re\n"
+        "calls, honest = [], re.compile\n"
+        "re.compile = lambda *args, **kwargs: calls.append(args) or honest(*args, **kwargs)\n"
+        "import cubicchow\n"
+        "print(len(calls))\n"
+    )
+    assert _fresh_python(code).strip() == "0"
+
+
+# -- the collector: off in console_main only, and nothing left for it ----------
+
+
+def test_console_main_runs_main_with_the_collector_off():
+    code = (
+        "import gc, cubicchow.cli as cli\n"
+        "def main():\n"
+        "    print(gc.isenabled())\n"
+        "    return 0\n"
+        "cli.main = main\n"
+        "cli.console_main()\n"
+    )
+    proc = _entry_point(code=code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_the_collector_as_it_finds_it(enabled, tmp_path):
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        main(["--n-min", "2", "--n-max", "2", "--suite", "fano", "--out", str(tmp_path / "r")])
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("n_max, suite", [(8, "all"), (16, "diagonal")])
+def test_checks_make_no_reference_cycles(n_max, suite):
+    # the premise of running verify without the collector: with it off, a
+    # fresh run of the checks leaves nothing that only the collector frees
+    code = (
+        "import gc\n"
+        "gc.disable()\n"
+        "from cubicchow.cli import RunConfig, run\n"
+        "gc.collect()\n"
+        f"results = run(RunConfig(1, {n_max}, ({suite!r},)))\n"
+        "assert all(r.status != 'fail' for r in results)\n"
+        "print(gc.collect())\n"
+    )
+    assert _fresh_python(code).strip() == "0"
 
 
 def test_records_are_read_only_and_round_trip():

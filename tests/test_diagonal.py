@@ -523,9 +523,10 @@ def test_cycle_products_match_the_fraction_law_pair_by_pair(grid):
     assert [len(row) for row in out] == [len(betas)] * len(alphas)
     for alpha, row in zip(alphas, out):
         for beta, product in zip(betas, row):
-            # (1/9) m_alpha m_beta h^(i+j), whose moment is m_alpha m_beta / 3
+            # (1/9) m_alpha m_beta h^(i+j), whose moment is m_alpha m_beta / 3;
+            # each product is the (codim, num, den) triple of the law's cycle
             law = FormalCycle(alpha.codim + beta.codim, alpha.moment * beta.moment / 3)
-            assert product == law, (n, alpha, beta)
+            assert product == (law.codim, law.num, law.den), (n, alpha, beta)
 
 
 def test_product_rank_one_builds_few_fractions(monkeypatch):
@@ -555,6 +556,22 @@ def test_product_rank_one_builds_few_fractions(monkeypatch):
     assert counts["grids"] == 55  # one per (i, j) with i, j >= 1 and i + j < n
     assert counts["products"] == 495
     assert counts["fractions"] < counts["products"] / 5, counts
+
+
+def test_product_rank_one_builds_a_cycle_per_operand_only(monkeypatch):
+    # a count, not a timing: the products are integer triples, so the only
+    # FormalCycles are the check's operands, three moments per codimension
+    n = 12
+    assert _run_check("diagonal.product_rank_one", n) == ("ok", "ok")  # warm caches
+    honest, count = diagonal._new_cycle, [0]
+
+    def new(cls):
+        count[0] += 1
+        return honest(cls)
+
+    monkeypatch.setattr(diagonal, "_new_cycle", new)
+    assert _run_check("diagonal.product_rank_one", n) == ("ok", "ok")
+    assert count[0] == 3 * (n - 1)
 
 
 def test_defect_pairing_builds_no_class_per_dual(monkeypatch):
@@ -759,17 +776,18 @@ def test_cached_values_refuse_attribute_deletion():
 
 def test_product_rank_one_catches_a_stray_coefficient(monkeypatch):
     # a shifted moment, a shifted codimension and a halved moment (the checked
-    # moments have odd numerators, so halving changes only the denominator)
-    # must all be seen
+    # moments have odd numerators, so halving doubles only the denominator)
+    # must all be seen, each applied to the (codim, num, den) triples
     honest = diagonal.cycle_products
-    strays = ((0, lambda m: m + 1), (1, lambda m: m), (0, lambda m: m / 2))
-    for case, (codim_shift, moment_of) in enumerate(strays):
+    strays = (
+        lambda codim, num, den: (codim, num + den, den),  # moment + 1
+        lambda codim, num, den: (codim + 1, num, den),
+        lambda codim, num, den: (codim, num, 2 * den),  # moment / 2
+    )
+    for case, shift in enumerate(strays):
 
         def stray(n, alphas, betas):
-            return [
-                [FormalCycle(out.codim + codim_shift, moment_of(out.moment)) for out in row]
-                for row in honest(n, alphas, betas)
-            ]
+            return [[shift(*out) for out in row] for row in honest(n, alphas, betas)]
 
         monkeypatch.setattr(diagonal, "cycle_products", stray)
         computed, expected = _run_check("diagonal.product_rank_one", 4)
@@ -787,6 +805,53 @@ def test_table_checks_catch_a_perturbed_entry(monkeypatch):
     assert "asymmetry at (3, 3, 2)" in computed and "asymmetry at (4, 4, 0)" not in computed
     computed, _ = _run_check("diagonal.interior_coefficient", 4)
     assert computed == "interior coefficient differs from 1/9"
+
+
+def _symmetry_by_permutation_scan(table):
+    """Reference: an entry is asymmetric if some permutation of its key differs."""
+    failures = []
+    for key, value in table.items():
+        if any(table[perm] != value for perm in itertools.permutations(key)):
+            failures.append(f"asymmetry at {key}")
+    return ("ok" if not failures else "; ".join(failures), "ok")
+
+
+def _interior_by_key_scan(n, table, den):
+    """Reference: the interior entries found by a generator over each key."""
+    interior = [t for key, t in table.items() if all(0 < e < n for e in key)]
+    failures = []
+    if not interior:
+        failures.append("no interior indices")
+    if any(9 * t != den for t in interior):
+        failures.append("interior coefficient differs from 1/9")
+    return ("ok" if not failures else "; ".join(failures), "ok")
+
+
+@st.composite
+def _perturbed_tables(draw):
+    # 1-3 numerators shifted; a shift applied to a whole S3-orbit keeps the
+    # orbit constant and moves only its value
+    n = draw(st.integers(min_value=2, max_value=12))
+    table, den = decomposable_coefficients(n)
+    bad = dict(table)
+    keys = sorted(table)
+    for _ in range(draw(st.integers(1, 3))):
+        key = draw(st.sampled_from(keys))
+        shift = draw(st.integers(-3, 3).filter(bool))
+        orbit = set(itertools.permutations(key)) if draw(st.booleans()) else {key}
+        for k in orbit:
+            bad[k] += shift
+    return n, bad, den
+
+
+@settings(max_examples=120)
+@given(_perturbed_tables())
+def test_table_rows_match_the_permutation_scan(case):
+    n, bad, den = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(diagonal, "decomposable_coefficients", lambda m: (bad, den))
+        assert _run_check("diagonal.symmetry", n) == _symmetry_by_permutation_scan(bad)
+        assert _run_check("diagonal.interior_coefficient", n) == _interior_by_key_scan(n, bad, den)
 
 
 def test_defect_pairing_catches_a_perturbed_defect(monkeypatch):
