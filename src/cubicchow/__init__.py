@@ -21,7 +21,8 @@ from .grassmann import (
     shift11,
     sym_power_chern,
 )
-from .fano import ExtraRelation, FanoPairing, extra_relation, fano_pairing, ideal_decomposition, taut_rank_F
+from .fano import ExtraRelation, FanoPairing, extra_relation, fano_pairing, ideal_decomposition
+from .fano import taut_rank_F, taut_rank_FX
 from .hodge import (
     HodgeDiamond,
     euler_cubic,
@@ -30,7 +31,6 @@ from .hodge import (
     hilb2_diamond,
     hodge_cubic,
     sym2_diamond,
-    taut_rank_FX,
     times_projective,
 )
 from .diagonal import (

@@ -51,7 +51,7 @@ product as the integer triple ``(codim, num, den)`` of a cycle on X:
 codimension i + j and moment m_alpha * m_beta / 3 = num / den in lowest
 terms, one gcd and no object per product.  ``FormalCycle`` stays at the
 edge: the operands are ``FormalCycle``s, and ``cycle_product``, the 1 x 1
-case, builds one from its triple through the slot setters bound at import.
+case, builds one from its triple through the validating constructor.
 """
 
 from __future__ import annotations
@@ -589,7 +589,7 @@ class FormalCycle(Frozen):
         return f"FormalCycle(codim={self.codim}, moment={self.moment})"
 
 
-# one-step construction: the slot setters bypass Frozen.__setattr__, bound once
+# used by FormalCycle.__new__ only: the slot setters bypass Frozen.__setattr__
 _new_cycle = object.__new__
 _set_codim = FormalCycle.__dict__["codim"].__set__
 _set_num = FormalCycle.__dict__["num"].__set__
@@ -599,11 +599,7 @@ _set_den = FormalCycle.__dict__["den"].__set__
 def cycle_product(n: int, alpha: FormalCycle, beta: FormalCycle) -> FormalCycle:
     """Product of two formal cycles: the 1 x 1 case of :func:`cycle_products`."""
     codim, num, den = cycle_products(n, (alpha,), (beta,))[0][0]
-    out = _new_cycle(FormalCycle)
-    _set_codim(out, codim)
-    _set_num(out, num)
-    _set_den(out, den)
-    return out
+    return FormalCycle(codim, Fraction(num, den))
 
 
 def cycle_products(n: int, alphas, betas) -> list[list[tuple[int, int, int]]]:

@@ -13,7 +13,8 @@ Two independent models of A*(Gr(2, n+2)) are provided:
   intersection number of monomials is one read of the top reducer
   (``pairing``).  As deg(x^(2m) y^(n-m)) is the Catalan number C_m, the
   degree-k pairing is, with both index orders reversed, a leading block of
-  the Hankel matrix [C_(e+i+j)], e = k mod 2, whose leading minors are all 1;
+  the Hankel matrix [C_(e+i+j)], e = k mod 2, whose leading minors are all 1
+  (the Catalan Hankel identity): equal entries make the pairing unimodular;
 * a Schubert-calculus oracle on partitions (a, b) in the n x 2 box, keyed
   by plain (a, b) pairs, with integer coefficients and one Pieri rule
   (``schubert_mul``).  sigma(x^a) takes no Pieri step: the coefficient of

@@ -31,7 +31,6 @@ from math import comb
 from typing import Mapping
 
 from .errors import CheckFailed, NonIntegralResult, UnsupportedRange, exact
-from .fano import taut_rank_F
 from .wpoly import SparseSum, format_monomial
 
 Entry = tuple[int, int, int]  # (cohomological degree k, p, q) with p + q = k
@@ -242,25 +241,3 @@ def fano_hodge_decomposition(n: int) -> tuple[int, ...]:
             )
         values[p] = m
     return tuple(values)
-
-
-def taut_rank_FX(n: int, k: int) -> int:
-    """Graded rank of the tautological ring of F x X.
-
-    Decomposable part: convolution of the F-ranks with rank R^b(X) = 1 for
-    0 <= b <= n; plus one in each degree hit by the universal-line class
-    (codimension n-1) times powers c1^0..c1^(n-2).
-    """
-    if n < 3:
-        raise UnsupportedRange("taut_rank_FX needs n >= 3")
-    if k < 0:
-        raise UnsupportedRange("k must be nonnegative")
-    top_f = 2 * (n - 2)
-    total = 0
-    for a in range(0, min(k, top_f) + 1):
-        b = k - a
-        if 0 <= b <= n:
-            total += taut_rank_F(n, a)
-    if 0 <= k - (n - 1) <= n - 2:
-        total += 1
-    return total

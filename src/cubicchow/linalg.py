@@ -9,9 +9,8 @@ by the pivots, at the edge.  Every result is exact.  Kernel bases and
 solutions are deterministic: pivots are chosen as the first nonzero entry
 in column order.
 
-``leading_minors`` returns every leading principal minor of a square
-integer matrix from one fraction-free (Bareiss) pass: the pivot of step k
-is the minor of order k, and each step divides exactly by the previous one.
+``rref`` is the one elimination.  The Grassmannian's Poincare pairings need
+none: they are Catalan Hankel blocks [C_(e+i+j)], whose leading minors are 1.
 """
 
 from __future__ import annotations
@@ -104,53 +103,6 @@ def rref(rows: Sequence[Sequence[int | Fraction]]) -> tuple[list[list[int]], lis
         if r == n_rows:
             break
     return m[:r], pivots
-
-
-def leading_minors(rows: Sequence[Sequence[int]]) -> list[int]:
-    """Leading principal minors [d_1, ..., d_s] of a square integer matrix.
-
-    One Bareiss pass without pivoting: after step k - 1 the entry (k, k) is
-    d_k, and every later entry is divided exactly by the previous pivot
-    (Sylvester's identity).  A zero pivot stops the pass; each larger minor
-    is then the determinant of its block, by the same pass with row swaps.
-    """
-    m = [list(row) for row in rows]
-    s = len(m)
-    if any(len(row) != s for row in m):
-        raise ValueError("leading_minors needs a square matrix")
-    minors: list[int] = []
-    prev = 1
-    for k in range(s):
-        pivot = m[k][k]
-        minors.append(pivot)
-        if not pivot:
-            minors += [_det([row[:t] for row in rows[:t]]) for t in range(k + 2, s + 1)]
-            break
-        _bareiss_step(m, k, prev)
-        prev = pivot
-    return minors
-
-
-def _bareiss_step(m: list[list[int]], k: int, prev: int) -> None:
-    pivot, prow = m[k][k], m[k]
-    for i in range(k + 1, len(m)):
-        row, f = m[i], m[i][k]
-        for j in range(k + 1, len(m)):
-            row[j] = (pivot * row[j] - f * prow[j]) // prev
-
-
-def _det(rows: Sequence[Sequence[int]]) -> int:
-    m = [list(row) for row in rows]
-    sign, prev = 1, 1
-    for k in range(len(m)):
-        p = next((i for i in range(k, len(m)) if m[i][k]), None)
-        if p is None:
-            return 0
-        if p != k:
-            m[k], m[p], sign = m[p], m[k], -sign
-        _bareiss_step(m, k, prev)
-        prev = m[k][k]
-    return sign * prev
 
 
 def kernel_basis(matrix: MatQ) -> list[Vector]:

@@ -792,8 +792,8 @@ def test_product_rank_one_catches_a_stray_coefficient(monkeypatch):
         monkeypatch.setattr(diagonal, "cycle_products", stray)
         computed, expected = _run_check("diagonal.product_rank_one", 4)
         assert computed != expected
-        assert "h^1 * h^1 != h^2" in computed, case
         assert "moment scaling fails at (1,1)" in computed, case
+        assert "h^" not in computed, case
 
 
 def test_table_checks_catch_a_perturbed_entry(monkeypatch):

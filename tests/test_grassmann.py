@@ -669,10 +669,8 @@ def _poincare_check():
     return check
 
 
-@pytest.mark.parametrize("k", [1, 4])
-def test_poincare_pairing_catches_a_perturbed_entry(monkeypatch, k):
-    # k = 1 lies below the largest matrix of its parity, so only the Catalan
-    # entries see it; at k = 4 = n the determinant becomes 2, still of full rank
+def _perturb_pairing(k, i, j, delta):
+    """``grassmann.pairing`` with delta added to entry (i, j) in degree k."""
     honest = grassmann.pairing
 
     def perturbed(ring, degree, weight=None):
@@ -680,13 +678,47 @@ def test_poincare_pairing_catches_a_perturbed_entry(monkeypatch, k):
         if degree != k:
             return matrix
         rows = [list(row) for row in matrix.entries]
-        rows[0][0] += 1
+        rows[i][j] += delta
         return linalg.MatQ.from_rows(rows, cols=matrix.cols)
 
+    return perturbed
+
+
+@pytest.mark.parametrize("k", [1, 4])
+def test_poincare_pairing_catches_a_perturbed_entry(monkeypatch, k):
+    # the pairing stays of full rank (at k = 4 = n the determinant becomes 2),
+    # so only the Catalan entries see the change
+    perturbed = _perturb_pairing(k, 0, 0, 1)
     monkeypatch.setattr(grassmann, "pairing", perturbed)
     assert perturbed(build_ring(4), k).rank() == build_ring(4).dim(k)
     computed, expected = _poincare_check().fn(4)
     assert computed == f"degenerate pairing at k={k}" != expected
+
+
+def test_poincare_pairing_blames_only_the_perturbed_degree(monkeypatch):
+    # a wrong cell is blamed on its own degree, not on every degree of its
+    # parity (k = 0, 2, 4, 6, 8 here)
+    monkeypatch.setattr(grassmann, "pairing", _perturb_pairing(4, 2, 2, 1))
+    assert _poincare_check().fn(4) == ("degenerate pairing at k=4", "ok")
+
+
+@st.composite
+def _one_cell(draw):
+    n = draw(st.integers(min_value=1, max_value=10))
+    k = draw(st.integers(min_value=0, max_value=2 * n))
+    order = min(k, 2 * n - k) // 2 + 1
+    i = draw(st.integers(min_value=0, max_value=order - 1))
+    j = draw(st.integers(min_value=0, max_value=order - 1))
+    return n, k, i, j, draw(st.sampled_from((-2, -1, 1, 2, 5)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_one_cell())
+def test_poincare_pairing_blames_the_degree_of_one_perturbed_cell(cell):
+    n, k, i, j, delta = cell
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grassmann, "pairing", _perturb_pairing(k, i, j, delta))
+        assert _poincare_check().fn(n) == (f"degenerate pairing at k={k}", "ok")
 
 
 def test_poincare_pairing_runs_no_row_reduction(monkeypatch):

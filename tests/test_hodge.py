@@ -5,9 +5,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cubicchow.fano as fano
 import cubicchow.hodge as hodge
 from cubicchow.checks import REGISTRY
 from cubicchow.errors import CheckFailed, NonIntegralResult, UnsupportedRange
+from cubicchow.fano import taut_rank_FX
 from cubicchow.hodge import (
     HodgeDiamond,
     euler_cubic,
@@ -17,7 +19,6 @@ from cubicchow.hodge import (
     hodge_cubic,
     primitive_middle,
     sym2_diamond,
-    taut_rank_FX,
     times_projective,
 )
 
@@ -320,8 +321,8 @@ def test_product_ring_ranks_fails_on_wrong_fano_ranks(monkeypatch):
     # whatever taut_rank_F returns; degree 3n-4 reads taut_rank_F(n, 2n-4)
     (check,) = [c for c in REGISTRY if c.check_id == "hodge.product_ring_ranks"]
     assert all(check.fn(n) == ("ok", "ok") for n in (3, 5, 8))
-    honest = hodge.taut_rank_F
-    monkeypatch.setattr(hodge, "taut_rank_F", lambda n, k: honest(n, k) if k == 0 else 99)
+    honest = fano.taut_rank_F
+    monkeypatch.setattr(fano, "taut_rank_F", lambda n, k: honest(n, k) if k == 0 else 99)
     for n in (3, 5, 8):
         computed, expected = check.fn(n)
         assert computed == "rank at k=3n-4 is not 1" and expected == "ok", n

@@ -1,13 +1,12 @@
 import random
 from fractions import Fraction
-from itertools import permutations
-from math import comb, gcd, prod
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubicchow.linalg import MatQ, kernel_basis, leading_minors, rref, solve_linear
+from cubicchow.linalg import MatQ, kernel_basis, rref, solve_linear
 
 
 def test_kernel_of_identity_is_empty():
@@ -174,48 +173,36 @@ def test_rref_matches_gauss_jordan_over_fractions(rows):
     assert [[Fraction(x, row[p]) for x in row] for row, p in zip(reduced, pivots)] == expected_rows
 
 
-# -- leading principal minors by one Bareiss pass ------------------------------
+# -- the Catalan Hankel identity ---------------------------------------------
 
 
-def _leibniz(rows):
-    """Reference: the determinant as a signed sum over permutations."""
-    total = 0
-    for perm in permutations(range(len(rows))):
-        inversions = sum(perm[i] > perm[j] for i in range(len(perm)) for j in range(i + 1, len(perm)))
-        total += (-1) ** inversions * prod(rows[i][p] for i, p in enumerate(perm))
-    return total
+def _det(rows):
+    """Exact determinant by Fraction elimination with row swaps."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for k in range(len(m)):
+        p = next((i for i in range(k, len(m)) if m[i][k]), None)
+        if p is None:
+            return 0
+        if p != k:
+            m[k], m[p], det = m[p], m[k], -det
+        det *= m[k][k]
+        for i in range(k + 1, len(m)):
+            f = m[i][k] / m[k][k]
+            m[i] = [a - f * b for a, b in zip(m[i], m[k])]
+    return det
 
 
-@st.composite
-def _square_int_matrices(draw):
-    size = draw(st.integers(min_value=0, max_value=5))
-    entries = st.one_of(st.just(0), st.integers(min_value=-4, max_value=4))
-    return [draw(st.lists(entries, min_size=size, max_size=size)) for _ in range(size)]
-
-
-@settings(max_examples=200)
-@given(_square_int_matrices())
-def test_leading_minors_match_the_leibniz_determinants(rows):
-    minors = leading_minors(rows)
-    assert minors == [_leibniz([row[:t] for row in rows[:t]]) for t in range(1, len(rows) + 1)]
-    assert all(type(d) is int for d in minors)
-
-
-def test_leading_minors_past_a_zero_pivot():
-    # d_1 = 0 stops the pass; d_2 and d_3 come from the blocks themselves
-    assert leading_minors([[0, 1, 2], [1, 0, 3], [4, 5, 6]]) == [0, -1, 16]
-    assert leading_minors([[0, 0], [0, 0]]) == [0, 0]
-    assert leading_minors([]) == []
-    with pytest.raises(ValueError):
-        leading_minors([[1, 2]])
-
-
-def test_leading_minors_of_catalan_and_central_binomial_hankel_matrices():
+def test_catalan_hankel_leading_minors_are_one():
+    # the grassmann.poincare_pairing row compares entries with these blocks
+    # and relies on this identity for their unimodularity
     def catalan(t):
         return comb(2 * t, t) // (t + 1)
 
+    # the reference determinant, past a zero pivot and on a singular matrix
+    assert _det([[0, 1, 2], [1, 0, 3], [4, 5, 6]]) == 16
+    assert _det([[1, 2], [2, 4]]) == 0
     for offset in (0, 1):
         hankel = [[catalan(offset + i + j) for j in range(33)] for i in range(33)]
-        assert leading_minors(hankel) == [1] * 33, offset
-    central = [[comb(2 * (i + j), i + j) for j in range(20)] for i in range(20)]
-    assert leading_minors(central) == [2 ** (m - 1) for m in range(1, 21)]
+        minors = [_det([row[:t] for row in hankel[:t]]) for t in range(1, 34)]
+        assert minors == [1] * 33, offset
