@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 from typing import Callable
 
 from . import diagonal, fano, grassmann, hodge
@@ -28,11 +28,21 @@ SUITES = ("grassmann", "fano", "hodge", "diagonal")
 @dataclass(frozen=True)
 class Check:
     check_id: str
-    suite: str
     n_min: int
     n_max: int | None
-    precondition: str
     fn: CheckFn
+
+    @property
+    def suite(self) -> str:  # hodge for hodge.b1_fano
+        return self.check_id.partition(".")[0]
+
+    @property
+    def precondition(self) -> str:  # the n-range, named by a skipped row
+        if self.n_max is None:
+            return f"n >= {self.n_min}"
+        if self.n_min == self.n_max:
+            return f"n == {self.n_min}"
+        return f"{self.n_min} <= n <= {self.n_max}"
 
     def applicable(self, n: int) -> bool:
         return n >= self.n_min and (self.n_max is None or n <= self.n_max)
@@ -41,16 +51,9 @@ class Check:
 REGISTRY: list[Check] = []
 
 
-def _register(check_id: str, suite: str, n_min: int, n_max: int | None = None):
-    if n_max is None:
-        precondition = f"n >= {n_min}"
-    elif n_min == n_max:
-        precondition = f"n == {n_min}"
-    else:
-        precondition = f"{n_min} <= n <= {n_max}"
-
+def _register(check_id: str, n_min: int, n_max: int | None = None):
     def wrap(fn: CheckFn) -> CheckFn:
-        REGISTRY.append(Check(check_id, suite, n_min, n_max, precondition, fn))
+        REGISTRY.append(Check(check_id, n_min, n_max, fn))
         return fn
 
     return wrap
@@ -63,7 +66,7 @@ def _ok(failures: list[str]) -> tuple[str, str]:
 # -- grassmann ----------------------------------------------------------------
 
 
-@_register("grassmann.basis_dims", "grassmann", 1)
+@_register("grassmann.basis_dims", 1)
 def _basis_dims(n: int):
     ring = grassmann.build_ring(n)
     computed = [ring.dim(k) for k in range(2 * n + 1)]
@@ -71,7 +74,7 @@ def _basis_dims(n: int):
     return str(computed), str(expected)
 
 
-@_register("grassmann.poincare_pairing", "grassmann", 1)
+@_register("grassmann.poincare_pairing", 1)
 def _poincare(n: int):
     # entry (i, j) in degree k is deg(x^(2t) y^(n-t)) = C_t, t = m - i - j with
     # m = min(k, 2n - k); reversed, the matrix is the leading block of order
@@ -94,14 +97,14 @@ def _poincare(n: int):
     return _ok(failures)
 
 
-@_register("grassmann.degree_catalan", "grassmann", 1)
+@_register("grassmann.degree_catalan", 1)
 def _catalan(n: int):
     ring = grassmann.build_ring(n)
     computed = grassmann.degree_of_poly(ring, WPoly.monomial((2 * n, 0)))
     return str(computed), str(comb(2 * n, n) // (n + 1))
 
 
-@_register("grassmann.top_normalization", "grassmann", 1)
+@_register("grassmann.top_normalization", 1)
 def _top_norm(n: int):
     ring = grassmann.build_ring(n)
     quotient = grassmann.degree_of_poly(ring, WPoly.monomial((0, n)))
@@ -109,7 +112,7 @@ def _top_norm(n: int):
     return f"{quotient},{schubert}", "1,1"
 
 
-@_register("grassmann.pieri_oracle", "grassmann", 1, 15)
+@_register("grassmann.pieri_oracle", 1, 15)
 def _pieri_oracle(n: int):
     # c2 = sigma_(1,1) shifts the box, so x^a1 y^b1 * x^a2 y^b2 is the
     # (b1 + b2)-shift of sigma(x^a1) * sigma(x^a2).  Every product of basis
@@ -142,7 +145,7 @@ def _pieri_oracle(n: int):
     return _ok(failures)
 
 
-@_register("grassmann.sym_cubic_class", "grassmann", 1)
+@_register("grassmann.sym_cubic_class", 1)
 def _sym_cubic(n: int):
     top = grassmann.sym_power_chern(3)[4]
     return str(top), "18*x^2*y + 9*y^2"
@@ -151,13 +154,13 @@ def _sym_cubic(n: int):
 # -- fano ----------------------------------------------------------------------
 
 
-@_register("fano.lines_count", "fano", 2, 2)
+@_register("fano.lines_count", 2, 2)
 def _lines_count(n: int):
     ring = grassmann.build_ring(2)
     return str(grassmann.degree_of_poly(ring, grassmann.fano_poly())), "27"
 
 
-@_register("fano.surface_g2", "fano", 3, 3)
+@_register("fano.surface_g2", 3, 3)
 def _surface_g2(n: int):
     ring = grassmann.build_ring(3)
     value = grassmann.degree_of_poly(
@@ -166,7 +169,7 @@ def _surface_g2(n: int):
     return str(value), "45"
 
 
-@_register("fano.surface_c2", "fano", 3, 3)
+@_register("fano.surface_c2", 3, 3)
 def _surface_c2(n: int):
     ring = grassmann.build_ring(3)
     value = grassmann.degree_of_poly(
@@ -175,7 +178,7 @@ def _surface_c2(n: int):
     return str(value), "27"
 
 
-@_register("fano.pairing_oracle", "fano", 2)
+@_register("fano.pairing_oracle", 2)
 def _pairing_oracle(n: int):
     # entry (i, j) of a pairing is deg(x^a y^b [F]) at the exponent sum (a, b)
     # of its two monomials, with a + 2b = 2n - 4: one Schubert product per b
@@ -196,7 +199,7 @@ def _pairing_oracle(n: int):
     return _ok(failures)
 
 
-@_register("fano.pairing_symmetry", "fano", 2)
+@_register("fano.pairing_symmetry", 2)
 def _pairing_symmetry(n: int):
     failures = []
     top = 2 * (n - 2)
@@ -208,7 +211,7 @@ def _pairing_symmetry(n: int):
     return _ok(failures)
 
 
-@_register("fano.extra_relation", "fano", 3)
+@_register("fano.extra_relation", 3)
 def _extra_relation(n: int):
     relation = fano.extra_relation(n)
     ring = grassmann.build_ring(n)
@@ -218,7 +221,7 @@ def _extra_relation(n: int):
     return _ok(failures)
 
 
-@_register("fano.ideal_membership", "fano", 3)
+@_register("fano.ideal_membership", 3)
 def _ideal_membership(n: int):
     relation = fano.extra_relation(n)
     ring = grassmann.build_ring(n)
@@ -244,25 +247,25 @@ def _ideal_membership(n: int):
 # -- hodge ----------------------------------------------------------------------
 
 
-@_register("hodge.euler_consistency", "hodge", 1)
+@_register("hodge.euler_consistency", 1)
 def _euler_consistency(n: int):
     return str(hodge.euler_cubic(n)), str(hodge.hodge_cubic(n).euler())
 
 
-@_register("hodge.euler_spot", "hodge", 2, 4)
+@_register("hodge.euler_spot", 2, 4)
 def _euler_spot(n: int):
     golden = {2: 9, 3: -6, 4: 27}
     return str(hodge.euler_cubic(n)), str(golden[n])
 
 
-@_register("hodge.hilb2_identity", "hodge", 2)
+@_register("hodge.hilb2_identity", 2)
 def _hilb2_identity(n: int):
     lhs = hodge.hilb2_diamond(n)
     rhs = hodge.times_projective(hodge.hodge_cubic(n), n) + hodge.fano_diamond(n).shift(2)
     return str(lhs), str(rhs)
 
 
-@_register("hodge.fano_dimension", "hodge", 2)
+@_register("hodge.fano_dimension", 2)
 def _fano_dimension(n: int):
     diamond = hodge.fano_diamond(n)
     top = 4 * (n - 2)
@@ -271,37 +274,37 @@ def _fano_dimension(n: int):
     return computed, expected
 
 
-@_register("hodge.b1_fano", "hodge", 2)
+@_register("hodge.b1_fano", 2)
 def _b1_fano(n: int):
     computed = hodge.fano_diamond(n).betti(1)
     expected = hodge.primitive_middle(n).betti(1)  # middle block in degree n-2
     return str(computed), str(expected)
 
 
-@_register("hodge.b2_fano", "hodge", 3, 4)
+@_register("hodge.b2_fano", 3, 4)
 def _b2_fano(n: int):
     golden = {3: 45, 4: 23}
     return str(hodge.fano_diamond(n).betti(2)), str(golden[n])
 
 
-@_register("hodge.decomposition_closes", "hodge", 2)
+@_register("hodge.decomposition_closes", 2)
 def _decomposition_closes(n: int):
     hodge.fano_hodge_decomposition(n)  # raises CheckFailed on a non-Tate or negative entry
     return "ok", "ok"
 
 
-@_register("hodge.decomposition_tate", "hodge", 2, 4)
+@_register("hodge.decomposition_tate", 2, 4)
 def _decomposition_tate(n: int):
     golden = {2: "(0,)", 3: "(1, 0, 1)", 4: "(1, 1, 1, 1, 1)"}
     return str(hodge.fano_hodge_decomposition(n)), golden[n]
 
 
-@_register("hodge.decomposition_a0", "hodge", 3)
+@_register("hodge.decomposition_a0", 3)
 def _decomposition_a0(n: int):
     return str(hodge.fano_hodge_decomposition(n)[0]), "1"
 
 
-@_register("hodge.product_ring_ranks", "hodge", 3)
+@_register("hodge.product_ring_ranks", 3)
 def _product_ring_ranks(n: int):
     failures = []
     if fano.taut_rank_FX(n, 0) != 1:
@@ -315,13 +318,13 @@ def _product_ring_ranks(n: int):
 # -- diagonal --------------------------------------------------------------------
 
 
-@_register("diagonal.euler_self_intersection", "diagonal", 1)
+@_register("diagonal.euler_self_intersection", 1)
 def _euler_self_intersection(n: int):
     d = diagonal.xx_diagonal(n)
     return str(diagonal.degree(d * d)), str(hodge.euler_cubic(n))
 
 
-@_register("diagonal.kunneth_third", "diagonal", 1)
+@_register("diagonal.kunneth_third", 1)
 def _kunneth_third(n: int):
     small = diagonal.small_diagonal_coh(n)
     coeffs = [
@@ -330,26 +333,26 @@ def _kunneth_third(n: int):
     return ",".join(coeffs), "1/3,1/3,1/3"
 
 
-@_register("diagonal.primitive_cancellation", "diagonal", 1)
+@_register("diagonal.primitive_cancellation", 1)
 def _primitive_cancellation(n: int):
     diagonal.decomposable_coefficients(n)  # raises CheckFailed on survivors
     return "ok", "ok"
 
 
-@_register("diagonal.projector_law", "diagonal", 1)
+@_register("diagonal.projector_law", 1)
 def _projector_law(n: int):
     lhs = diagonal.push13(diagonal.small_diagonal_coh(n))
     rhs = diagonal.xx_diagonal_expansion(n)
     return str(lhs), str(rhs)
 
 
-@_register("diagonal.defect_vanishes", "diagonal", 1)
+@_register("diagonal.defect_vanishes", 1)
 def _defect_vanishes(n: int):
     diagonal.defect_vanishes_cohomologically(n)
     return "ok", "ok"
 
 
-@_register("diagonal.defect_pairing", "diagonal", 1)
+@_register("diagonal.defect_pairing", 1)
 def _defect_pairing(n: int):
     defect = diagonal.small_diagonal_defect(n)
     duals = [(a, b, n - a - b) for a in range(n + 1) for b in range(n + 1 - a)]
@@ -358,7 +361,7 @@ def _defect_pairing(n: int):
     return _ok([f"monomial dual ({a},{b},{c})" for (a, b, c), v in zip(duals, values) if v])
 
 
-@_register("diagonal.symmetry", "diagonal", 1)
+@_register("diagonal.symmetry", 1)
 def _symmetry(n: int):
     # an S3-orbit is constant exactly when every entry equals the entry at its
     # sorted key; every key of an orbit that is not is reported, in table order
@@ -373,7 +376,7 @@ def _symmetry(n: int):
     return _ok([f"asymmetry at {key}" for key in table if tuple(sorted(key)) in broken])
 
 
-@_register("diagonal.interior_coefficient", "diagonal", 3)
+@_register("diagonal.interior_coefficient", 3)
 def _interior_coefficient(n: int):
     table, den = diagonal.decomposable_coefficients(n)
     interior = [t for (i, j, k), t in table.items() if 0 < i < n and 0 < j < n and 0 < k < n]
@@ -385,7 +388,7 @@ def _interior_coefficient(n: int):
     return _ok(failures)
 
 
-@_register("diagonal.product_rank_one", "diagonal", 3)
+@_register("diagonal.product_rank_one", 3)
 def _product_rank_one(n: int):
     failures = []
     moments = (Fraction(3), Fraction(7, 2), Fraction(-5, 3))
@@ -412,40 +415,31 @@ def _product_rank_one(n: int):
     return _ok(failures)
 
 
-@_register("diagonal.model_compatibility", "diagonal", 1, 6)
+@_register("diagonal.model_compatibility", 1, 6)
 def _model_compatibility(n: int):
     # both models are associative and xx_to_coh is linear and unital, so
     # f(g * b) = f(g) * f(b) for the generators g = h1, h2, D and every basis
     # class b makes it a ring map (induct on words in the generators).  Both
-    # sides are read term by term, as numerators over one denominator each,
-    # and compared cross-multiplied: no class is built per pair
+    # sides are read term by term, through the models' one product loop and
+    # one cycle-class-map loop, as numerators over one denominator each, and
+    # compared cross-multiplied: no class is built per pair
     images = {
         k: diagonal.xx_to_coh(diagonal.XXClass(n, {k: 1})) for k in diagonal.xx_basis(n)
     }
-    common = lcm(*(image.den for image in images.values()))
-    scale = {k: common // image.den for k, image in images.items()}
+    image = images.__getitem__
     xx_mul = diagonal.XXClass(n)._term_mul
     coh_mul = diagonal.CohXXClass(n)._term_mul
-    lhs_den = diagonal.XXClass._DEN * common
+    lhs_den = diagonal.XXClass._DEN * 3  # every image's denominator divides 3
     failures = []
     for g in ((diagonal.MONO, 1, 0), (diagonal.MONO, 0, 1), (diagonal.DIAG,)):
         fg = images[g]
         for k, fb in images.items():
-            lhs: dict = {}  # f(g * b), over lhs_den
-            for key, c in xx_mul(g, k).items():
-                c *= scale[key]
-                for key2, v in images[key].num.items():
-                    lhs[key2] = lhs.get(key2, 0) + c * v
-            rhs: dict = {}  # f(g) * f(b), over rhs_den
-            for k1, c1 in fg.num.items():
-                for k2, c2 in fb.num.items():
-                    c12 = c1 * c2
-                    for key2, v in coh_mul(k1, k2).items():
-                        rhs[key2] = rhs.get(key2, 0) + c12 * v
+            lhs = diagonal._coh_num(xx_mul(g, k), image, 3)  # f(g * b), over lhs_den
+            rhs = diagonal._product_num(fg.num, fb.num, coh_mul)  # f(g) * f(b)
             rhs_den = fg.den * fb.den * diagonal.CohXXClass._DEN
             if any(
-                lhs.get(key2, 0) * rhs_den != rhs.get(key2, 0) * lhs_den
-                for key2 in lhs.keys() | rhs.keys()
+                lhs.get(key, 0) * rhs_den != rhs.get(key, 0) * lhs_den
+                for key in lhs.keys() | rhs.keys()
             ):
                 failures.append(f"not a ring map at {g} * {k}")
     return _ok(failures)

@@ -24,7 +24,10 @@ Every class is a ``wpoly.SparseSum`` over n: integer numerators over one
 denominator.  A model adds its key shapes, which its constructor checks, and
 ``_term_mul``, numerators over the rule denominator ``_DEN`` (27 for X3Class,
 9 for XXClass and CohXXClass, 3 for CohX3Class), so a product is reduced
-once, by one gcd.  The key order and the key text belong to the base,
+once, by one gcd.  Every product runs through one loop, ``_product_num``,
+and both cycle-class maps through one, ``_coh_num``; the maps and
+``push13`` take classes of their own model only (``ValueError`` on any
+other).  The key order and the key text belong to the base,
 ``_FormalSum``, and are the same for all four models.  ``Fraction`` appears
 only at the edge: coefficients, degrees, pairings and text.
 
@@ -123,16 +126,7 @@ class _FormalSum(SparseSum):
 
     def __mul__(self, other):
         self._check(other)
-        term_mul = self._term_mul
-        right = other.num.items()
-        out: dict[Key, int] = {}
-        for k1, c1 in self.num.items():
-            for k2, c2 in right:
-                product = term_mul(k1, k2)
-                if product:
-                    c12 = c1 * c2
-                    for key, c in product.items():
-                        out[key] = out.get(key, 0) + c12 * c
+        out = _product_num(self.num, other.num, self._term_mul)
         return self._reduced(self.ctx, out, self.den * other.den * self._DEN)
 
     @staticmethod
@@ -144,6 +138,38 @@ class _FormalSum(SparseSum):
     @staticmethod
     def _format_term(key: Key, c):
         return _format_key(key), c
+
+
+def _product_num(left: Mapping[Key, int], right: Mapping[Key, int], term_mul) -> dict[Key, int]:
+    """Unreduced numerators of ``left * right``, every term pair through ``term_mul``."""
+    right = right.items()
+    out: dict[Key, int] = {}
+    for k1, c1 in left.items():
+        for k2, c2 in right:
+            product = term_mul(k1, k2)
+            if product:
+                c12 = c1 * c2
+                for key, c in product.items():
+                    out[key] = out.get(key, 0) + c12 * c
+    return out
+
+
+def _coh_num(num: Mapping[Key, int], image, common: int) -> dict[Key, int]:
+    """Numerators over ``common`` of the cycle-class image of ``num``, unreduced.
+
+    A monomial is its own image; any other key goes to ``image(key)``, whose
+    denominator divides ``common``.
+    """
+    out: dict[Key, int] = {}
+    for key, c in num.items():
+        if key[0] == MONO:
+            out[key] = out.get(key, 0) + common * c
+        else:
+            target = image(key)
+            f = c * (common // target.den)
+            for k, v in target.num.items():
+                out[k] = out.get(k, 0) + f * v
+    return out
 
 
 _H_NAMES = ("h1", "h2", "h3")  # the hyperplane class on each factor
@@ -256,13 +282,9 @@ def xx_to_coh(a: XXClass) -> CohXXClass:
 
     The expansion has denominator 3, so the image is taken over 3 * a.den.
     """
-    out: dict[Key, int] = {}
-    for key, c in a.num.items():
-        if key[0] == MONO:
-            out[key] = out.get(key, 0) + 3 * c
-        else:
-            for k, v in xx_diagonal_expansion(a.n).num.items():
-                out[k] = out.get(k, 0) + c * v
+    if type(a) is not XXClass:
+        raise ValueError("xx_to_coh maps XXClass classes only")
+    out = _coh_num(a.num, lambda key: xx_diagonal_expansion(a.n), 3)
     return CohXXClass._reduced(a.n, out, 3 * a.den)
 
 
@@ -467,23 +489,20 @@ def x3_to_coh(a: X3Class) -> CohX3Class:
     The expansions of D_ab * h_c^m and D3 have denominators 3 and 9, so the
     image is taken over 9 * a.den.
     """
-    out: dict[Key, int] = {}
-    for key, c in a.num.items():
-        if key[0] == MONO:
-            out[key] = out.get(key, 0) + 9 * c
-            continue
-        if key[0] == DIAG:
-            image = x3_diagonal_expansion(a.n, key[1], key[2], key[3])
-        else:
-            image = small_diagonal_coh(a.n)
-        f = c * (9 // image.den)
-        for k, v in image.num.items():
-            out[k] = out.get(k, 0) + f * v
-    return CohX3Class._reduced(a.n, out, 9 * a.den)
+    if type(a) is not X3Class:
+        raise ValueError("x3_to_coh maps X3Class classes only")
+    n = a.n
+
+    def image(key: Key) -> CohX3Class:
+        return x3_diagonal_expansion(n, *key[1:]) if key[0] == DIAG else small_diagonal_coh(n)
+
+    return CohX3Class._reduced(n, _coh_num(a.num, image, 9), 9 * a.den)
 
 
 def push13(a: CohX3Class) -> CohXXClass:
     """Pushforward to slots (1, 3): integrate slot 2 (h2^n -> 3, free d -> 0)."""
+    if type(a) is not CohX3Class:
+        raise ValueError("push13 pushes CohX3Class classes only")
     out: dict[Key, int] = {}
     for key, c in a.num.items():
         if key[0] == MONO:

@@ -6,7 +6,8 @@ the structured failure modes that the verification checks report on.
 ``TypeError`` marks a coefficient that is not an ``int`` or ``Fraction``: the
 value constructors pass every coefficient through ``exact``, so no float
 enters the engine.  It also marks an exponent (of a ``WPoly`` or a diagonal
-model key) or a formal-cycle codimension that is not an ``int``.  A ``bool``
+model key), a formal-cycle codimension, a ``HodgeDiamond`` entry key or the
+``cols`` of ``MatQ.from_rows`` that is not an ``int``.  A ``bool``
 is refused everywhere, as a coefficient or moment too, though
 ``isinstance(True, int)`` holds: ``True`` is never read as 1.
 """
@@ -24,10 +25,6 @@ class NotTopDegree(ValueError):
 
 class CheckFailed(RuntimeError):
     """A verified identity failed; computed data contradicts the expected law."""
-
-
-class NonIntegralResult(ArithmeticError):
-    """An exact division left a remainder where none is permitted."""
 
 
 def exact(c):

@@ -33,6 +33,8 @@ class MatQ(NamedTuple):
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[Fraction | int]], cols: int | None = None) -> "MatQ":
+        if cols is not None and type(cols) is not int:  # a bool too
+            raise TypeError(f"cols must be int, not {cols!r}")
         data = tuple(tuple(exact(x) for x in row) for row in rows)
         if data:
             if cols is None:

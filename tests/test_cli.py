@@ -1,3 +1,5 @@
+import ast
+import dataclasses
 import gc
 import json
 import os
@@ -7,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from cubicchow.checks import REGISTRY, checks_for
+from cubicchow.checks import REGISTRY, Check, checks_for
 from cubicchow.cli import (
     CheckResult,
     RunConfig,
@@ -29,6 +31,24 @@ def test_registry_ids_unique_and_suites_known():
     assert len(ids) == len(set(ids))
     assert all(c.suite in ("grassmann", "fano", "hodge", "diagonal") for c in REGISTRY)
     assert checks_for({"all"}) == REGISTRY
+
+
+def test_a_check_is_its_id_its_range_and_its_function():
+    # the suite is the prefix of the id and the skip text is the n-range, so
+    # a registration states each once
+    assert [f.name for f in dataclasses.fields(Check)] == ["check_id", "n_min", "n_max", "fn"]
+    by_id = {c.check_id: c for c in REGISTRY}
+    assert all(c.suite == c.check_id.split(".")[0] for c in REGISTRY)
+    assert [
+        (by_id[i].suite, by_id[i].precondition)
+        for i in ("diagonal.model_compatibility", "fano.lines_count", "fano.extra_relation")
+    ] == [("diagonal", "1 <= n <= 6"), ("fano", "n == 2"), ("fano", "n >= 3")]
+    check = by_id["hodge.b2_fano"]
+    with pytest.raises(AttributeError):
+        check.suite = "fano"
+    # the layer tracer rebuilds every check this way
+    rebuilt = dataclasses.replace(check, fn=len)
+    assert (rebuilt.suite, rebuilt.precondition, rebuilt.fn) == ("hodge", "3 <= n <= 4", len)
 
 
 def test_lines_count_row():
@@ -362,6 +382,29 @@ def test_every_other_public_function_is_reached_by_verify(tmp_path):
         zero = {name for name, span in report["spans"].items() if span["calls"] == 0}
         idle = zero if idle is None else idle & zero
     assert idle == IDLE_IN_VERIFY
+
+
+# the private names that checks.py reads off diagonal and its classes: reaching
+# for another internal is a deliberate edit here
+CHECKS_READS_OF_DIAGONAL = {"_x3_pair_keys", "_product_num", "_coh_num", "_term_mul", "_DEN"}
+
+
+def _root_name(node):
+    while isinstance(node, (ast.Attribute, ast.Call, ast.Subscript)):
+        node = node.func if isinstance(node, ast.Call) else node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def test_checks_reads_only_the_named_diagonal_internals():
+    tree = ast.parse((ROOT / "src" / "cubicchow" / "checks.py").read_text(encoding="utf-8"))
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            if _root_name(node.value) == "diagonal":
+                read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.module == "diagonal":
+            read |= {alias.name for alias in node.names if alias.name.startswith("_")}
+    assert read == CHECKS_READS_OF_DIAGONAL
 
 
 # -- start-up: records without dataclasses -------------------------------------

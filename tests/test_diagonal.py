@@ -120,6 +120,61 @@ def test_model_compatibility_catches_a_perturbed_diagonal_product(monkeypatch):
     assert "not a ring map at ('D',) * ('m', 1, 1)" in computed
 
 
+def test_model_compatibility_catches_a_perturbed_cohomological_product(monkeypatch):
+    # f(g) * f(b) goes through _product_num with CohXXClass's rules: d * d
+    # doubled breaks only f(D) * f(D)
+    honest = CohXXClass._term_mul
+
+    def perturbed(self, k1, k2):
+        out = honest(self, k1, k2)
+        if k1 == k2 == (PRIM,):
+            out = {key: 2 * c for key, c in out.items()}
+        return out
+
+    monkeypatch.setattr(CohXXClass, "_term_mul", perturbed)
+    for n in range(1, 7):
+        assert _run_check("diagonal.model_compatibility", n) == (
+            "not a ring map at ('D',) * ('D',)",
+            "ok",
+        ), n
+
+
+def test_model_compatibility_catches_a_perturbed_diagonal_image(monkeypatch):
+    # the image of D, which _coh_num reads through xx_to_coh, with a
+    # primitive coefficient of 4/3 instead of 1
+    honest = diagonal.xx_diagonal_expansion
+
+    def perturbed(n):
+        return honest(n) + CohXXClass(n, {(PRIM,): Fraction(1, 3)})
+
+    monkeypatch.setattr(diagonal, "xx_diagonal_expansion", perturbed)
+    for n in range(1, 7):
+        assert _run_check("diagonal.model_compatibility", n) == (
+            "not a ring map at ('D',) * ('D',)",
+            "ok",
+        ), n
+    monkeypatch.undo()
+    assert all(_run_check("diagonal.model_compatibility", n) == ("ok", "ok") for n in range(1, 7))
+
+
+def test_xx_to_coh_refuses_a_class_of_another_model():
+    # a CohXXClass was read key by key, its d as the diagonal D
+    with pytest.raises(ValueError, match="XXClass classes only"):
+        xx_to_coh(xx_diagonal_expansion(2))
+
+
+def test_x3_to_coh_refuses_a_class_of_another_model():
+    # a CohX3Class was read key by key, each primitive key as the small diagonal
+    with pytest.raises(ValueError, match="X3Class classes only"):
+        x3_to_coh(small_diagonal_coh(2))
+
+
+def test_push13_refuses_a_class_of_another_model():
+    # an X3Class diagonal D13 * h2^2 was pushed forward to 3*d
+    with pytest.raises(ValueError, match="CohX3Class classes only"):
+        push13(x3_diagonal(2, 1, 3, 2))
+
+
 def test_cycle_class_map_is_ring_map_on_basis():
     for n in range(1, 7):
         keys = xx_basis(n)

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 import cubicchow.fano as fano
 import cubicchow.hodge as hodge
 from cubicchow.checks import REGISTRY
-from cubicchow.errors import CheckFailed, NonIntegralResult, UnsupportedRange
+from cubicchow.cli import _execute
+from cubicchow.errors import CheckFailed, UnsupportedRange
 from cubicchow.fano import taut_rank_FX
 from cubicchow.hodge import (
     HodgeDiamond,
@@ -23,6 +24,10 @@ from cubicchow.hodge import (
 )
 
 
+def _is_symmetric(diamond):
+    return all(diamond.get(k, q, p) == m for (k, p, q), m in diamond.entries.items())
+
+
 def test_hodge_cubic_classical_values():
     assert hodge_cubic(3).get(3, 2, 1) == 5
     assert hodge_cubic(4).get(4, 3, 1) == 1
@@ -33,7 +38,7 @@ def test_hodge_cubic_classical_values():
 def test_hodge_cubic_symmetry_and_duality():
     for n in range(1, 9):
         diamond = hodge_cubic(n)
-        assert diamond.is_symmetric()
+        assert _is_symmetric(diamond)
         assert all(m > 0 for m in diamond.entries.values())
         for (k, p, q), m in diamond.entries.items():
             assert diamond.get(2 * n - k, n - p, n - q) == m
@@ -155,7 +160,7 @@ def test_e_fano_validity_range():
         assert diamond.max_degree() == top
         assert diamond.betti(top) == (27 if n == 2 else 1)
         assert all(m > 0 for m in diamond.entries.values())
-        assert diamond.is_symmetric()
+        assert _is_symmetric(diamond)
     with pytest.raises(UnsupportedRange):
         fano_diamond(1)
 
@@ -255,6 +260,19 @@ def test_multiplicities_are_exact_integers():
     assert type(diamond.get(0, 0, 0)) is int
 
 
+def test_entry_keys_are_ints():
+    # 2.0 == 2 and True == 1 pass p + q = k: a float key made euler() a float
+    # and broke the printer, a bool key printed -3*u
+    for key in ((2.0, 1.0, 1.0), (2, 1.0, 1), (True, True, False), (2, True, 1)):
+        with pytest.raises(TypeError):
+            HodgeDiamond({key: 3})
+    # lru_cache keys a bool apart from an int, so this builds the diamond
+    # even with hodge_cubic(1) cached
+    hodge_cubic(1)
+    with pytest.raises(TypeError):
+        hodge_cubic(True)
+
+
 def test_cached_diamonds_are_immutable():
     diamond = hodge_cubic(3)
     with pytest.raises(TypeError):
@@ -328,29 +346,83 @@ def test_product_ring_ranks_fails_on_wrong_fano_ranks(monkeypatch):
         assert computed == "rank at k=3n-4 is not 1" and expected == "ok", n
 
 
-def test_fano_diamond_guards_each_fail(monkeypatch):
+_DIAMOND_CACHES = (fano_diamond, fano_hodge_decomposition)
+
+
+def test_decomposition_closes_names_each_broken_diamond(monkeypatch, row_at):
     # an entry d added to the Hilbert square at (k+4, p+2, q+2) lands in the
-    # diamond of F at (k, p, q); (2, 1, 1) is not divisible by (uv)^2
+    # diamond of F at (k, p, q): an entry that (uv)^2 does not divide, a
+    # negative multiplicity, an entry beyond dimension 2(n-2) = 4 and an
+    # asymmetric entry.  fano_diamond checks none of them; the decomposition
+    # row names each, and the rows that read other entries pass
     n = 4
     honest = hilb2_diamond(n)
     cases = (
-        ((2, 1, 1), 1, NonIntegralResult, "does not divide the numerator at n=4"),
-        ((4, 2, 2), -2, CheckFailed, "negative multiplicity at (p,q)=(0,0) for n=4"),
-        ((14, 7, 7), 1, CheckFailed, "entry (5,5) beyond dimension 4 for n=4"),
-        ((7, 4, 3), 1, CheckFailed, "invalid diamond for the variety of lines at n=4"),
+        ((2, 1, 1), 1, "(-2,-1,-1)=1"),
+        ((4, 2, 2), -2, "(0,0,0)=-1"),
+        ((14, 7, 7), 1, "(10,5,5)=1"),
+        ((7, 4, 3), 1, "(3,2,1)=1"),
     )
-    fano_diamond.cache_clear()
+    for key, d, entry in cases:
+        perturbed = honest + HodgeDiamond({key: d})
+        monkeypatch.setattr(hodge, "hilb2_diamond", lambda n: perturbed)
+        for cache in _DIAMOND_CACHES:
+            cache.cache_clear()
+        try:
+            closes = row_at("hodge.decomposition_closes", n)
+            others = [row_at(c, n) for c in ("hodge.b1_fano", "hodge.hilb2_identity")]
+        finally:
+            monkeypatch.undo()
+            for cache in _DIAMOND_CACHES:
+                cache.cache_clear()
+        assert (closes.status, closes.computed) == (
+            "fail",
+            f"error: CheckFailed: remainder has non-Tate or negative entry {entry} at n={n}",
+        ), key
+        assert [r.status for r in others] == ["pass", "pass"], (key, others)
+    assert row_at("hodge.decomposition_closes", n).status == "pass"
+
+
+@st.composite
+def _perturbed_hilb2(draw):
+    n = draw(st.integers(2, 8))
+    k = draw(st.integers(0, 4 * n + 4))
+    p = draw(st.integers(-1, k + 1))
+    return n, (k, p, k - p), draw(st.sampled_from((-2, -1, 1, 2)))
+
+
+@settings(max_examples=150)
+@given(_perturbed_hilb2())
+@example((4, (2, 1, 1), 1))
+@example((4, (4, 2, 2), -2))
+@example((4, (14, 7, 7), 1))
+@example((4, (7, 4, 3), 1))
+def test_decomposition_closes_fails_wherever_a_diamond_condition_fails(case):
+    # the four conditions that fano_diamond once raised on, stated here: the
+    # decomposition row alone must refuse every diamond that breaks one
+    n, key, d = case
+    perturbed = hilb2_diamond(n) + HodgeDiamond({key: d})
+    numerator = perturbed - times_projective(hodge_cubic(n), n)
+    diamond = numerator.shift(-2)
+    dim = 2 * (n - 2)
+    broken = (
+        any(p < 2 or q < 2 for (_, p, q) in numerator.entries)  # (uv)^2 does not divide
+        or any(m < 0 for m in diamond.entries.values())
+        or any(p > dim or q > dim for (_, p, q) in diamond.entries)
+        or not _is_symmetric(diamond)
+    )
+    (check,) = [c for c in REGISTRY if c.check_id == "hodge.decomposition_closes"]
     try:
-        for key, d, error, message in cases:
-            perturbed = honest + HodgeDiamond({key: d})
-            monkeypatch.setattr(hodge, "hilb2_diamond", lambda n: perturbed)
-            with pytest.raises(error) as raised:
-                fano_diamond(n)
-            assert message in str(raised.value), key
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(hodge, "hilb2_diamond", lambda m: perturbed)
+            for cache in _DIAMOND_CACHES:
+                cache.cache_clear()
+            row = _execute(check, n)
     finally:
-        monkeypatch.undo()
-        fano_diamond.cache_clear()
-    assert fano_diamond(n).get(8, 4, 4) == 1
+        for cache in _DIAMOND_CACHES:
+            cache.cache_clear()
+    if broken:
+        assert row.status == "fail", (case, row)
 
 
 def test_euler_consistency_fails_alone_on_a_wrong_hodge_number(monkeypatch, row_at):

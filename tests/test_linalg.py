@@ -96,6 +96,16 @@ def test_floats_are_rejected():
     assert MatQ.from_rows([[1, Fraction(1, 2)]]).entries == ((1, Fraction(1, 2)),)
 
 
+def test_column_count_must_be_an_int():
+    # 1 == True == 1.0 passed the length check: cols=True was kept as given
+    for cols in (True, 1.0):
+        with pytest.raises(TypeError):
+            MatQ.from_rows([[1]], cols=cols)
+    with pytest.raises(TypeError):
+        MatQ.from_rows([], cols=False)
+    assert MatQ.from_rows([[1]], cols=1).cols == 1
+
+
 def test_empty_matrix_needs_column_count():
     with pytest.raises(ValueError):
         MatQ.from_rows([])
