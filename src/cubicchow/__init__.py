@@ -7,7 +7,7 @@ through the Hilbert-square relation, and the small-diagonal decomposition
 that pins the product structure of the cycle ring down to rank one.
 """
 
-from .errors import CheckFailed, NotTopDegree, UnsupportedRange
+from .errors import CheckFailed, UnsupportedRange
 from .wpoly import WPoly
 from .linalg import MatQ, kernel_basis, solve_linear
 from .grassmann import (

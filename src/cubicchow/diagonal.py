@@ -79,6 +79,11 @@ def _third(a: int, b: int) -> int:
     return 6 - a - b
 
 
+def _check_dim(n) -> None:
+    if type(n) is not int:  # a bool too
+        raise TypeError(f"dimension n must be int, not {n!r}")
+
+
 def primitive_self_pairing(n: int) -> int:
     """Integral of d * d on X^2: the signed trace chi - (n + 1)."""
     return euler_cubic(n) - (n + 1)
@@ -102,6 +107,7 @@ class _FormalSum(SparseSum):
     _CONTEXT = "models"
 
     def __new__(cls, n: int, terms: Mapping[Key, Fraction | int] | None = None):
+        _check_dim(n)
         for key in terms or {}:
             cls._check_key(n, key)
         return cls._exact(n, terms)
@@ -272,6 +278,7 @@ class CohXXClass(_FormalSum):
 
 def xx_diagonal_expansion(n: int) -> CohXXClass:
     """Kunneth expansion (1/3) sum_j h1^j h2^(n-j) + d of the diagonal."""
+    _check_dim(n)
     num = {(MONO, j, n - j): 1 for j in range(n + 1)}
     num[(PRIM,)] = 3
     return CohXXClass._reduced(n, num, 3)
@@ -465,6 +472,7 @@ class CohX3Class(_FormalSum):
 
 def x3_diagonal_expansion(n: int, a: int, b: int, m: int = 0) -> CohX3Class:
     """Kunneth expansion of D_ab * h_c^m in the cohomological model."""
+    _check_dim(n)
     c = _third(a, b)
     num: dict[Key, int] = {}
     if m <= n:
@@ -523,6 +531,7 @@ def push13(a: CohX3Class) -> CohXXClass:
 
 def corrected_small_diagonal(n: int) -> X3Class:
     """D3 minus a third of each diagonal decorated with the opposite h^n."""
+    _check_dim(n)
     if n < 1:
         raise UnsupportedRange("corrected_small_diagonal needs n >= 1")
     num = {(DIAG, a, b, n): -1 for a, b in PAIRS}

@@ -1,14 +1,17 @@
 """Exception types shared across the package, and the gate on exact input.
 
 Plain ``ValueError`` is used for caller mistakes (mismatched operands,
-inhomogeneous input where a graded class is required); the classes below mark
-the structured failure modes that the verification checks report on.
-``TypeError`` marks a coefficient that is not an ``int`` or ``Fraction``: the
-value constructors pass every coefficient through ``exact``, so no float
-enters the engine.  It also marks an exponent (of a ``WPoly`` or a diagonal
-model key), a formal-cycle codimension, a ``HodgeDiamond`` entry key or the
-``cols`` of ``MatQ.from_rows`` that is not an ``int``.  A ``bool``
-is refused everywhere, as a coefficient or moment too, though
+inhomogeneous input, a degree other than the stated one, as a class below the
+top given to the degree map, a ``HodgeDiamond`` key that is not a pair (p, q));
+the classes below mark the structured failure modes that the verification
+checks report on.  ``TypeError`` marks a coefficient that is not an ``int``
+or ``Fraction``: the value constructors pass every coefficient through
+``exact``, so no float enters the engine.  It also marks an exponent (of a
+``WPoly`` or a diagonal model key), a formal-cycle codimension, a
+``HodgeDiamond`` key entry, the dimension n of a diagonal model or of
+``hodge_cubic``, the k of ``grassmann.pairing`` and so of ``fano_pairing``,
+or the ``cols`` of ``MatQ.from_rows`` that is not an ``int``.  A ``bool`` is
+refused everywhere, as a coefficient or moment too, though
 ``isinstance(True, int)`` holds: ``True`` is never read as 1.
 """
 
@@ -17,10 +20,6 @@ from fractions import Fraction
 
 class UnsupportedRange(ValueError):
     """An operation was asked for a parameter outside its declared domain."""
-
-
-class NotTopDegree(ValueError):
-    """The degree map was applied to a class not of top codimension."""
 
 
 class CheckFailed(RuntimeError):

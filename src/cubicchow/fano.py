@@ -57,12 +57,9 @@ class ExtraRelation(NamedTuple):
 def fano_pairing(n: int, k: int) -> FanoPairing:
     if n < 2:
         raise UnsupportedRange("fano_pairing needs n >= 2")
-    top = 2 * (n - 2)
-    if not 0 <= k <= top:
-        raise UnsupportedRange(f"k must lie in 0..{top}")
     ring = build_ring(n)
-    matrix = pairing(ring, k, fano_poly())
-    return FanoPairing(n, k, ring.bases[k], ring.bases[top - k], matrix)
+    matrix = pairing(ring, k, fano_poly())  # refuses k outside 0..2(n-2)
+    return FanoPairing(n, k, ring.bases[k], ring.bases[2 * (n - 2) - k], matrix)
 
 
 def taut_rank_F(n: int, k: int) -> int:
@@ -130,7 +127,7 @@ def ideal_decomposition(n: int, relation: WPoly) -> tuple[WPoly, WPoly] | None:
     """
     if relation.is_zero():
         return WPoly.zero(), WPoly.zero()
-    if not relation.is_homogeneous() or relation.homogeneous_degree() != n + 3:
+    if relation.homogeneous_degree() != n + 3:
         raise ValueError("ideal_decomposition needs homogeneous input of degree n+3")
     g1, g2 = complete_symmetric(n + 1), complete_symmetric(n + 2)
     # columns x^2*h_(n+1), y*h_(n+1), x*h_(n+2): shifted coefficients, integers

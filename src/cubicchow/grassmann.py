@@ -36,7 +36,9 @@ exponent sums (a1+a2, b1+b2) and splits in two:
 sigma(x^a1) * sigma(x^a2) = sigma(x^(a1+a2)) for a1, a2 <= n, and the
 Giambelli image of the b-shift of sigma(x^a) is the reducer row of x^a y^b.
 ``normal_form``, ``pairing`` and ``poly_schubert`` reject anything but a
-``WPoly`` with ``ValueError``.
+``WPoly`` with ``ValueError``.  ``normal_form`` alone refuses a degree other
+than the stated one (``degree_of_poly`` states the top); ``pairing`` alone
+refuses a k that is not an ``int`` (``TypeError``) or is out of range.
 
 Also here: Chern classes of symmetric powers of a rank-2 bundle, multiplied
 out from conjugate pairs of roots, and the class of the locus of lines on a
@@ -52,7 +54,7 @@ from math import comb
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
-from .errors import NotTopDegree, UnsupportedRange
+from .errors import UnsupportedRange
 from .linalg import MatQ
 from .wpoly import Exponents, WPoly
 
@@ -161,8 +163,6 @@ def normal_form(ring: GRing, p: WPoly, degree: int | None = None) -> tuple[Fract
             raise ValueError("zero polynomial needs an explicit degree")
         k = degree
     else:
-        if not p.is_homogeneous():
-            raise ValueError("normal_form needs weighted-homogeneous input")
         k = p.homogeneous_degree()
         if degree is not None and degree != k:
             raise ValueError("stated degree disagrees with the polynomial")
@@ -190,10 +190,7 @@ def coords(
 
 def degree_of_poly(ring: GRing, p: WPoly) -> Fraction:
     """Integral of a top-degree polynomial: c2^n spans the top degree, with degree 1."""
-    top = 2 * ring.n
-    if not p.is_zero() and p.is_homogeneous() and p.homogeneous_degree() != top:
-        raise NotTopDegree(f"degree map needs codimension {top}")
-    return normal_form(ring, p, top)[0]
+    return normal_form(ring, p, 2 * ring.n)[0]
 
 
 # -- Schubert oracle ---------------------------------------------------------
@@ -334,6 +331,8 @@ def pairing(ring: GRing, k: int, weight: WPoly | None = None) -> MatQ:
     X._check(weight)
     terms, den = list(weight.num.items()), weight.den
     top = 2 * ring.n - weight.homogeneous_degree()
+    if type(k) is not int:  # a bool too: fano_pairing would cache it as 1
+        raise TypeError(f"k must be an int, not {k!r}")
     if not 0 <= k <= top:
         raise UnsupportedRange(f"k must lie in 0..{top}")
     point = ring.reducers[2 * ring.n]

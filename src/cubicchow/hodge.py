@@ -8,11 +8,11 @@ is bookkeeping with bigraded multiplicity tables.
 
 The unsigned :class:`HodgeDiamond`, a ``wpoly.SparseSum`` of integer
 multiplicities (``den`` 1), is the only representation.  Every diamond here
-is pure (p + q = k), so the signed E-polynomial
-sum (-1)^k h^(p,q)(H^k) u^p v^q carries nothing the diamond lacks: it exists
-only as the text of a diamond (``str``), and degree parity is never
-reconstructed from signs.  Multiplying by E(P^m) is a sum of Tate shifts
-(``times_projective``), so the chain
+is pure, so an entry is keyed by its Hodge type (p, q) alone and sits in
+degree p + q.  The signed E-polynomial sum (-1)^(p+q) h^(p,q) u^p v^q
+carries nothing the diamond lacks: it exists only as the text of a diamond
+(``str``), and degree parity is never reconstructed from signs.  Multiplying
+by E(P^m) is a sum of Tate shifts (``times_projective``), so the chain
 
     E(Hilb^2 X) = E(Sym^2 X) + (sum_(k=1)^(n-1) (uv)^k) * E(X)
     E(F) = (E(Hilb^2 X) - E(X) * E(P^n)) / (uv)^2
@@ -34,28 +34,29 @@ from typing import Mapping
 from .errors import CheckFailed, UnsupportedRange, exact
 from .wpoly import SparseSum, format_monomial
 
-Entry = tuple[int, int, int]  # (cohomological degree k, p, q) with p + q = k
+Entry = tuple[int, int]  # the Hodge type (p, q), in degree p + q
 
 
 class HodgeDiamond(SparseSum):
-    """Multiplicity table (k, p, q) -> integer; zero entries are dropped.
+    """Multiplicity table (p, q) -> integer; zero entries are dropped.
 
     A sparse sum with ``den`` 1 and no context; ``entries`` is ``num``.
-    Keys are ``int`` triples; intermediate bookkeeping may hold negative
-    multiplicities.  The text is the E-polynomial sum
-    (-1)^k h^(p,q)(H^k) u^p v^q, highest degree first.
+    Keys are Hodge types, pairs of ``int``, and (p, q) sits in degree
+    p + q; intermediate bookkeeping may hold negative multiplicities.  The
+    text is the E-polynomial sum (-1)^(p+q) h^(p,q) u^p v^q, highest degree
+    first.
     """
 
     __slots__ = ()
 
     def __new__(cls, entries: Mapping[Entry, int] | None = None):
-        for (k, p, q), m in (entries or {}).items():
-            if not all(type(e) is int for e in (k, p, q)):  # a bool too
-                raise TypeError(f"entry keys must be int, not {(k, p, q)!r}")
-            if p + q != k:
-                raise ValueError(f"entry ({k},{p},{q}) violates p + q = k")
+        for key, m in (entries or {}).items():
+            if type(key) is not tuple or len(key) != 2:
+                raise ValueError(f"entry key {key!r} is not a Hodge type (p, q)")
+            if not all(type(e) is int for e in key):  # a bool too
+                raise TypeError(f"entry keys must be int, not {key!r}")
             if exact(m).denominator != 1:
-                raise ValueError(f"entry ({k},{p},{q}) has multiplicity {m}, not an integer")
+                raise ValueError(f"entry {key} has multiplicity {m}, not an integer")
         return cls._exact(None, entries)
 
     entries = SparseSum.num  # read-only, like ``num``
@@ -65,32 +66,29 @@ class HodgeDiamond(SparseSum):
             raise ValueError(f"a diamond scales by integers only, not by {c}")
         return super().scale(c)
 
-    def get(self, k: int, p: int, q: int) -> int:
-        return self.entries.get((k, p, q), 0)
+    def get(self, p: int, q: int) -> int:
+        return self.entries.get((p, q), 0)
 
     def betti(self, k: int) -> int:
-        return sum(m for (kk, _, _), m in self.entries.items() if kk == k)
+        return sum(m for (p, q), m in self.entries.items() if p + q == k)
 
     def euler(self) -> int:
-        return sum((-1) ** k * m for (k, _, _), m in self.entries.items())
+        return sum((-1) ** (p + q) * m for (p, q), m in self.entries.items())
 
     def max_degree(self) -> int:
-        return max((k for (k, _, _) in self.entries), default=0)
+        return max((p + q for (p, q) in self.entries), default=0)
 
     def shift(self, t: int) -> "HodgeDiamond":
-        """Tate-type shift: degree k -> k + 2t, type (p, q) -> (p+t, q+t)."""
-        return self._reduced(
-            None, {(k + 2 * t, p + t, q + t): m for (k, p, q), m in self.entries.items()}, 1
-        )
+        """Tate-type shift: type (p, q) -> (p+t, q+t), degree up by 2t."""
+        return self._reduced(None, {(p + t, q + t): m for (p, q), m in self.entries.items()}, 1)
 
     @staticmethod
     def _sort_key(key: Entry) -> Entry:
-        return tuple(-e for e in key)
+        return -sum(key), -key[0]  # degree p + q, then p, both descending
 
     @staticmethod
     def _format_term(key: Entry, m: int) -> tuple[str, int]:
-        k, p, q = key
-        return format_monomial(("u", "v"), (p, q)), (-1) ** k * m
+        return format_monomial(("u", "v"), key), (-1) ** sum(key) * m
 
 
 # -- the cubic hypersurface ---------------------------------------------------
@@ -109,13 +107,12 @@ def primitive_hodge_numbers(n: int) -> dict[tuple[int, int], int]:
 @lru_cache(maxsize=None)
 def hodge_cubic(n: int) -> HodgeDiamond:
     """Hodge diamond of a smooth cubic hypersurface of dimension n."""
+    if type(n) is not int:  # a bool too
+        raise TypeError(f"hodge_cubic needs an int n, not {n!r}")
     if n < 1:
         raise UnsupportedRange("hodge_cubic needs n >= 1")
-    entries: dict[Entry, int] = {}
-    for k in range(0, 2 * n + 1, 2):
-        entries[(k, k // 2, k // 2)] = 1
-    for (p, q), m in primitive_hodge_numbers(n).items():
-        key = (n, p, q)
+    entries = dict.fromkeys(((i, i) for i in range(n + 1)), 1)
+    for key, m in primitive_hodge_numbers(n).items():
         entries[key] = entries.get(key, 0) + m
     return HodgeDiamond(entries)
 
@@ -124,9 +121,7 @@ def primitive_middle(n: int) -> HodgeDiamond:
     """Primitive middle cohomology with a (1,1) twist; pure of degree n-2."""
     if n < 2:
         raise UnsupportedRange("primitive_middle needs n >= 2")
-    return HodgeDiamond(
-        {(n - 2, p - 1, q - 1): m for (p, q), m in primitive_hodge_numbers(n).items()}
-    )
+    return HodgeDiamond({(p - 1, q - 1): m for (p, q), m in primitive_hodge_numbers(n).items()})
 
 
 @lru_cache(maxsize=None)
@@ -154,11 +149,11 @@ def sym2_diamond(diamond: HodgeDiamond) -> HodgeDiamond:
     """
     items = list(diamond.entries.items())
     out: dict[Entry, int] = {}
-    for i, ((k1, p1, q1), m1) in enumerate(items):
-        key = (2 * k1, 2 * p1, 2 * q1)
-        out[key] = out.get(key, 0) + m1 * (m1 + (-1) ** k1) // 2
-        for (k2, p2, q2), m2 in items[i + 1:]:
-            key = (k1 + k2, p1 + p2, q1 + q2)
+    for i, ((p1, q1), m1) in enumerate(items):
+        key = (2 * p1, 2 * q1)
+        out[key] = out.get(key, 0) + m1 * (m1 + (-1) ** (p1 + q1)) // 2
+        for (p2, q2), m2 in items[i + 1:]:
+            key = (p1 + p2, q1 + q2)
             out[key] = out.get(key, 0) + m1 * m2
     return HodgeDiamond(out)
 
@@ -169,9 +164,9 @@ def times_projective(d: HodgeDiamond, m: int) -> HodgeDiamond:
     Every shifted entry is added into one table, in one pass.
     """
     out: dict[Entry, int] = {}
-    for (k, p, q), c in d.entries.items():
+    for (p, q), c in d.entries.items():
         for t in range(m + 1):
-            key = (k + 2 * t, p + t, q + t)
+            key = (p + t, q + t)
             out[key] = out.get(key, 0) + c
     return HodgeDiamond._reduced(None, out, 1)
 
@@ -219,10 +214,10 @@ def fano_hodge_decomposition(n: int) -> tuple[int, ...]:
     remainder = fano_diamond(n) - accounted
     top = 2 * (n - 2)
     values = [0] * (top + 1)
-    for (k, p, q), m in remainder.entries.items():
-        if p != q or k != 2 * p or not 0 <= p <= top or m < 0:
+    for (p, q), m in remainder.entries.items():
+        if p != q or not 0 <= p <= top or m < 0:
             raise CheckFailed(
-                f"remainder has non-Tate or negative entry ({k},{p},{q})={m} at n={n}"
+                f"remainder has non-Tate or negative entry ({p + q},{p},{q})={m} at n={n}"
             )
         values[p] = m
     return tuple(values)

@@ -243,10 +243,6 @@ class WPoly(SparseSum):
     def wdeg(exps: Exponents) -> int:
         return exps[0] + 2 * exps[1]
 
-    def is_homogeneous(self) -> bool:
-        degrees = {self.wdeg(e) for e in self.num}
-        return len(degrees) <= 1
-
     def homogeneous_degree(self) -> int:
         """Weighted degree of a nonzero homogeneous polynomial."""
         degrees = {self.wdeg(e) for e in self.num}

@@ -384,6 +384,28 @@ def test_every_other_public_function_is_reached_by_verify(tmp_path):
     assert idle == IDLE_IN_VERIFY
 
 
+# the exception classes of the package: adding or deleting one is a deliberate
+# edit here
+ERROR_TYPES = {"CheckFailed", "UnsupportedRange"}
+
+
+def test_errors_defines_and_the_package_exports_exactly_the_named_types():
+    import cubicchow
+    from cubicchow import errors
+
+    def exception_names(module, defined_in):
+        return {
+            name
+            for name, value in vars(module).items()
+            if isinstance(value, type)
+            and issubclass(value, BaseException)
+            and value.__module__ == defined_in
+        }
+
+    assert exception_names(errors, errors.__name__) == ERROR_TYPES
+    assert exception_names(cubicchow, errors.__name__) == ERROR_TYPES
+
+
 # the private names that checks.py reads off diagonal and its classes: reaching
 # for another internal is a deliberate edit here
 CHECKS_READS_OF_DIAGONAL = {"_x3_pair_keys", "_product_num", "_coh_num", "_term_mul", "_DEN"}

@@ -175,6 +175,36 @@ def test_push13_refuses_a_class_of_another_model():
         push13(x3_diagonal(2, 1, 3, 2))
 
 
+def test_model_constructor_refuses_a_dimension_that_is_not_an_int():
+    # XXClass(2.0, ...) was accepted, and its square failed inside range
+    for cls in (XXClass, CohXXClass, X3Class, CohX3Class):
+        for n in (2.0, True):
+            with pytest.raises(TypeError, match="dimension n must be int"):
+                cls(n, {})
+
+
+def test_xx_diagonal_expansion_refuses_a_dimension_that_is_not_an_int():
+    for n in (2.0, True):
+        with pytest.raises(TypeError, match="dimension n must be int"):
+            xx_diagonal_expansion(n)
+
+
+def test_x3_diagonal_expansion_refuses_a_dimension_that_is_not_an_int():
+    # small_diagonal_coh(True) held the key ('d', 1, 3, True)
+    for n in (2.0, True):
+        with pytest.raises(TypeError, match="dimension n must be int"):
+            diagonal.x3_diagonal_expansion(n, 1, 2)
+        with pytest.raises(TypeError, match="dimension n must be int"):
+            small_diagonal_coh(n)
+
+
+def test_corrected_small_diagonal_refuses_a_dimension_that_is_not_an_int():
+    # corrected_small_diagonal(2.0) held the keys ('D', 1, 2, 2.0), ...
+    for n in (2.0, True):
+        with pytest.raises(TypeError, match="dimension n must be int"):
+            corrected_small_diagonal(n)
+
+
 def test_cycle_class_map_is_ring_map_on_basis():
     for n in range(1, 7):
         keys = xx_basis(n)
@@ -824,7 +854,7 @@ def test_cached_values_refuse_attribute_deletion():
         with pytest.raises(AttributeError):
             delattr(obj, name)
     # the attempted deletions changed nothing that later checks read
-    assert poly.terms and diamond.get(3, 2, 1) == 5
+    assert poly.terms and diamond.get(2, 1) == 5
     computed, expected = _run_check("diagonal.projector_law", 3)
     assert computed == expected
 

@@ -37,6 +37,16 @@ def test_pairing_range_errors():
         fano_pairing(1, 0)
 
 
+def test_pairing_degree_must_be_an_int():
+    # lru_cache keys (3, True) as (3, 1): a record built for True would be
+    # handed to every later fano_pairing(3, 1), so the call must not get
+    # through; the cache is cleared so that a cached (3, 1) cannot answer it
+    fano_pairing.cache_clear()
+    with pytest.raises(TypeError):
+        fano_pairing(3, True)
+    assert type(fano_pairing(3, 1).k) is int
+
+
 def test_taut_ranks():
     assert [taut_rank_F(3, k) for k in range(3)] == [1, 1, 1]
     for n in range(2, 8):
