@@ -9,9 +9,12 @@ deg h^n = 3.  The Chow-side models close multiplication on explicit bases:
   (push-pull through the ambient projective space; the diagonal
   self-intersection is pinned by the top Chern class of the tangent
   bundle, (chi/3) h^n);
-* ``X3Class`` on monomials, decorated diagonals D_ab * h_c^m, and the
-  small diagonal D3 = D12 * D23, with the rules pulled back factor-wise
-  and D3 * (h-monomial of degree m) = (1/9) * sum_(p+q+r=2n+m) h1^p h2^q h3^r.
+* ``X3Class`` on monomials, decorated diagonals D_ab * h_c^m and the small
+  diagonal D3, a module over the monomials: each class is multiplied by
+  monomials only, D_ab * h^e by the X^2 rule (the free slot's exponent
+  joins the decoration) and D3 * (h-monomial of degree m) =
+  (1/9) * sum_(p+q+r=2n+m) h1^p h2^q h3^r; a product of two diagonal
+  classes raises ``ValueError``.
 
 The cohomological twins replace each diagonal by its Kunneth expansion
 (1/3) * sum_j h_a^j h_b^(n-j) + d_ab, where d_ab is the projector onto the
@@ -29,19 +32,15 @@ and both cycle-class maps through one, ``_coh_num``; the maps and
 ``push13`` take classes of their own model only (``ValueError`` on any
 other).  The key order and the key text belong to the base,
 ``_FormalSum``, and are the same for all four models.  ``Fraction`` appears
-only at the edge: coefficients, degrees, pairings and text.
+only at the edge: coefficients, degrees and text.
 
 ``degree(a)`` integrates a class of any model: the coefficient of the top
-monomial times its degree, 3^s on X^s.  On X^3 the one pairing is the
-Chow-side ``x3_pair(a, b)``, read off by Poincare duality: it sums only the
-term pairs whose codimensions add up to 3n, without forming the product
-a * b, and takes ``X3Class`` classes only (``ValueError`` on any other).
-It reads the terms of the smaller operand through one many-key reader,
-``_x3_pair_keys(a, keys)``: the integer numerators of deg(a * key) over
-``a.den``, in key order, with the partners of monomial keys of one degree
-looked up once.  A caller that pairs a class against many single keys (the
-``defect_pairing`` check) calls the reader directly, once, and builds no
-class per key.
+monomial times its degree, 3^s on X^s.  On X^3 the one integration is
+``degree(a * b)``.  A caller that pairs a class against many monomials (the
+``defect_pairing`` check) calls the many-key reader ``_x3_pair_keys(a,
+keys)`` instead, once: the integer numerators of deg(a * key) over
+``a.den``, in key order, with the partners of the monomial keys of one
+degree looked up once, and no class built per key.
 
 On top of the models: the decomposable coefficients of the small diagonal
 after removing its axis corrections, the vanishing of the resulting
@@ -62,7 +61,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from operator import mul
 from types import MappingProxyType
 from typing import Mapping
 
@@ -309,10 +307,11 @@ def _delta_push(n: int, m: int) -> dict[Key, int]:
 
 
 class X3Class(_FormalSum):
-    """Chow model of X^3: monomials, decorated diagonals, small diagonal.
+    """Chow model of X^3 as a module over the monomials.
 
     Keys: ("m", i, j, k); ("D", a, b, m) for the diagonal in slots (a, b)
-    times h_c^m on the remaining slot; ("D3",).
+    times h_c^m on the remaining slot; ("D3",).  A product of two terms
+    needs a monomial among them; any other pair raises ``ValueError``.
     """
     _DEN = 27
     _KEYS = {MONO: 3, DIAG: 3, SMALL: 0}
@@ -323,49 +322,32 @@ class X3Class(_FormalSum):
             if k2[0] == MONO:
                 return _mono3_mul(n, k1, k2, 27)
             k1, k2 = k2, k1
-        if k2[0] == MONO:  # k2[a] is the exponent of slot a
-            if k1[0] == SMALL:
-                m = k2[1] + k2[2] + k2[3]
-                if m == 0:
-                    return {(SMALL,): 27}
-                return _delta_push(n, m)
-            _, a, b, m = k1
-            c = 6 - a - b  # _third(a, b), inline on the pairing path
-            s, t, u = k2[a], k2[b], k2[c]
-            if m + u > n:
-                return {}
-            if s + t == 0:
-                return {(DIAG, a, b, m + u): 27}
-            # h_a^p h_b^(n + s + t - p) h_c^(m + u), written in slot order
-            w, r = m + u, n + s + t
-            if c == 3:
-                keys = ((MONO, p, r - p, w) for p in range(s + t, n + 1))
-            elif c == 2:
-                keys = ((MONO, p, w, r - p) for p in range(s + t, n + 1))
-            else:
-                keys = ((MONO, w, p, r - p) for p in range(s + t, n + 1))
-            return dict.fromkeys(keys, 9)
-        if k1[0] == SMALL and k2[0] == SMALL:
-            return {}  # codimension 4n > 3n
-        if k1[0] == SMALL or k2[0] == SMALL:
-            diag = k2 if k1[0] == SMALL else k1
-            _, a, b, m = diag
-            if m > 0:
-                return {}  # (chi/3) h^n inserted; any extra h dies above degree n
-            return {(MONO, n, n, n): euler_cubic(n)}
-        _, a1, b1, m1 = k1
-        _, a2, b2, m2 = k2
-        if (a1, b1) == (a2, b2):
-            # pulled-back diagonal self-intersection, decorations multiply
-            if m1 + m2 > n:
-                return {}
-            c = _third(a1, b1)
-            slots = {a1: n, b1: n, c: m1 + m2}
-            return {(MONO, slots[1], slots[2], slots[3]): 3 * euler_cubic(n)}
-        # distinct diagonals meet in the small diagonal; decorations pile onto it
-        if m1 + m2 == 0:
-            return {(SMALL,): 27}
-        return _delta_push(n, m1 + m2)
+        if k2[0] != MONO:
+            raise ValueError(
+                f"X3Class multiplies by monomials only, not {_format_key(k1)} * {_format_key(k2)}"
+            )
+        # k2[a] is the exponent of slot a
+        if k1[0] == SMALL:
+            m = k2[1] + k2[2] + k2[3]
+            if m == 0:
+                return {(SMALL,): 27}
+            return _delta_push(n, m)
+        _, a, b, m = k1
+        c = 6 - a - b  # _third(a, b), inline on the pairing path
+        s, t, u = k2[a], k2[b], k2[c]
+        if m + u > n:
+            return {}
+        if s + t == 0:
+            return {(DIAG, a, b, m + u): 27}
+        # h_a^p h_b^(n + s + t - p) h_c^(m + u), written in slot order
+        w, r = m + u, n + s + t
+        if c == 3:
+            keys = ((MONO, p, r - p, w) for p in range(s + t, n + 1))
+        elif c == 2:
+            keys = ((MONO, p, w, r - p) for p in range(s + t, n + 1))
+        else:
+            keys = ((MONO, w, p, r - p) for p in range(s + t, n + 1))
+        return dict.fromkeys(keys, 9)
 
 
 def x3_monomial(n: int, i: int, j: int, k: int, coeff=1) -> X3Class:
@@ -380,58 +362,37 @@ def x3_small_diagonal(n: int, coeff=1) -> X3Class:
     return X3Class(n, {(SMALL,): coeff})
 
 
-def x3_pair(a: X3Class, b: X3Class) -> Fraction:
-    """deg(a * b), read off by Poincare duality without forming the product.
-
-    The numerator over ``a.den * b.den`` pairs the larger operand with every
-    key of the smaller through ``_x3_pair_keys`` and sums the results, each
-    times its numerator.
-    """
-    if type(a) is not X3Class:
-        raise ValueError("x3_pair pairs X3Class classes only")
-    a._check(b)
-    if len(a.num) < len(b.num):
-        a, b = b, a
-    values = _x3_pair_keys(a, b.num)
-    return Fraction(sum(map(mul, b.num.values(), values)), a.den * b.den)
-
-
 def _x3_pair_keys(a: X3Class, keys) -> list[int]:
     """The numerators of deg(a * key) over ``a.den``, in the order of ``keys``.
 
-    The model is graded (a key has codimension i + j + k, n + m or 2n) and
-    only the (n, n, n) entry of a product is read, so a key meets few terms
-    of ``a``.  A monomial of degree d meets its complementary monomial (one
-    lookup, degree one), the decorated diagonals D_ab * h_c^(2n - d) and,
-    for d = n, D3; those partners are looked up in ``a`` once per degree and
-    shared by every monomial key of that degree.  A diagonal key meets every
-    term.  The diagonal pairs go through ``X3Class._term_mul``, so the
+    The keys are monomial keys ("m", i, j, k), unchecked.  The model is
+    graded (a key has codimension i + j + k, n + m or 2n) and only the
+    (n, n, n) entry of a product is read, so a monomial of degree d meets
+    its complementary monomial (one lookup, degree one), the decorated
+    diagonals D_ab * h_c^(2n - d) and, for d = n, D3; those partners are
+    looked up in ``a`` once per degree and shared by every key of that
+    degree.  The diagonal pairs go through ``X3Class._term_mul``, so the
     product rules stay in one place; its numerators are over
     27 = deg(h1^n h2^n h3^n), so they are the degrees.  No class is built
-    for a key, and the keys are not checked.
+    for a key.
     """
     n = a.n
     big = a.num
     get = big.get
     term_mul = a._term_mul
     top = (MONO, n, n, n)
-    every = big.items()
     by_degree: dict[int, list] = {}  # 2n - d -> the diagonal terms of a it meets
     out = []
     for key in keys:
-        if key[0] == MONO:
-            _, i, j, k = key
-            total = 27 * get((MONO, n - i, n - j, n - k), 0)
-            m = 2 * n - i - j - k
-            partners = by_degree.get(m)
-            if partners is None:
-                candidates = [(DIAG, p, q, m) for p, q in PAIRS] if 0 <= m <= n else []
-                if m == n:
-                    candidates.append((SMALL,))
-                partners = by_degree[m] = [(k1, big[k1]) for k1 in candidates if k1 in big]
-        else:
-            total = 0
-            partners = every
+        _, i, j, k = key
+        total = 27 * get((MONO, n - i, n - j, n - k), 0)
+        m = 2 * n - i - j - k
+        partners = by_degree.get(m)
+        if partners is None:
+            candidates = [(DIAG, p, q, m) for p, q in PAIRS] if 0 <= m <= n else []
+            if m == n:
+                candidates.append((SMALL,))
+            partners = by_degree[m] = [(k1, big[k1]) for k1 in candidates if k1 in big]
         for k1, c1 in partners:
             v = term_mul(k1, key).get(top)
             if v is not None:

@@ -53,7 +53,7 @@ class ExtraRelation(NamedTuple):
     kernel_dim: int
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def fano_pairing(n: int, k: int) -> FanoPairing:
     if n < 2:
         raise UnsupportedRange("fano_pairing needs n >= 2")

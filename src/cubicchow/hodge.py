@@ -73,7 +73,7 @@ class HodgeDiamond(SparseSum):
         return sum(m for (p, q), m in self.entries.items() if p + q == k)
 
     def euler(self) -> int:
-        return sum((-1) ** (p + q) * m for (p, q), m in self.entries.items())
+        return sum(-m if (p + q) % 2 else m for (p, q), m in self.entries.items())
 
     def max_degree(self) -> int:
         return max((p + q for (p, q) in self.entries), default=0)
@@ -88,7 +88,7 @@ class HodgeDiamond(SparseSum):
 
     @staticmethod
     def _format_term(key: Entry, m: int) -> tuple[str, int]:
-        return format_monomial(("u", "v"), key), (-1) ** sum(key) * m
+        return format_monomial(("u", "v"), key), -m if sum(key) % 2 else m
 
 
 # -- the cubic hypersurface ---------------------------------------------------
@@ -151,7 +151,7 @@ def sym2_diamond(diamond: HodgeDiamond) -> HodgeDiamond:
     out: dict[Entry, int] = {}
     for i, ((p1, q1), m1) in enumerate(items):
         key = (2 * p1, 2 * q1)
-        out[key] = out.get(key, 0) + m1 * (m1 + (-1) ** (p1 + q1)) // 2
+        out[key] = out.get(key, 0) + m1 * (m1 - 1 if (p1 + q1) % 2 else m1 + 1) // 2
         for (p2, q2), m2 in items[i + 1:]:
             key = (p1 + p2, q1 + q2)
             out[key] = out.get(key, 0) + m1 * m2
@@ -178,8 +178,6 @@ def hilb2_diamond(n: int) -> HodgeDiamond:
     Blow-up of Sym^2 X along the diagonal: the exceptional P^(n-1)-bundle
     contributes sum_(k=1)^(n-1) X(-k) on top of Sym^2 X.
     """
-    if n < 1:
-        raise UnsupportedRange("hilb2_diamond needs n >= 1")
     x = hodge_cubic(n)
     return sym2_diamond(x) + times_projective(x, n - 2).shift(1)
 
@@ -207,8 +205,6 @@ def fano_hodge_decomposition(n: int) -> tuple[int, ...]:
     of nonnegative (k, k)-classes only.  Positivity of every a_k is *not*
     enforced: the computation yields a_1 = 0 at n = 3.
     """
-    if n < 2:
-        raise UnsupportedRange("fano_hodge_decomposition needs n >= 2")
     middle = primitive_middle(n)
     accounted = sym2_diamond(middle) + times_projective(middle, n - 2)
     remainder = fano_diamond(n) - accounted

@@ -119,7 +119,8 @@ def test_criterion_07_diagonal():
         defect = diagonal.small_diagonal_defect(n)
         for a in range(n + 1):
             for b in range(n + 1 - a):
-                assert diagonal.x3_pair(defect, diagonal.x3_monomial(n, a, b, n - a - b)) == 0
+                dual = diagonal.x3_monomial(n, a, b, n - a - b)
+                assert diagonal.degree(defect * dual) == 0
         image = diagonal.x3_to_coh(defect)
         assert image.is_zero()
 

@@ -346,7 +346,6 @@ IDLE_IN_VERIFY = {
     "diagonal.cycle_product",
     "diagonal.x3_diagonal",
     "diagonal.x3_monomial",
-    "diagonal.x3_pair",
     "diagonal.x3_small_diagonal",
     "diagonal.xx_monomial",
     "grassmann.giambelli",

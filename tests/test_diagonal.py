@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cubicchow.diagonal as diagonal
+import cubicchow.wpoly as wpoly
 from cubicchow.checks import REGISTRY
 from cubicchow.cli import RunConfig, run
 from cubicchow.diagonal import (
@@ -29,7 +31,6 @@ from cubicchow.diagonal import (
     small_diagonal_defect,
     x3_diagonal,
     x3_monomial,
-    x3_pair,
     x3_small_diagonal,
     x3_to_coh,
     xx_basis,
@@ -232,10 +233,19 @@ def test_primitive_self_pairing_matches_hodge_data():
         assert primitive_self_pairing(n) == (-1) ** n * dim
 
 
-def test_x3_product_of_distinct_diagonals_is_small_diagonal():
-    for n in (1, 2, 3, 5):
-        assert x3_diagonal(n, 1, 2) * x3_diagonal(n, 2, 3) == x3_small_diagonal(n)
-        assert x3_diagonal(n, 1, 2) * x3_diagonal(n, 1, 3) == x3_small_diagonal(n)
+def test_x3_products_of_two_diagonal_classes_are_refused():
+    # the model multiplies by monomials only: D * D on one pair and on two
+    # pairs, D * D3 and D3 * D3 raise, in either order, naming both keys
+    n = 2
+    for a, b in (
+        (x3_diagonal(n, 1, 2), x3_diagonal(n, 1, 2, 1)),
+        (x3_diagonal(n, 1, 2), x3_diagonal(n, 2, 3)),
+        (x3_diagonal(n, 1, 3, 2), x3_small_diagonal(n)),
+        (x3_small_diagonal(n), x3_small_diagonal(n)),
+    ):
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(ValueError, match=re.escape(f"{x} * {y}")):
+                x * y
 
 
 def test_x3_diagonal_times_free_slot_is_basis_element():
@@ -280,18 +290,14 @@ def test_x3_grading_additive():
         return 2 * n
 
     n = 3
-    samples = [
-        x3_monomial(n, 1, 2, 0),
-        x3_diagonal(n, 1, 3, 2),
-        x3_small_diagonal(n),
-        x3_diagonal(n, 2, 3),
-    ]
-    for a in samples:
+    monomials = [x3_monomial(n, 1, 2, 0), x3_monomial(n, 0, 0, 1), x3_monomial(n, 0, 0, 0)]
+    samples = monomials + [x3_diagonal(n, 1, 3, 2), x3_small_diagonal(n), x3_diagonal(n, 2, 3)]
+    for a in monomials:
         for b in samples:
             (ka,) = a.terms
             (kb,) = b.terms
             total = codim(ka, n) + codim(kb, n)
-            for key in (a * b).terms:
+            for key in (a * b).terms | (b * a).terms:
                 assert codim(key, n) == total
 
 
@@ -358,7 +364,7 @@ def test_dual_basis_pairing_reproduces_coefficients():
         table, den = decomposable_coefficients(n)
         for (i, j, k), t in table.items():
             dual = x3_monomial(n, n - i, n - j, n - k)
-            assert x3_pair(gamma, dual) == Fraction(27 * t, den), (n, i, j, k)
+            assert degree(gamma * dual) == Fraction(27 * t, den), (n, i, j, k)
 
 
 def test_defect_vanishes_and_pairs_to_zero():
@@ -371,7 +377,7 @@ def test_defect_vanishes_and_pairs_to_zero():
         for a in range(n + 1):
             for b in range(n + 1 - a):
                 dual = x3_monomial(n, a, b, n - a - b)
-                assert x3_pair(defect, dual) == 0
+                assert degree(defect * dual) == 0
 
 
 def test_degree_of_top_monomials():
@@ -480,7 +486,7 @@ def test_model_constructors_validate_keys():
             cls(2, {key: 1})
     # the unvalidated arithmetic path still builds every valid key
     assert XXClass(2, {("m", 1, 1): 1}) == xx_monomial(2, 1, 1)
-    assert x3_diagonal(2, 1, 2, 2) * x3_small_diagonal(2) == X3Class(2)
+    assert x3_diagonal(2, 1, 2) * x3_monomial(2, 0, 0, 2) == x3_diagonal(2, 1, 2, 2)
 
 
 def test_floats_are_rejected():
@@ -693,24 +699,12 @@ def test_defect_pairing_builds_no_class_per_dual(monkeypatch):
     assert counts["fractions"] < counts["keys"] / 5, counts
 
 
-def test_x3_pair_rejects_mismatched_operands():
+def test_x3_product_rejects_mismatched_operands():
     a = x3_small_diagonal(3)
-    with pytest.raises(ValueError):
-        x3_pair(a, x3_small_diagonal(4))
-    with pytest.raises(ValueError):
-        x3_pair(a, small_diagonal_coh(3))
-
-
-def test_x3_pair_refuses_the_cohomological_model():
-    # two CohX3Class monomials of complementary degree: their product has
-    # degree 27, but they are not Chow classes
-    a = CohX3Class(3, {("m", 1, 1, 1): 1})
-    b = CohX3Class(3, {("m", 2, 2, 2): 1})
-    assert degree(a * b) == 27
-    with pytest.raises(ValueError):
-        x3_pair(a, b)
-    with pytest.raises(ValueError):
-        x3_pair(small_diagonal_coh(3), small_diagonal_coh(3))
+    with pytest.raises(ValueError, match="mismatched"):
+        a * x3_monomial(4, 1, 0, 0)
+    with pytest.raises(ValueError, match="mismatched"):
+        a * small_diagonal_coh(3)
 
 
 def test_canonical_print_forms():
@@ -815,9 +809,9 @@ def test_hashed_cached_classes_stay_immutable():
 
 
 def test_no_fraction_is_built_per_term(monkeypatch):
-    # the sums, products, maps and pairings run on integer numerators; a
+    # the sums, products, maps and degrees run on integer numerators; a
     # Fraction is built at most once per call (the scale factor of ``-y``,
-    # the value of a pairing), however many terms the operands have
+    # a degree), however many terms the operands have
     n = 4
     x = x3_to_coh(corrected_small_diagonal(n)) + small_diagonal_coh(n)
     y = CohX3Class(n, {k: Fraction(i + 1, 7) for i, k in enumerate(_coh_x3_basis(n)[:40])})
@@ -825,6 +819,7 @@ def test_no_fraction_is_built_per_term(monkeypatch):
         n, {k: Fraction(3 - i, 5) for i, k in enumerate(_x3_basis(n)[:40])}
     )
     b = XXClass(n, {k: Fraction(i - 4, 3) for i, k in enumerate(xx_basis(n))})
+    h = X3Class(n, {k: Fraction(i + 2, 3) for i, k in enumerate(_x3_monomial_keys(n)[:40])})
     made = []
 
     class Counted(Fraction):
@@ -832,10 +827,12 @@ def test_no_fraction_is_built_per_term(monkeypatch):
             made.append(args)
             return super().__new__(cls, *args, **kwargs)
 
+    # the sums, reductions and coefficient reads live in wpoly.SparseSum
     monkeypatch.setattr(diagonal, "Fraction", Counted)
+    monkeypatch.setattr(wpoly, "Fraction", Counted)
     calls = (
         lambda: x + y, lambda: x - y, lambda: x * y, lambda: a + a, lambda: a - a,
-        lambda: a * a, lambda: b * b, lambda: b + b, lambda: x3_pair(a, a),
+        lambda: a * h, lambda: b * b, lambda: b + b, lambda: degree(a * h),
         lambda: xx_to_coh(b), lambda: x3_to_coh(a), lambda: push13(x),
         lambda: XXClass(n, {k: 1 for k in xx_basis(n)}),
         lambda: corrected_small_diagonal(n),
@@ -1026,16 +1023,6 @@ def test_diagonal_suite_passes_up_to_24(report_gate):
     report_gate(run(RunConfig(1, 24, ("diagonal",))), "diagonal_1_24")
 
 
-def test_x3_pair_matches_product_degree_on_basis():
-    for n in (1, 2, 3):
-        keys = _x3_basis(n)
-        for k1 in keys:
-            a = X3Class(n, {k1: 1})
-            for k2 in keys:
-                b = X3Class(n, {k2: 1})
-                assert x3_pair(a, b) == degree(a * b), (n, k1, k2)
-
-
 # -- property tests: the cycle-class maps are linear, xx_to_coh multiplicative --
 
 _COEFFS = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -1083,19 +1070,12 @@ def test_xx_to_coh_is_multiplicative(classes):
     assert xx_to_coh(a * b) == xx_to_coh(a) * xx_to_coh(b)
 
 
-@_PROPERTY_SETTINGS
-@given(_classes(X3Class, _x3_basis, 2))
-def test_x3_pair_is_the_degree_of_the_product(classes):
-    a, b = classes
-    assert x3_pair(a, b) == degree(a * b)
-    assert x3_pair(b, a) == degree(b * a)
-
-
 # -- reference: the Fraction implementation the integer models replaced ---------
 #
 # The four rule sets below are the pre-change ``_term_mul`` bodies with their
-# ``Fraction`` coefficients, and ``_ref_mul`` the pre-change ``__mul__``; the
-# maps and pairings are the pre-change loops.  Classes are plain
+# ``Fraction`` coefficients, less the X^3 products of two diagonal classes,
+# which the model refuses; ``_ref_mul`` is the pre-change ``__mul__``, and
+# the maps are the pre-change loops.  Classes are plain
 # {key: Fraction} dicts without zero entries.
 
 _F = Fraction
@@ -1167,21 +1147,7 @@ def _ref_x3_rule(n, k1, k2):
                 slots = {a: p, b: q, c: m + u}
                 out[("m", slots[1], slots[2], slots[3])] = _F(1, 3)
         return out
-    if k1[0] == "D3" and k2[0] == "D3":
-        return {}
-    if k1[0] == "D3" or k2[0] == "D3":
-        _, a, b, m = k2 if k1[0] == "D3" else k1
-        return {} if m > 0 else {("m", n, n, n): _F(euler_cubic(n), 27)}
-    _, a1, b1, m1 = k1
-    _, a2, b2, m2 = k2
-    if (a1, b1) == (a2, b2):
-        if m1 + m2 > n:
-            return {}
-        slots = {a1: n, b1: n, _third_slot(a1, b1): m1 + m2}
-        return {("m", slots[1], slots[2], slots[3]): _F(euler_cubic(n), 9)}
-    if m1 + m2 == 0:
-        return {("D3",): _F(1)}
-    return _ref_delta_push(n, m1 + m2)
+    raise ValueError("no product of two diagonal classes on X^3")
 
 
 def _ref_coh_x3_rule(n, k1, k2):
@@ -1271,10 +1237,6 @@ def _ref_push13(n, a):
             continue
         out[target] = out.get(target, _F(0)) + 3 * c
     return _clean(out)
-
-
-def _ref_x3_pair(n, a, b):
-    return 27 * _ref_mul(_ref_x3_rule, n, a, b).get(("m", n, n, n), _F(0))
 
 
 def _coh_xx_basis(n):
@@ -1371,8 +1333,7 @@ def test_coh_xx_model_matches_the_fraction_reference(operands):
 @given(_operands(_x3_basis))
 def test_x3_model_matches_the_fraction_reference(operands):
     n, a, b, c = operands
-    x, y = _check_ring_ops(X3Class, _ref_x3_rule, n, a, b, c)
-    assert x3_pair(x, y) == _ref_x3_pair(n, a, b)
+    x, _ = _check_ring_ops(X3Class, _ref_x3_rule, n, a, b, c)
     assert _agrees(x3_to_coh(x), _ref_x3_to_coh(n, a))
 
 
@@ -1460,22 +1421,17 @@ def test_shared_printer_matches_the_per_model_printers(classes):
 # -- the many-key X^3 pairing reader against the degree of the product ----------
 
 
-def _x3_key_shapes(n):
-    """One strategy per key shape: a monomial of any degree, D_ab * h_c^m, D3."""
-    span = range(n + 1)
-    return st.one_of(
-        st.sampled_from([("m", i, j, k) for i in span for j in span for k in span]),
-        st.sampled_from([("D", a, b, m) for a, b in PAIRS for m in span]),
-        st.just(("D3",)),
-    )
+def _x3_monomial_keys(n):
+    """The monomial keys of any degree, the only keys the reader takes."""
+    return [key for key in _x3_basis(n) if key[0] == "m"]
 
 
 @st.composite
 def _x3_classes_and_keys(draw):
+    # the class has terms of every shape, the keys are monomials
     n = draw(st.integers(min_value=1, max_value=6))
-    shapes = _x3_key_shapes(n)
-    a = X3Class(n, draw(st.dictionaries(shapes, _COEFFS, max_size=8)))
-    return a, draw(st.lists(shapes, max_size=12))
+    a = X3Class(n, draw(st.dictionaries(st.sampled_from(_x3_basis(n)), _COEFFS, max_size=8)))
+    return a, draw(st.lists(st.sampled_from(_x3_monomial_keys(n)), max_size=12))
 
 
 def _assert_pair_keys(a, keys):
@@ -1495,7 +1451,7 @@ def test_x3_pair_keys_read_the_degree_of_each_product(case):
 def test_x3_pair_keys_on_the_defect_and_every_key():
     for n in range(1, 7):
         for a in (small_diagonal_defect(n), corrected_small_diagonal(n)):
-            _assert_pair_keys(a, _x3_basis(n))
+            _assert_pair_keys(a, _x3_monomial_keys(n))
 
 
 # -- the integer printer against a Fraction printer of ``terms`` -----------------

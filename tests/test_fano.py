@@ -38,13 +38,15 @@ def test_pairing_range_errors():
 
 
 def test_pairing_degree_must_be_an_int():
-    # lru_cache keys (3, True) as (3, 1): a record built for True would be
-    # handed to every later fano_pairing(3, 1), so the call must not get
-    # through; the cache is cleared so that a cached (3, 1) cannot answer it
+    # an untyped lru_cache keys (3, True) as (3, 1): a record built for True
+    # would be handed to every later fano_pairing(3, 1), and a cached (3, 1)
+    # would answer fano_pairing(3, True); the call must get through neither way
     fano_pairing.cache_clear()
     with pytest.raises(TypeError):
         fano_pairing(3, True)
     assert type(fano_pairing(3, 1).k) is int
+    with pytest.raises(TypeError):  # (3, 1) is cached now
+        fano_pairing(3, True)
 
 
 def test_taut_ranks():

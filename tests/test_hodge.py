@@ -151,6 +151,14 @@ def test_entry_keys_are_hodge_types():
             HodgeDiamond({key: 1})
 
 
+def test_signs_are_integers_in_negative_degree():
+    # (-1) ** (p + q) is a float for p + q < 0: the sign is the parity's
+    d = HodgeDiamond({(-1, 0): 3})
+    assert d.euler() == -3 and type(d.euler()) is int
+    assert str(d) == "-3*u^-1"
+    assert sym2_diamond(d) == HodgeDiamond({(-2, 0): 3})
+
+
 def test_e_hilb2_cubic_surface_frozen():
     expected = HodgeDiamond({(0, 0): 1, (1, 1): 8, (2, 2): 36, (3, 3): 8, (4, 4): 1})
     assert hilb2_diamond(2) == expected
