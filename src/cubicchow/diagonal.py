@@ -20,8 +20,10 @@ The cohomological twins replace each diagonal by its Kunneth expansion
 (1/3) * sum_j h_a^j h_b^(n-j) + d_ab, where d_ab is the projector onto the
 primitive middle cohomology; primitive classes are killed by h, and
 contractions follow d_ab * d_bc = (1/3) h_b^n d_ac (no sign bookkeeping:
-the projector law is verified, not assumed).  Same-pair products d * d
-never arise on X^3 and are rejected.
+the projector law is verified, not assumed).  On X^2, d * d integrates to
+the signed primitive middle Betti number (-1)^n b_n^prim, read off the
+Hodge numbers and not off chi.  Same-pair products d * d never arise on
+X^3 and are rejected.
 
 Every class is a ``wpoly.SparseSum`` over n: integer numerators over one
 denominator.  A model adds its key shapes, which its constructor checks, and
@@ -52,8 +54,7 @@ one call, reading the table and the operand fields once, and returns each
 product as the integer triple ``(codim, num, den)`` of a cycle on X:
 codimension i + j and moment m_alpha * m_beta / 3 = num / den in lowest
 terms, one gcd and no object per product.  ``FormalCycle`` stays at the
-edge: the operands are ``FormalCycle``s, and ``cycle_product``, the 1 x 1
-case, builds one from its triple through the validating constructor.
+edge: the operands are ``FormalCycle``s.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .errors import CheckFailed, UnsupportedRange, exact
-from .hodge import euler_cubic
+from .hodge import euler_cubic, primitive_hodge_numbers
 from .wpoly import Frozen, SparseSum, format_monomial
 
 Key = tuple
@@ -83,8 +84,9 @@ def _check_dim(n) -> None:
 
 
 def primitive_self_pairing(n: int) -> int:
-    """Integral of d * d on X^2: the signed trace chi - (n + 1)."""
-    return euler_cubic(n) - (n + 1)
+    """Integral of d * d on X^2: the trace (-1)^n b_n^prim of the primitive projector."""
+    dim = sum(primitive_hodge_numbers(n).values())
+    return -dim if n % 2 else dim
 
 
 # -- shared formal-sum plumbing ------------------------------------------------
@@ -585,12 +587,6 @@ _set_num = FormalCycle.__dict__["num"].__set__
 _set_den = FormalCycle.__dict__["den"].__set__
 
 
-def cycle_product(n: int, alpha: FormalCycle, beta: FormalCycle) -> FormalCycle:
-    """Product of two formal cycles: the 1 x 1 case of :func:`cycle_products`."""
-    codim, num, den = cycle_products(n, (alpha,), (beta,))[0][0]
-    return FormalCycle(codim, Fraction(num, den))
-
-
 def cycle_products(n: int, alphas, betas) -> list[list[tuple[int, int, int]]]:
     """Products of formal cycles through the small-diagonal decomposition.
 
@@ -629,7 +625,7 @@ def cycle_products(n: int, alphas, betas) -> list[list[tuple[int, int, int]]]:
         for j, num_b, den_b in fields:
             if not (0 < i and 0 < j and i + j < n):
                 raise UnsupportedRange(
-                    f"cycle_product needs 0 < i, 0 < j, i + j < n; got i={i}, j={j}, n={n}"
+                    f"cycle_products needs 0 < i, 0 < j, i + j < n; got i={i}, j={j}, n={n}"
                 )
             num = table[(n - i, n - j, i + j)] * num_a * num_b
             d = den_a * den_b

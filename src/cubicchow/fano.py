@@ -3,10 +3,9 @@
 The variety of lines F sits in Gr(2, n+2) with class [F] = 18*c1^2*c2 +
 9*c2^2.  Its numerical tautological ring is probed through pairing
 matrices of intersection numbers deg(x_i * y_j * [F]) on the ambient
-Grassmannian; their ranks are the graded dimensions (``taut_rank_F``, and
-``taut_rank_FX`` for F x X).  Each entry is read off the top reducer of the
-quotient ring, one lookup per term of [F] (``grassmann.pairing``); no
-product is formed.
+Grassmannian; their ranks are the graded dimensions (``taut_rank_F``).  Each
+entry is read off the top reducer of the quotient ring, one lookup per term
+of [F] (``grassmann.pairing``); no product is formed.
 
 ``extra_relation`` finds the polynomial relation of weighted degree n-1
 that holds on F but not on the ambient ring (the kernel of multiplication
@@ -65,28 +64,6 @@ def fano_pairing(n: int, k: int) -> FanoPairing:
 def taut_rank_F(n: int, k: int) -> int:
     """Rank of the pairing through [F]; the numerical Betti number of R^k(F)."""
     return fano_pairing(n, k).matrix.rank()
-
-
-def taut_rank_FX(n: int, k: int) -> int:
-    """Graded rank of the tautological ring of F x X.
-
-    Decomposable part: convolution of the F-ranks with rank R^b(X) = 1 for
-    0 <= b <= n; plus one in each degree hit by the universal-line class
-    (codimension n-1) times powers c1^0..c1^(n-2).
-    """
-    if n < 3:
-        raise UnsupportedRange("taut_rank_FX needs n >= 3")
-    if k < 0:
-        raise UnsupportedRange("k must be nonnegative")
-    top_f = 2 * (n - 2)
-    total = 0
-    for a in range(0, min(k, top_f) + 1):
-        b = k - a
-        if 0 <= b <= n:
-            total += taut_rank_F(n, a)
-    if 0 <= k - (n - 1) <= n - 2:
-        total += 1
-    return total
 
 
 @lru_cache(maxsize=None)

@@ -19,12 +19,12 @@ Two independent models of A*(Gr(2, n+2)) are provided:
   by plain (a, b) pairs, with integer coefficients and one Pieri rule
   (``schubert_mul``).  sigma(x^a) takes no Pieri step: the coefficient of
   sigma_(a-q,q) in sigma_1^a is the number of standard tableaux of that
-  shape, C(a, q) - C(a, q-1) by the hook-length formula.  Intersection
-  numbers are read off by Poincare duality, deg(sigma_(a,b) * sigma_mu) =
-  [mu = (n-b, n-a)], so the oracle never touches the quotient ring.  As
-  c2 = sigma_(1,1) shifts (a, b) to (a+1, b+1) and drops what leaves the box
-  (``shift11``), the product of x^a1 y^b1 and x^a2 y^b2 is the
-  (b1+b2)-shift of sigma(x^a1) * sigma(x^a2): the Pieri oracle check
+  shape, C(a, q) - C(a, q-1) by the hook-length formula.  An intersection
+  number is the coefficient of the point class sigma_(n,n) in a product
+  (``schubert_degree`` of ``schubert_mul``), so the oracle never touches the
+  quotient ring.  As c2 = sigma_(1,1) shifts (a, b) to (a+1, b+1) and drops
+  what leaves the box (``shift11``), the product of x^a1 y^b1 and x^a2 y^b2
+  is the (b1+b2)-shift of sigma(x^a1) * sigma(x^a2): the Pieri oracle check
   multiplies powers of x only, against the closed form.
 
 The two are tied together by c1 = sigma_1, c2 = sigma_(1,1) and the
@@ -120,6 +120,8 @@ def build_ring(n: int) -> GRing:
     (a >= 1) to x times the reducer of x^(a-1) y^b, with the boundary
     monomial x^(n+1-j) y^j replaced by its remainder x^(n+1-j) y^j - e_j.
     """
+    if type(n) is not int:  # a bool too
+        raise TypeError(f"build_ring needs an int n, not {n!r}")
     if n < 1:
         raise UnsupportedRange("build_ring needs n >= 1")
     g1, g2 = complete_symmetric(n + 1), complete_symmetric(n + 2)
@@ -255,15 +257,6 @@ def poly_schubert(n: int, p: WPoly) -> dict[Exponents, int | Fraction]:
 def schubert_degree(n: int, s: SchubertSum) -> int:
     """Coefficient of the point class sigma_(n,n)."""
     return s.get((n, n), 0)
-
-
-def schubert_pairing(n: int, s1: SchubertSum, s2: SchubertSum) -> int:
-    """deg(s1 * s2) by Poincare duality, without forming the product.
-
-    deg(sigma_(a,b) * sigma_mu) is 1 when mu = (n-b, n-a) and 0 otherwise.
-    """
-    get = s2.get
-    return sum(c * get((n - b, n - a), 0) for (a, b), c in s1.items())
 
 
 def giambelli(part: Exponents) -> WPoly:

@@ -128,9 +128,12 @@ def primitive_middle(n: int) -> HodgeDiamond:
 def euler_cubic(n: int) -> int:
     """Euler characteristic: 3 * [h^n] of (1+h)^(n+2) / (1+3h), exactly.
 
-    The Chern route only; the ``hodge.euler_consistency`` row compares it
-    with the alternating Betti sum of ``hodge_cubic(n)``.
+    The Chern route only: the ``hodge.euler_consistency`` row compares it
+    with the alternating Betti sum of ``hodge_cubic(n)``, and the D * D rule
+    of ``diagonal.XXClass`` reads it.
     """
+    if type(n) is not int:  # a bool too
+        raise TypeError(f"euler_cubic needs an int n, not {n!r}")
     if n < 1:
         raise UnsupportedRange("euler_cubic needs n >= 1")
     return 3 * sum(comb(n + 2, n - j) * (-3) ** j for j in range(n + 1))

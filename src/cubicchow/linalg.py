@@ -45,10 +45,6 @@ class MatQ(NamedTuple):
             raise ValueError("empty matrix needs an explicit column count")
         return cls(len(data), cols, data)
 
-    @classmethod
-    def identity(cls, n: int) -> "MatQ":
-        return cls.from_rows([[int(i == j) for j in range(n)] for i in range(n)], cols=n)
-
     def transpose(self) -> "MatQ":
         return MatQ.from_rows(
             [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],

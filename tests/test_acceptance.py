@@ -127,21 +127,19 @@ def test_criterion_07_diagonal():
 
 @criterion(8, "product map has rank one: (1/9) m m h^(i+j) for all valid (i, j), n <= 10")
 def test_criterion_08_product_rank_one():
-    moments = (Fraction(3), Fraction(11, 4), Fraction(-2, 7))
+    moments = (Fraction(3), Fraction(11, 4), Fraction(-2, 7))  # moment 3: h^i itself
     for n in range(3, 11):
         for i in range(1, n):
             for j in range(1, n - i):
-                unit = diagonal.cycle_product(
-                    n, diagonal.FormalCycle(i, 3), diagonal.FormalCycle(j, 3)
-                )
-                assert unit == diagonal.FormalCycle(i + j, 3)  # h^(i+j)
-                for ma, mb in itertools.product(moments, repeat=2):
-                    out = diagonal.cycle_product(
-                        n, diagonal.FormalCycle(i, ma), diagonal.FormalCycle(j, mb)
-                    )
+                alphas = [diagonal.FormalCycle(i, m) for m in moments]
+                betas = [diagonal.FormalCycle(j, m) for m in moments]
+                grid = diagonal.cycle_products(n, alphas, betas)
+                assert grid[0][0] == (i + j, 3, 1)  # h^i * h^j = h^(i+j)
+                pairs = itertools.product(moments, repeat=2)
+                for (ma, mb), out in zip(pairs, itertools.chain(*grid), strict=True):
                     # (1/9) m_a m_b h^(i+j) has moment m_a m_b / 3, as deg h^n = 3
                     expected = diagonal.FormalCycle(i + j, Fraction(1, 9) * ma * mb * 3)
-                    assert out == expected
+                    assert out == (expected.codim, expected.num, expected.den)
 
 
 @criterion(9, "oracle equivalence: quotient ring vs Pieri for n <= 8; diagonal vs Euler, n <= 10")

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cubicchow.diagonal as diagonal
+import cubicchow.hodge as hodge
 import cubicchow.wpoly as wpoly
 from cubicchow.checks import REGISTRY
 from cubicchow.cli import RunConfig, run
@@ -20,7 +21,6 @@ from cubicchow.diagonal import (
     X3Class,
     XXClass,
     corrected_small_diagonal,
-    cycle_product,
     cycle_products,
     decomposable_coefficients,
     degree,
@@ -394,9 +394,9 @@ def test_degree_of_top_monomials():
 def test_cycle_product_reproduces_h_powers():
     for n in range(3, 11):
         for i in range(1, n):
-            for j in range(1, n - i):
-                result = cycle_product(n, FormalCycle(i, 3), FormalCycle(j, 3))
-                assert result == FormalCycle(i + j, 3)  # h^(i+j): deg h^n = 3
+            codims = range(1, n - i)
+            [row] = cycle_products(n, [FormalCycle(i, 3)], [FormalCycle(j, 3) for j in codims])
+            assert row == [(i + j, 3, 1) for j in codims]  # h^(i+j): deg h^n = 3
 
 
 def test_cycle_product_generic_moments():
@@ -404,14 +404,13 @@ def test_cycle_product_generic_moments():
     for n in (3, 5, 8, 10):
         for i in range(1, n):
             for j in range(1, n - i):
-                for ma in moments:
-                    for mb in moments:
-                        result = cycle_product(
-                            n, FormalCycle(i, ma), FormalCycle(j, mb)
-                        )
+                alphas = [FormalCycle(i, ma) for ma in moments]
+                grid = cycle_products(n, alphas, [FormalCycle(j, mb) for mb in moments])
+                for ma, row in zip(moments, grid):
+                    for mb, product in zip(moments, row):
                         # (1/9) m_a m_b h^(i+j), whose moment is 3 times that
-                        expected = FormalCycle(i + j, 3 * Fraction(1, 9) * ma * mb)
-                        assert result == expected
+                        law = FormalCycle(i + j, 3 * Fraction(1, 9) * ma * mb)
+                        assert product == (law.codim, law.num, law.den)
 
 
 def _cycle_product_by_scan(n, alpha, beta):
@@ -432,32 +431,34 @@ def test_cycle_product_lookup_matches_table_scan():
     for n in range(3, 13):
         for i in range(1, n):
             for j in range(1, n - i):
-                for ma in moments:
-                    for mb in moments:
-                        alpha, beta = FormalCycle(i, ma), FormalCycle(j, mb)
-                        assert cycle_product(n, alpha, beta) == _cycle_product_by_scan(
-                            n, alpha, beta
-                        ), (n, i, j, ma, mb)
+                alphas = [FormalCycle(i, ma) for ma in moments]
+                betas = [FormalCycle(j, mb) for mb in moments]
+                for alpha, row in zip(alphas, cycle_products(n, alphas, betas)):
+                    for beta, product in zip(betas, row):
+                        scan = _cycle_product_by_scan(n, alpha, beta)
+                        assert product == (scan.codim, scan.num, scan.den), (n, alpha, beta)
 
 
 def test_cycle_product_image_has_rank_one():
     # outputs for many formal cycles are all multiples of h^(i+j): one
     # codimension, and moments proportional to m_alpha * m_beta
     n, i, j = 7, 2, 3
+    moments = range(1, 6)
+    alphas = [FormalCycle(i, ma) for ma in moments]
+    grid = cycle_products(n, alphas, [FormalCycle(j, mb) for mb in moments])
     ratios = set()
-    for ma in range(1, 6):
-        for mb in range(1, 6):
-            out = cycle_product(n, FormalCycle(i, ma), FormalCycle(j, mb))
-            assert out.codim == i + j
-            ratios.add(out.moment / (ma * mb))
+    for ma, row in zip(moments, grid):
+        for mb, (codim, num, den) in zip(moments, row):
+            assert codim == i + j
+            ratios.add(Fraction(num, den) / (ma * mb))
     assert ratios == {Fraction(1, 3)}
 
 
 def test_cycle_product_preconditions():
     with pytest.raises(UnsupportedRange):
-        cycle_product(3, FormalCycle(1, 3), FormalCycle(2, 3))  # i + j = n
+        cycle_products(3, [FormalCycle(1, 3)], [FormalCycle(2, 3)])  # i + j = n
     with pytest.raises(UnsupportedRange):
-        cycle_product(5, FormalCycle(3, 3), FormalCycle(3, 3))
+        cycle_products(5, [FormalCycle(3, 3)], [FormalCycle(3, 3)])
     with pytest.raises(ValueError):
         FormalCycle(0, 3)
 
@@ -521,7 +522,8 @@ def test_floats_are_rejected():
             make()
     assert XXClass(2, {key: Fraction(1, 2)}) == XXClass(2, {key: 1}).scale(Fraction(1, 2))
     assert FormalCycle(1, 3) == FormalCycle(1, Fraction(3))
-    assert type(cycle_product(4, FormalCycle(1, 3), FormalCycle(1, 3)).codim) is int
+    [[product]] = cycle_products(4, [FormalCycle(1, 3)], [FormalCycle(1, 3)])
+    assert [type(x) for x in product] == [int, int, int]
     assert x3_monomial(2, 1, 1, 0, 2) == x3_monomial(2, 1, 1, 0, Fraction(4, 2))
     assert str(x3_monomial(2, 1, 1, 0)) == "h1*h2"
 
@@ -549,8 +551,9 @@ def test_formal_cycle_holds_its_moment_in_lowest_terms():
         assert cycle.den > 0 and gcd(cycle.num, cycle.den) == 1
         assert type(cycle.moment) is Fraction and cycle.moment == moment
     # a product of negative moments keeps a positive denominator too
-    out = cycle_product(5, FormalCycle(1, Fraction(-7, 2)), FormalCycle(2, Fraction(5, -3)))
-    assert (out.codim, out.num, out.den) == (3, 35, 18)
+    alpha, beta = FormalCycle(1, Fraction(-7, 2)), FormalCycle(2, Fraction(5, -3))
+    [[out]] = cycle_products(5, [alpha], [beta])
+    assert out == (3, 35, 18)
     assert FormalCycle(1, 0) == FormalCycle(1, Fraction(0, 27))
     assert FormalCycle(1, 3) != FormalCycle(2, 3) and FormalCycle(1, 3) != Fraction(3)
     # equality is type-strict: the fields (1, 3, 1) are not the cycle
@@ -579,9 +582,11 @@ _MOMENTS = st.one_of(
 def test_cycle_product_matches_the_fraction_law(n, ma, mb):
     # (1/9) m_alpha m_beta h^(i+j), whose moment is m_alpha m_beta / 3
     for i in range(1, n):
-        for j in range(1, n - i):
-            out = cycle_product(n, FormalCycle(i, ma), FormalCycle(j, mb))
-            assert out == FormalCycle(i + j, Fraction(ma) * mb / 3), (n, i, j)
+        codims = range(1, n - i)
+        [row] = cycle_products(n, [FormalCycle(i, ma)], [FormalCycle(j, mb) for j in codims])
+        for j, product in zip(codims, row):
+            law = FormalCycle(i + j, Fraction(ma) * mb / 3)
+            assert product == (law.codim, law.num, law.den), (n, i, j)
 
 
 @st.composite
@@ -602,10 +607,13 @@ def test_cycle_products_match_the_fraction_law_pair_by_pair(grid):
         # the first pair out of range, in row order, raises as it does alone
         alpha, beta = bad[0]
         text = (
-            "cycle_product needs 0 < i, 0 < j, i + j < n; "
+            "cycle_products needs 0 < i, 0 < j, i + j < n; "
             f"got i={alpha.codim}, j={beta.codim}, n={n}"
         )
-        for call in (lambda: cycle_products(n, alphas, betas), lambda: cycle_product(n, alpha, beta)):
+        for call in (
+            lambda: cycle_products(n, alphas, betas),
+            lambda: cycle_products(n, [alpha], [beta]),
+        ):
             with pytest.raises(UnsupportedRange) as info:
                 call()
             assert str(info.value) == text
@@ -1017,6 +1025,25 @@ def test_diagonal_row_fails_under_a_fault_in_its_route(monkeypatch, row, fault, 
     assert _run_check(row, n) == honest
 
 
+def test_euler_self_intersection_fails_when_chi_is_off_by_one(monkeypatch):
+    # chi read off the Chern class is off by one everywhere: D * D reads it,
+    # and the row's other side, the Lefschetz trace of the Kunneth expansion
+    # of D, reads the Hodge numbers (the row once compared chi with itself and
+    # passed with 10, -5 and 28 on both sides)
+    honest = hodge.euler_cubic
+
+    def off_by_one(n):
+        return honest(n) + 1
+
+    monkeypatch.setattr(hodge, "euler_cubic", off_by_one)
+    monkeypatch.setattr(diagonal, "euler_cubic", off_by_one)
+    for n, chi in ((2, 9), (3, -6), (4, 27)):
+        assert _run_check("diagonal.euler_self_intersection", n) == (str(chi + 1), str(chi))
+    # the cycle-class map now ties D * D to d * d, so the ring-map row fails too
+    computed, _ = _run_check("diagonal.model_compatibility", 2)
+    assert "not a ring map at ('D',) * ('D',)" in computed
+
+
 def test_diagonal_suite_passes_up_to_24(report_gate):
     # the report-equivalence gate of perfbench/run.py: a row the reference
     # executed must still run, pass and print the same strings
@@ -1035,6 +1062,11 @@ def _x3_basis(n):
     keys += [("D", a, b, m) for a, b in PAIRS for m in range(n + 1)]
     keys.append(("D3",))
     return keys
+
+
+def _x3_monomial_keys(n):
+    """The monomial keys of any degree: a right operand that every class multiplies."""
+    return [key for key in _x3_basis(n) if key[0] == "m"]
 
 
 @st.composite
@@ -1295,10 +1327,12 @@ _RATIONALS = st.fractions(min_value=-20, max_value=20, max_denominator=30)
 
 
 @st.composite
-def _operands(draw, basis):
+def _operands(draw, basis, right_basis=None):
     n = draw(st.integers(min_value=1, max_value=4))
-    keys = st.sampled_from(basis(n))
-    a, b = (_clean(draw(st.dictionaries(keys, _RATIONALS, max_size=7))) for _ in "ab")
+    a, b = (
+        _clean(draw(st.dictionaries(st.sampled_from(keys(n)), _RATIONALS, max_size=7)))
+        for keys in (basis, right_basis or basis)
+    )
     return n, a, b, draw(_RATIONALS)
 
 
@@ -1330,7 +1364,7 @@ def test_coh_xx_model_matches_the_fraction_reference(operands):
 
 
 @settings(max_examples=80)
-@given(_operands(_x3_basis))
+@given(_operands(_x3_basis, _x3_monomial_keys))  # every example multiplies
 def test_x3_model_matches_the_fraction_reference(operands):
     n, a, b, c = operands
     x, _ = _check_ring_ops(X3Class, _ref_x3_rule, n, a, b, c)
@@ -1419,11 +1453,6 @@ def test_shared_printer_matches_the_per_model_printers(classes):
 
 
 # -- the many-key X^3 pairing reader against the degree of the product ----------
-
-
-def _x3_monomial_keys(n):
-    """The monomial keys of any degree, the only keys the reader takes."""
-    return [key for key in _x3_basis(n) if key[0] == "m"]
 
 
 @st.composite

@@ -11,7 +11,6 @@ import cubicchow.hodge as hodge
 from cubicchow.checks import REGISTRY
 from cubicchow.cli import _execute
 from cubicchow.errors import CheckFailed, UnsupportedRange
-from cubicchow.fano import taut_rank_FX
 from cubicchow.hodge import (
     HodgeDiamond,
     euler_cubic,
@@ -282,17 +281,6 @@ def test_primitive_middle_dimension():
     assert primitive_middle(2).betti(0) == 6
 
 
-def test_taut_rank_FX_values():
-    assert taut_rank_FX(3, 0) == 1
-    assert taut_rank_FX(3, 2) == 4  # three decomposable classes plus the line locus
-    for n in (3, 4, 5):
-        assert taut_rank_FX(n, 0) == 1
-        assert taut_rank_FX(n, 3 * n - 3) == 0
-        assert taut_rank_FX(n, 3 * n - 4) >= 1
-    with pytest.raises(UnsupportedRange):
-        taut_rank_FX(2, 0)
-
-
 def test_jacobian_ring_hilbert_series():
     # primitive middle dimensions agree with binomial coefficients of (1+t)^(n+2)
     for n in range(1, 9):
@@ -329,6 +317,16 @@ def test_entry_keys_are_ints():
     hodge_cubic(1)
     with pytest.raises(TypeError):
         hodge_cubic(True)
+
+
+def test_euler_cubic_needs_an_int():
+    # euler_cubic(True) once returned 0, while hodge_cubic(True) raised: the
+    # two sides of hodge.euler_consistency disagreed on what an n is
+    euler_cubic(1)  # cached: an equal bool or float must still reach the gate
+    euler_cubic(2)
+    for n in (True, False, 2.0):
+        with pytest.raises(TypeError):
+            euler_cubic(n)
 
 
 def test_cached_diamonds_are_immutable():

@@ -10,7 +10,7 @@ from cubicchow.linalg import MatQ, kernel_basis, rref, solve_linear
 
 
 def test_kernel_of_identity_is_empty():
-    assert kernel_basis(MatQ.identity(2)) == []
+    assert kernel_basis(MatQ.from_rows([[1, 0], [0, 1]])) == []
 
 
 def test_kernel_forced_by_one_equation():
@@ -34,7 +34,7 @@ def test_kernel_of_rank_one_matrix():
 
 
 def test_solve_identity():
-    m = MatQ.identity(3)
+    m = MatQ.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     b = [Fraction(5), Fraction(-1, 2), Fraction(0)]
     assert solve_linear(m, b) == tuple(b)
 
