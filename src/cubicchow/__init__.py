@@ -7,44 +7,8 @@ through the Hilbert-square relation, and the small-diagonal decomposition
 that pins the product structure of the cycle ring down to rank one.
 """
 
-from .errors import CheckFailed, UnsupportedRange
-from .wpoly import WPoly
-from .linalg import MatQ, kernel_basis, solve_linear
-from .grassmann import (
-    GRing,
-    build_ring,
-    complete_symmetric,
-    degree_of_poly,
-    fano_poly,
-    giambelli,
-    normal_form,
-    shift11,
-    sym_power_chern,
-)
-from .fano import ExtraRelation, FanoPairing, extra_relation, fano_pairing, ideal_decomposition
-from .fano import taut_rank_F
-from .hodge import (
-    HodgeDiamond,
-    euler_cubic,
-    fano_diamond,
-    fano_hodge_decomposition,
-    hilb2_diamond,
-    hodge_cubic,
-    sym2_diamond,
-    times_projective,
-)
-from .diagonal import (
-    FormalCycle,
-    XXClass,
-    X3Class,
-    CohXXClass,
-    CohX3Class,
-    corrected_small_diagonal,
-    cycle_products,
-    decomposable_coefficients,
-    defect_vanishes_cohomologically,
-    small_diagonal_coh,
-    small_diagonal_defect,
-)
+# the API is per module (cubicchow.grassmann.build_ring); importing the
+# package loads the engine modules and binds nothing else
+from . import diagonal, errors, fano, grassmann, hodge, linalg, wpoly
 
 __version__ = "0.1.0"

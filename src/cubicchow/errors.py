@@ -6,13 +6,12 @@ top given to the degree map, a ``HodgeDiamond`` key that is not a pair (p, q));
 the classes below mark the structured failure modes that the verification
 checks report on.  ``TypeError`` marks a coefficient that is not an ``int``
 or ``Fraction``: the value constructors pass every coefficient through
-``exact``, so no float enters the engine.  It also marks an exponent (of a
-``WPoly`` or a diagonal model key), a formal-cycle codimension, a
-``HodgeDiamond`` key entry, the dimension n of a diagonal model or of
-``hodge_cubic``, the k of ``grassmann.pairing`` and so of ``fano_pairing``,
-or the ``cols`` of ``MatQ.from_rows`` that is not an ``int``.  A ``bool`` is
-refused everywhere, as a coefficient or moment too, though
-``isinstance(True, int)`` holds: ``True`` is never read as 1.
+``exact``, so no float enters the engine.  It also marks an integer
+argument (an exponent or key entry, a codimension, a dimension n, a degree
+k, a column count) that is not an ``int``, at the entry points that build a
+value or a cache on it.  A ``bool`` is refused everywhere, as a coefficient
+or moment too, though ``isinstance(True, int)`` holds: ``True`` is never
+read as 1.
 """
 
 from fractions import Fraction

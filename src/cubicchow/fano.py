@@ -5,12 +5,14 @@ The variety of lines F sits in Gr(2, n+2) with class [F] = 18*c1^2*c2 +
 matrices of intersection numbers deg(x_i * y_j * [F]) on the ambient
 Grassmannian; their ranks are the graded dimensions (``taut_rank_F``).  Each
 entry is read off the top reducer of the quotient ring, one lookup per term
-of [F] (``grassmann.pairing``); no product is formed.
+of [F] (``grassmann.pairing``); no product is formed.  A ``FanoPairing``
+holds the matrix and the two bases that index it.
 
-``extra_relation`` finds the polynomial relation of weighted degree n-1
-that holds on F but not on the ambient ring (the kernel of multiplication
-by [F] from degree n-1 to degree n+3, whose columns are read off the
-reducers of degree n+3 by ``grassmann.coords``), and ``ideal_decomposition``
+``extra_relation`` returns the polynomial relation of weighted degree n-1
+that holds on F but not on the ambient ring, as a ``WPoly`` leading with
+c1^(n-1) (an element of the kernel of multiplication by [F] from degree n-1
+to degree n+3, whose columns are read off the reducers of degree n+3 by
+``grassmann.coords``), and ``ideal_decomposition``
 checks ideal membership in degree n+3 by an independent linear solve against
 the two relation generators, whose columns are the shifted coefficients of
 h_(n+1) and h_(n+2) (no product is formed).
@@ -37,19 +39,9 @@ from .wpoly import Exponents, WPoly
 class FanoPairing(NamedTuple):
     """Pairing matrix deg(x_i * y_j * [F]) between A^k and A^(2(n-2)-k)."""
 
-    n: int
-    k: int
     left_basis: tuple[Exponents, ...]
     right_basis: tuple[Exponents, ...]
     matrix: MatQ
-
-
-class ExtraRelation(NamedTuple):
-    """A degree-(n-1) polynomial killed by [F], normalized to lead with c1^(n-1)."""
-
-    n: int
-    poly: WPoly
-    kernel_dim: int
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -58,7 +50,7 @@ def fano_pairing(n: int, k: int) -> FanoPairing:
         raise UnsupportedRange("fano_pairing needs n >= 2")
     ring = build_ring(n)
     matrix = pairing(ring, k, fano_poly())  # refuses k outside 0..2(n-2)
-    return FanoPairing(n, k, ring.bases[k], ring.bases[2 * (n - 2) - k], matrix)
+    return FanoPairing(ring.bases[k], ring.bases[2 * (n - 2) - k], matrix)
 
 
 def taut_rank_F(n: int, k: int) -> int:
@@ -67,11 +59,11 @@ def taut_rank_F(n: int, k: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def extra_relation(n: int) -> ExtraRelation:
+def extra_relation(n: int) -> WPoly:
     """Kernel element of multiplication by [F]: A^(n-1) -> A^(n+3).
 
     Dimension counting makes the kernel nonzero for n >= 3; the returned
-    element is the first kernel basis vector with nonzero c1^(n-1)
+    polynomial is the first kernel basis vector with nonzero c1^(n-1)
     coordinate, rescaled so that coordinate is 1 (deterministic output).
     """
     if n < 3:
@@ -91,8 +83,7 @@ def extra_relation(n: int) -> ExtraRelation:
     if vec is None:
         raise CheckFailed(f"no kernel element with nonzero c1^{n-1} coefficient at n={n}")
     scale = 1 / vec[lead]
-    poly = WPoly({mono: scale * c for mono, c in zip(source, vec)})
-    return ExtraRelation(n, poly, len(kernel))
+    return WPoly({mono: scale * c for mono, c in zip(source, vec)})
 
 
 def ideal_decomposition(n: int, relation: WPoly) -> tuple[WPoly, WPoly] | None:

@@ -9,7 +9,7 @@ Two independent models of A*(Gr(2, n+2)) are provided:
   (a + b <= n) and the integer reducer of every monomial are filled degree
   by degree, without elimination; a normal form is the tuple of coordinates
   on that basis (``grassmann.basis_dims``, not the ring, counts it against
-  the partitions).  The top degree is spanned by c2^n, so every
+  the Poincare polynomial).  The top degree is spanned by c2^n, so every
   intersection number of monomials is one read of the top reducer
   (``pairing``).  As deg(x^(2m) y^(n-m)) is the Catalan number C_m, the
   degree-k pairing is, with both index orders reversed, a leading block of
@@ -68,6 +68,8 @@ SchubertSum = Mapping[Exponents, int]  # sigma_(a,b) keyed by the partition (a, 
 @lru_cache(maxsize=None)
 def complete_symmetric(k: int) -> WPoly:
     """h_k in (c1, c2) via h_k = c1*h_(k-1) - c2*h_(k-2); h_0 = 1."""
+    if type(k) is not int:  # a bool too
+        raise TypeError(f"complete_symmetric needs an int k, not {k!r}")
     if k < 0:
         raise ValueError("complete_symmetric needs k >= 0")
     if k == 0:
@@ -80,13 +82,6 @@ def complete_symmetric(k: int) -> WPoly:
 def weight_monomials(k: int) -> list[Exponents]:
     """All (a, b) with a + 2b = k, in descending graded-lex order (x first)."""
     return [(k - 2 * b, b) for b in range(k // 2 + 1)]
-
-
-def partition_count(n: int, k: int) -> int:
-    """Number of partitions (a, b), n >= a >= b >= 0, a + b = k."""
-    lo = max(0, k - n)
-    hi = k // 2
-    return max(0, hi - lo + 1)
 
 
 def partitions_in_box(n: int, k: int) -> list[Exponents]:

@@ -96,6 +96,8 @@ class HodgeDiamond(SparseSum):
 
 def primitive_hodge_numbers(n: int) -> dict[tuple[int, int], int]:
     """Primitive middle-degree Hodge numbers h^(n-q, q) of a cubic n-fold."""
+    if type(n) is not int:  # a bool too
+        raise TypeError(f"primitive_hodge_numbers needs an int n, not {n!r}")
     out = {}
     for q in range(n + 1):
         m = comb(n + 2, 3 * q + 1 - n) if 0 <= 3 * q + 1 - n <= n + 2 else 0

@@ -94,9 +94,9 @@ def test_criterion_06_extra_relation():
     for n in range(3, 13):
         relation = fano.extra_relation(n)
         ring = grassmann.build_ring(n)
-        assert not relation.poly.is_zero()
-        assert relation.poly.coefficient((n - 1, 0)) == 1
-        product = relation.poly * grassmann.fano_poly()
+        assert not relation.is_zero()
+        assert relation.coefficient((n - 1, 0)) == 1
+        product = relation * grassmann.fano_poly()
         assert not any(grassmann.normal_form(ring, product))
         decomposition = fano.ideal_decomposition(n, product)
         assert decomposition is not None

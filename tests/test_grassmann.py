@@ -22,7 +22,6 @@ from cubicchow.grassmann import (
     monomial_schubert,
     normal_form,
     pairing,
-    partition_count,
     partitions_in_box,
     poly_schubert,
     schubert_degree,
@@ -43,13 +42,27 @@ def test_complete_symmetric_small():
         complete_symmetric(-1)
 
 
-def test_ring_dimensions_match_partition_counts():
+def _poincare_coefficients(n):
+    # (1 - q^(n+1) - q^(n+2) + q^(2n+3)) / ((1 - q)(1 - q^2)), the Poincare
+    # polynomial of Gr(2, n+2); 1 / ((1 - q)(1 - q^2)) has m // 2 + 1 at q^m
+    def series(m):
+        return m // 2 + 1 if m >= 0 else 0
+
+    return [
+        series(k) - series(k - n - 1) - series(k - n - 2) + series(k - 2 * n - 3)
+        for k in range(2 * n + 1)
+    ]
+
+
+def test_ring_dimensions_match_partition_counts(row_at):
     assert [build_ring(2).dim(k) for k in range(5)] == [1, 1, 2, 1, 1]
     assert build_ring(3).dim(2) == 2
     for n in range(1, 9):
         ring = build_ring(n)
-        for k in range(2 * n + 1):
-            assert ring.dim(k) == partition_count(n, k)
+        counts = _poincare_coefficients(n)
+        assert [ring.dim(k) for k in range(2 * n + 1)] == counts
+        assert [len(partitions_in_box(n, k)) for k in range(2 * n + 1)] == counts
+        assert row_at("grassmann.basis_dims", n).expected == str(counts)
         assert ring.dim(2 * n) == 1
         # Poincare symmetry of the dimensions
         for k in range(2 * n + 1):
@@ -460,6 +473,16 @@ def test_build_ring_needs_an_int():
             build_ring(n)
 
 
+def test_complete_symmetric_needs_an_int():
+    # complete_symmetric(True) once returned x and complete_symmetric(2.0)
+    # x^2 - y; a single argument keys True and 2.0 apart from 1 and 2, so the
+    # call reaches the gate with h_1 and h_2 cached
+    complete_symmetric(2)
+    for k in (True, False, 2.0):
+        with pytest.raises(TypeError):
+            complete_symmetric(k)
+
+
 def test_pairing_range_errors():
     ring = build_ring(3)
     with pytest.raises(UnsupportedRange):
@@ -791,33 +814,25 @@ def test_pieri_oracle_catches_a_perturbed_closed_form(monkeypatch):
     assert "mismatch at (1, 0)*(2, 0)" in check.fn(4)[0]
 
 
-def test_basis_dims_alone_fails_on_a_wrong_partition_count(monkeypatch, row_at):
-    # build_ring asserts no basis size, so a partition count one too large at
-    # k = 2 fails the row that compares the two, and the rows that read the
-    # ring pass
-    honest = grassmann.partition_count
-    monkeypatch.setattr(grassmann, "partition_count", lambda n, k: honest(n, k) + (k == 2))
-    build_ring.cache_clear()
-    try:
-        rows = {
-            (check_id, n): row_at(check_id, n)
-            for check_id in (
-                "grassmann.basis_dims",
-                "grassmann.degree_catalan",
-                "grassmann.poincare_pairing",
-            )
-            for n in (1, 4, 7)
-        }
-    finally:
-        monkeypatch.undo()
-        build_ring.cache_clear()
-    for (check_id, n), row in rows.items():
-        if check_id == "grassmann.basis_dims":
-            # a comparison of the true sizes, not an ``error:`` row
-            assert row.status == "fail", row
-            assert row.computed == str([honest(n, k) for k in range(2 * n + 1)]), row
-        else:
-            assert row.status == "pass", row
+def test_basis_dims_fails_on_a_ring_missing_a_basis_monomial(monkeypatch, row_at):
+    # the row counts the ring's bases against the Poincare polynomial, so a
+    # ring whose degree-2 basis lacks its first monomial fails it at every n,
+    # as a comparison of the sizes, not an ``error:`` row
+    honest = grassmann.build_ring
+
+    def short(n):
+        ring = honest(n)
+        return ring._replace(bases=ring.bases[:2] + (ring.bases[2][1:],) + ring.bases[3:])
+
+    monkeypatch.setattr(grassmann, "build_ring", short)
+    for n in (1, 4, 7):
+        row = row_at("grassmann.basis_dims", n)
+        dims = _poincare_coefficients(n)
+        assert row.status == "fail", row
+        assert row.expected == str(dims), row
+        dims[2] -= 1
+        assert row.computed == str(dims), row
+    monkeypatch.undo()
     assert row_at("grassmann.basis_dims", 4).status == "pass"
 
 

@@ -329,6 +329,14 @@ def test_euler_cubic_needs_an_int():
             euler_cubic(n)
 
 
+def test_primitive_hodge_numbers_needs_an_int():
+    # primitive_hodge_numbers(True) once returned {(1, 0): 1, (0, 1): 1}, so
+    # diagonal.primitive_self_pairing(True) returned -2
+    for n in (True, False, 2.0):
+        with pytest.raises(TypeError):
+            hodge.primitive_hodge_numbers(n)
+
+
 def test_cached_diamonds_are_immutable():
     diamond = hodge_cubic(3)
     with pytest.raises(TypeError):
