@@ -5,11 +5,15 @@ Usage::
     verify --n-min 1 --n-max 10 --suite all --format text
     verify --n-min 2 --n-max 6 --suite fano,hodge --format json --out report.json
 
-Every registered check runs for every n in range; where a check's
-precondition fails, a visible ``skipped`` row names it.  Reports list one
-row per (check, n), sorted by (check_id, n), with exact computed/expected
-strings and per-check elapsed milliseconds.  Exit code 0 means every
-executed check passed, 1 that at least one failed, 2 a usage or I/O error.
+Every registered check runs for every n in range, n by n: all selected
+checks run at one n before any runs at the next.  The caches keyed by n
+alone (the ring, the relation on F, the diamonds and the diagonal tables)
+hold one n each, so a run's memory is bounded by its largest n, not by the
+sum over all n.  Where a check's precondition fails, a visible ``skipped``
+row names it.  Reports list one row per (check, n), sorted by
+(check_id, n), with exact computed/expected strings and per-check elapsed
+milliseconds.  Exit code 0 means every executed check passed, 1 that at
+least one failed, 2 a usage or I/O error.
 
 ``main`` is the in-process API: it returns the exit code and leaves the
 interpreter running.  ``console_main``, behind the ``verify`` script and
@@ -32,6 +36,7 @@ import json
 import os
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 from .checks import SUITES, Check, checks_for
@@ -69,11 +74,14 @@ def _execute(check: Check, n: int) -> CheckResult:
 
 
 def run(config: RunConfig) -> list[CheckResult]:
-    """Execute the configured suites; deterministic up to elapsed_ms."""
+    """Execute the configured suites n by n; deterministic up to elapsed_ms.
+
+    Every selected check runs at one n before any runs at the next, so a
+    cache keyed by n alone (``maxsize=1``) misses once per n.
+    """
+    checks = checks_for(set(config.suites))
     results = [
-        _execute(check, n)
-        for check in checks_for(set(config.suites))
-        for n in range(config.n_min, config.n_max + 1)
+        _execute(check, n) for n in range(config.n_min, config.n_max + 1) for check in checks
     ]
     return sorted(results, key=lambda r: (r.check_id, r.n))
 
@@ -87,10 +95,25 @@ def _clip(text: str) -> str:
     return text[: _TEXT_CELL_LIMIT - 3] + "..."
 
 
+def _json_row(r: CheckResult) -> str:
+    q = encode_basestring_ascii
+    return (
+        f'  {{\n    "check_id": {q(r.check_id)},\n    "n": {r.n},\n'
+        f'    "status": {q(r.status)},\n    "computed": {q(r.computed)},\n'
+        f'    "expected": {q(r.expected)},\n    "elapsed_ms": {r.elapsed_ms}\n  }}'
+    )
+
+
 def emit(results: list[CheckResult], fmt: str) -> str:
-    """Render the report; json carries full strings, text clips long cells."""
+    """Render the report; json carries full strings, text clips long cells.
+
+    The json text is that of ``json.dumps([r._asdict() for r in results],
+    indent=2)``, written row by row with the C string escaper.
+    """
     if fmt == "json":
-        return json.dumps([r._asdict() for r in results], indent=2)
+        if not results:
+            return "[]"
+        return "[\n" + ",\n".join(map(_json_row, results)) + "\n]"
     if not results:
         return "(no checks selected)\n"
     headers = ("check_id", "n", "status", "computed", "expected", "ms")

@@ -446,7 +446,8 @@ def x3_diagonal_expansion(n: int, a: int, b: int, m: int = 0) -> CohX3Class:
     return CohX3Class._reduced(n, num, 3)
 
 
-@lru_cache(maxsize=None)
+# the caches keyed by n alone keep one n (maxsize=1): verify runs n by n (cli.run)
+@lru_cache(maxsize=1)
 def small_diagonal_coh(n: int) -> CohX3Class:
     """Class of the small diagonal, computed as [D12] * [D23] in the model."""
     if n < 1:
@@ -502,7 +503,7 @@ def corrected_small_diagonal(n: int) -> X3Class:
     return X3Class._reduced(n, num, 3)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def decomposable_coefficients(n: int) -> tuple[Mapping[tuple[int, int, int], int], int]:
     """Coefficients of the corrected small diagonal on the monomial basis.
 
@@ -523,7 +524,7 @@ def decomposable_coefficients(n: int) -> tuple[Mapping[tuple[int, int, int], int
     return MappingProxyType(table), image.den
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def small_diagonal_defect(n: int) -> X3Class:
     """Corrected small diagonal minus its decomposable part; must die in cohomology."""
     table, den = decomposable_coefficients(n)
@@ -610,9 +611,10 @@ def cycle_products(n: int, alphas, betas) -> list[list[tuple[int, int, int]]]:
     class; as deg h^n = 3, its moment is three times its coefficient: for
     the entry t / den, 3 t num_alpha num_beta / (den den_alpha den_beta),
     reduced by one gcd.  The table and the fields of each beta are read once
-    per grid, the fields of each alpha once per row, and no object but the
-    triple is built per product.  The first pair out of range, in row order,
-    raises ``UnsupportedRange``.
+    per grid, the fields of each alpha once per row, and the table entry and
+    its product with the alpha numerator once per run of betas of equal
+    codimension; no object but the triple is built per product.  The first
+    pair out of range, in row order, raises ``UnsupportedRange``.
     """
     # no pair of positive codimensions is in range below n = 3, and the
     # table needs n >= 1: the range check below raises first
@@ -622,12 +624,15 @@ def cycle_products(n: int, alphas, betas) -> list[list[tuple[int, int, int]]]:
     for alpha in alphas:
         i, num_a, den_a = alpha.codim, 3 * alpha.num, den * alpha.den
         row = []
+        run = None  # the codimension of the current run of betas
         for j, num_b, den_b in fields:
-            if not (0 < i and 0 < j and i + j < n):
-                raise UnsupportedRange(
-                    f"cycle_products needs 0 < i, 0 < j, i + j < n; got i={i}, j={j}, n={n}"
-                )
-            num = table[(n - i, n - j, i + j)] * num_a * num_b
+            if j != run:
+                if not (0 < i and 0 < j and i + j < n):
+                    raise UnsupportedRange(
+                        f"cycle_products needs 0 < i, 0 < j, i + j < n; got i={i}, j={j}, n={n}"
+                    )
+                run, t = j, table[(n - i, n - j, i + j)] * num_a
+            num = t * num_b
             d = den_a * den_b
             g = gcd(num, d)
             row.append((i + j, num // g, d // g))

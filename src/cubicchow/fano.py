@@ -58,7 +58,8 @@ def taut_rank_F(n: int, k: int) -> int:
     return fano_pairing(n, k).matrix.rank()
 
 
-@lru_cache(maxsize=None)
+# the caches keyed by n alone keep one n (maxsize=1): verify runs n by n (cli.run)
+@lru_cache(maxsize=1)
 def extra_relation(n: int) -> WPoly:
     """Kernel element of multiplication by [F]: A^(n-1) -> A^(n+3).
 

@@ -103,7 +103,8 @@ class GRing(NamedTuple):
         return len(self.bases[k])
 
 
-@lru_cache(maxsize=None)
+# the caches keyed by n alone keep one n (maxsize=1): verify runs n by n (cli.run)
+@lru_cache(maxsize=1)
 def build_ring(n: int) -> GRing:
     """Reduce every graded piece of Q[x, y]/(h_(n+1), h_(n+2)) to a basis, in integers.
 

@@ -106,7 +106,8 @@ def primitive_hodge_numbers(n: int) -> dict[tuple[int, int], int]:
     return out
 
 
-@lru_cache(maxsize=None)
+# the caches keyed by n alone keep one n (maxsize=1): verify runs n by n (cli.run)
+@lru_cache(maxsize=1)
 def hodge_cubic(n: int) -> HodgeDiamond:
     """Hodge diamond of a smooth cubic hypersurface of dimension n."""
     if type(n) is not int:  # a bool too
@@ -126,7 +127,7 @@ def primitive_middle(n: int) -> HodgeDiamond:
     return HodgeDiamond({(p - 1, q - 1): m for (p, q), m in primitive_hodge_numbers(n).items()})
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def euler_cubic(n: int) -> int:
     """Euler characteristic: 3 * [h^n] of (1+h)^(n+2) / (1+3h), exactly.
 
@@ -176,7 +177,7 @@ def times_projective(d: HodgeDiamond, m: int) -> HodgeDiamond:
     return HodgeDiamond._reduced(None, out, 1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def hilb2_diamond(n: int) -> HodgeDiamond:
     """Diamond of the Hilbert square of the cubic.
 
@@ -187,7 +188,7 @@ def hilb2_diamond(n: int) -> HodgeDiamond:
     return sym2_diamond(x) + times_projective(x, n - 2).shift(1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def fano_diamond(n: int) -> HodgeDiamond:
     """Diamond of the variety of lines: (uv)^2 * E(F) = E(Hilb^2 X) - E(X) * E(P^n).
 
@@ -200,7 +201,7 @@ def fano_diamond(n: int) -> HodgeDiamond:
     return (hilb2_diamond(n) - times_projective(hodge_cubic(n), n)).shift(-2)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def fano_hodge_decomposition(n: int) -> tuple[int, ...]:
     """Tate multiplicities a_0..a_(2(n-2)) left after peeling the middle piece.
 

@@ -148,6 +148,29 @@ def test_emit_empty_and_exit_codes():
     assert exit_code([ok, bad, skip]) == 1
 
 
+_AWKWARD_TEXT = ['"quoted"', "back\\slash", "new\nline", "tab\there", "\x00\x01\x1f",
+                 "caf\u00e9", "line\u2028separator", "astral \U0001f600", ""]
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [],
+        [CheckResult(f"x.{t}", 7, "fail", t, t[::-1], 12) for t in _AWKWARD_TEXT],
+    ],
+    ids=["empty", "awkward"],
+)
+def test_json_report_is_the_indented_json_dumps(rows):
+    # emit writes the rows itself with the C string escaper; the text must
+    # stay that of json.dumps(indent=2), escapes included
+    assert emit(rows, "json") == json.dumps([r._asdict() for r in rows], indent=2)
+
+
+def test_json_report_of_a_full_run_is_the_indented_json_dumps():
+    rows = run(RunConfig(1, 12, ("all",)))
+    assert emit(rows, "json") == json.dumps([r._asdict() for r in rows], indent=2)
+
+
 def test_text_report_shape():
     results = run(RunConfig(2, 2, ("fano",)))
     report = emit(results, "text")
@@ -368,6 +391,55 @@ PACKAGE_CACHES = {
     "hodge.hilb2_diamond",
     "hodge.hodge_cubic",
 }
+
+
+# the caches keyed by n alone: ``run`` goes n by n, so each keeps one n
+PER_N_CACHES = {
+    "diagonal.decomposable_coefficients",
+    "diagonal.small_diagonal_coh",
+    "diagonal.small_diagonal_defect",
+    "fano.extra_relation",
+    "grassmann.build_ring",
+    "hodge.euler_cubic",
+    "hodge.fano_diamond",
+    "hodge.fano_hodge_decomposition",
+    "hodge.hilb2_diamond",
+    "hodge.hodge_cubic",
+}
+
+
+def test_per_n_caches_keep_one_n_and_miss_once_per_n():
+    import importlib
+
+    caches = {
+        name: getattr(importlib.import_module(f"cubicchow.{module}"), attr)
+        for name in PER_N_CACHES
+        for module, attr in [name.split(".")]
+    }
+    assert PER_N_CACHES <= PACKAGE_CACHES
+    for cache in caches.values():
+        assert cache.cache_info().maxsize == 1
+        cache.cache_clear()
+    # a run that took the checks one by one, each over every n, would rebuild
+    # each n's ring and diamonds once per check that reads them
+    run(RunConfig(1, 8, ("all",)))
+    misses = {name: cache.cache_info().misses for name, cache in caches.items()}
+    assert all(0 < m <= 8 for m in misses.values()), misses
+
+
+def test_fresh_diagonal_run_traces_a_small_heap():
+    # a count, not a timing: the traced peak heap of run() holds one n's tables
+    # (about 1 030 KB when every n's tables stayed cached, 256 KB one n at a time)
+    code = (
+        "import tracemalloc\n"
+        "from cubicchow.cli import RunConfig, run\n"
+        "tracemalloc.start()\n"
+        "results = run(RunConfig(1, 24, ('diagonal',)))\n"
+        "peak = tracemalloc.get_traced_memory()[1]\n"
+        "assert all(r.status != 'fail' for r in results)\n"
+        "print(peak)\n"
+    )
+    assert int(_fresh_python(code)) <= 512 * 1024
 
 
 def test_every_other_public_function_is_reached_by_verify(tmp_path):
