@@ -197,24 +197,22 @@ def _pairing_oracle(n: int):
         power = grassmann.monomial_schubert(n, top - 2 * b, 0)
         product = grassmann.shift11(n, grassmann.schubert_mul(n, power, f_sch), b)
         degrees[(top - 2 * b, b)] = grassmann.schubert_degree(n, product)
+    bases = grassmann.build_ring(n).bases
     failures = []
-    for k in range(top + 1):
-        pairing = fano.fano_pairing(n, k)
-        for i, (a1, b1) in enumerate(pairing.left_basis):
-            for j, (a2, b2) in enumerate(pairing.right_basis):
-                if pairing.matrix.entries[i][j] != degrees.get((a1 + a2, b1 + b2)):
+    for k, matrix in enumerate(fano.fano_pairings(n)):
+        for i, (a1, b1) in enumerate(bases[k]):
+            for j, (a2, b2) in enumerate(bases[top - k]):
+                if matrix.entries[i][j] != degrees.get((a1 + a2, b1 + b2)):
                     failures.append(f"entry ({k},{i},{j})")
     return _ok(failures)
 
 
 @_register("fano.pairing_symmetry", 2)
 def _pairing_symmetry(n: int):
+    pairings = fano.fano_pairings(n)
     failures = []
-    top = 2 * (n - 2)
-    for k in range(top + 1):
-        a = fano.fano_pairing(n, k).matrix
-        b = fano.fano_pairing(n, top - k).matrix.transpose()
-        if a != b:
+    for k, matrix in enumerate(pairings):
+        if matrix != pairings[-1 - k].transpose():
             failures.append(f"asymmetry at k={k}")
     return _ok(failures)
 

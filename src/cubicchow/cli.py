@@ -6,14 +6,14 @@ Usage::
     verify --n-min 2 --n-max 6 --suite fano,hodge --format json --out report.json
 
 Every registered check runs for every n in range, n by n: all selected
-checks run at one n before any runs at the next.  The caches keyed by n
-alone (the ring, the relation on F, the diamonds and the diagonal tables)
-hold one n each, so a run's memory is bounded by its largest n, not by the
-sum over all n.  Where a check's precondition fails, a visible ``skipped``
-row names it.  Reports list one row per (check, n), sorted by
-(check_id, n), with exact computed/expected strings and per-check elapsed
-milliseconds.  Exit code 0 means every executed check passed, 1 that at
-least one failed, 2 a usage or I/O error.
+checks run at one n before any runs at the next.  Every cache whose key
+holds n is keyed by n alone (the ring, the [F]-pairings, the relation on F,
+the diamonds and the diagonal tables) and holds one n, so a run's memory is
+bounded by its largest n, not by the sum over all n.  Where a check's
+precondition fails, a visible ``skipped`` row names it.  Reports list one
+row per (check, n), sorted by (check_id, n), with exact computed/expected
+strings and per-check elapsed milliseconds.  Exit code 0 means every
+executed check passed, 1 that at least one failed, 2 a usage or I/O error.
 
 ``main`` is the in-process API: it returns the exit code and leaves the
 interpreter running.  ``console_main``, behind the ``verify`` script and

@@ -436,13 +436,13 @@ class CohX3Class(_FormalSum):
 def x3_diagonal_expansion(n: int, a: int, b: int, m: int = 0) -> CohX3Class:
     """Kunneth expansion of D_ab * h_c^m in the cohomological model."""
     _check_dim(n)
+    CohX3Class._check_key(n, (PRIM, a, b, m))
     c = _third(a, b)
     num: dict[Key, int] = {}
-    if m <= n:
-        for j in range(n + 1):
-            slots = {a: j, b: n - j, c: m}
-            num[(MONO, slots[1], slots[2], slots[3])] = 1
-        num[(PRIM, a, b, m)] = 3
+    for j in range(n + 1):
+        slots = {a: j, b: n - j, c: m}
+        num[(MONO, slots[1], slots[2], slots[3])] = 1
+    num[(PRIM, a, b, m)] = 3
     return CohX3Class._reduced(n, num, 3)
 
 

@@ -5,8 +5,9 @@ The variety of lines F sits in Gr(2, n+2) with class [F] = 18*c1^2*c2 +
 matrices of intersection numbers deg(x_i * y_j * [F]) on the ambient
 Grassmannian; their ranks are the graded dimensions (``taut_rank_F``).  Each
 entry is read off the top reducer of the quotient ring, one lookup per term
-of [F] (``grassmann.pairing``); no product is formed.  A ``FanoPairing``
-holds the matrix and the two bases that index it.
+of [F] (``grassmann.pairing``); no product is formed.  ``fano_pairings(n)``
+holds the matrices of every degree k = 0..2(n-2), indexed by the ring's
+bases of degrees k and 2(n-2)-k.
 
 ``extra_relation`` returns the polynomial relation of weighted degree n-1
 that holds on F but not on the ambient ring, as a ``WPoly`` leading with
@@ -21,7 +22,6 @@ h_(n+1) and h_(n+2) (no product is formed).
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple
 
 from .errors import CheckFailed, UnsupportedRange
 from .grassmann import (
@@ -33,32 +33,24 @@ from .grassmann import (
     weight_monomials,
 )
 from .linalg import MatQ, kernel_basis, solve_linear
-from .wpoly import Exponents, WPoly
-
-
-class FanoPairing(NamedTuple):
-    """Pairing matrix deg(x_i * y_j * [F]) between A^k and A^(2(n-2)-k)."""
-
-    left_basis: tuple[Exponents, ...]
-    right_basis: tuple[Exponents, ...]
-    matrix: MatQ
-
-
-@lru_cache(maxsize=None, typed=True)
-def fano_pairing(n: int, k: int) -> FanoPairing:
-    if n < 2:
-        raise UnsupportedRange("fano_pairing needs n >= 2")
-    ring = build_ring(n)
-    matrix = pairing(ring, k, fano_poly())  # refuses k outside 0..2(n-2)
-    return FanoPairing(ring.bases[k], ring.bases[2 * (n - 2) - k], matrix)
+from .wpoly import WPoly
 
 
 def taut_rank_F(n: int, k: int) -> int:
     """Rank of the pairing through [F]; the numerical Betti number of R^k(F)."""
-    return fano_pairing(n, k).matrix.rank()
+    return pairing(build_ring(n), k, fano_poly()).rank()
 
 
 # the caches keyed by n alone keep one n (maxsize=1): verify runs n by n (cli.run)
+@lru_cache(maxsize=1)
+def fano_pairings(n: int) -> tuple[MatQ, ...]:
+    """deg(x_i * y_j * [F]) between A^k and A^(2(n-2)-k), for k = 0..2(n-2)."""
+    ring = build_ring(n)  # refuses a non-int n, a bool too
+    if n < 2:
+        raise UnsupportedRange("fano_pairings needs n >= 2")
+    return tuple(pairing(ring, k, fano_poly()) for k in range(2 * n - 3))
+
+
 @lru_cache(maxsize=1)
 def extra_relation(n: int) -> WPoly:
     """Kernel element of multiplication by [F]: A^(n-1) -> A^(n+3).

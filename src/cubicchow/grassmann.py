@@ -219,21 +219,18 @@ def schubert_mul(n: int, s1: SchubertSum, s2: SchubertSum) -> dict[Exponents, in
     return {key: v for key, v in out.items() if v}
 
 
-@lru_cache(maxsize=None)
-def monomial_schubert(n: int, a: int, b: int) -> SchubertSum:
-    """Expansion of c1^a * c2^b in the Schubert basis, as a read-only view (cached).
+def monomial_schubert(n: int, a: int, b: int) -> dict[Exponents, int]:
+    """Expansion of c1^a * c2^b in the Schubert basis.
 
     In two rows sigma_1^a has coefficient C(a, q) - C(a, q-1) at (a-q, q),
     the number of standard tableaux of that shape (hook-length formula,
     here C(a, q) * (a-2q+1) / (a-q+1)).  The box is the quotient by an ideal
     of Schubert classes, so truncating is enough, and c2^b shifts by (b, b).
     """
-    return MappingProxyType(
-        {
-            (a - q + b, q + b): comb(a, q) * (a - 2 * q + 1) // (a - q + 1)
-            for q in range(max(0, a + b - n), a // 2 + 1)
-        }
-    )
+    return {
+        (a - q + b, q + b): comb(a, q) * (a - 2 * q + 1) // (a - q + 1)
+        for q in range(max(0, a + b - n), a // 2 + 1)
+    }
 
 
 def poly_schubert(n: int, p: WPoly) -> dict[Exponents, int | Fraction]:
@@ -320,7 +317,7 @@ def pairing(ring: GRing, k: int, weight: WPoly | None = None) -> MatQ:
     X._check(weight)
     terms, den = list(weight.num.items()), weight.den
     top = 2 * ring.n - weight.homogeneous_degree()
-    if type(k) is not int:  # a bool too: fano_pairing would cache it as 1
+    if type(k) is not int:  # a bool too
         raise TypeError(f"k must be an int, not {k!r}")
     if not 0 <= k <= top:
         raise UnsupportedRange(f"k must lie in 0..{top}")

@@ -127,7 +127,6 @@ def primitive_middle(n: int) -> HodgeDiamond:
     return HodgeDiamond({(p - 1, q - 1): m for (p, q), m in primitive_hodge_numbers(n).items()})
 
 
-@lru_cache(maxsize=1)
 def euler_cubic(n: int) -> int:
     """Euler characteristic: 3 * [h^n] of (1+h)^(n+2) / (1+3h), exactly.
 

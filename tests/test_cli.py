@@ -380,12 +380,10 @@ PACKAGE_CACHES = {
     "diagonal.small_diagonal_coh",
     "diagonal.small_diagonal_defect",
     "fano.extra_relation",
-    "fano.fano_pairing",
+    "fano.fano_pairings",
     "grassmann.build_ring",
     "grassmann.complete_symmetric",
-    "grassmann.monomial_schubert",
     "grassmann.sym_power_chern",
-    "hodge.euler_cubic",
     "hodge.fano_diamond",
     "hodge.fano_hodge_decomposition",
     "hodge.hilb2_diamond",
@@ -399,8 +397,8 @@ PER_N_CACHES = {
     "diagonal.small_diagonal_coh",
     "diagonal.small_diagonal_defect",
     "fano.extra_relation",
+    "fano.fano_pairings",
     "grassmann.build_ring",
-    "hodge.euler_cubic",
     "hodge.fano_diamond",
     "hodge.fano_hodge_decomposition",
     "hodge.hilb2_diamond",
@@ -417,6 +415,11 @@ def test_per_n_caches_keep_one_n_and_miss_once_per_n():
         for module, attr in [name.split(".")]
     }
     assert PER_N_CACHES <= PACKAGE_CACHES
+    # every other cache is keyed by a small integer free of n
+    assert PACKAGE_CACHES - PER_N_CACHES == {
+        "grassmann.complete_symmetric",
+        "grassmann.sym_power_chern",
+    }
     for cache in caches.values():
         assert cache.cache_info().maxsize == 1
         cache.cache_clear()
@@ -429,17 +432,21 @@ def test_per_n_caches_keep_one_n_and_miss_once_per_n():
 
 def test_fresh_diagonal_run_traces_a_small_heap():
     # a count, not a timing: the traced peak heap of run() holds one n's tables
-    # (about 1 030 KB when every n's tables stayed cached, 256 KB one n at a time)
-    code = (
-        "import tracemalloc\n"
-        "from cubicchow.cli import RunConfig, run\n"
-        "tracemalloc.start()\n"
-        "results = run(RunConfig(1, 24, ('diagonal',)))\n"
-        "peak = tracemalloc.get_traced_memory()[1]\n"
-        "assert all(r.status != 'fail' for r in results)\n"
-        "print(peak)\n"
-    )
-    assert int(_fresh_python(code)) <= 512 * 1024
+    # (1..24 diagonal: about 1 030 KB when every n's tables stayed cached, 256 KB
+    # one n at a time; 1..32 all: 5 468 KB while the pairings and Schubert
+    # expansions of every n stayed cached, about 3 810 KB one n at a time)
+    for n_max, suite, bound_kb in ((24, "diagonal", 512), (32, "all", 4608)):
+        code = (
+            "import tracemalloc\n"
+            "from cubicchow.cli import RunConfig, run\n"
+            "tracemalloc.start()\n"
+            f"results = run(RunConfig(1, {n_max}, ({suite!r},)))\n"
+            "peak = tracemalloc.get_traced_memory()[1]\n"
+            "assert all(r.status != 'fail' for r in results)\n"
+            "print(peak)\n"
+        )
+        peak = int(_fresh_python(code))
+        assert peak <= bound_kb * 1024, (n_max, suite, peak)
 
 
 def test_every_other_public_function_is_reached_by_verify(tmp_path):
@@ -594,7 +601,7 @@ def test_checks_make_no_reference_cycles(n_max, suite):
 
 
 def test_records_are_read_only_and_round_trip():
-    from cubicchow.fano import extra_relation, fano_pairing
+    from cubicchow.fano import extra_relation, fano_pairings
     from cubicchow.grassmann import build_ring
     from cubicchow.linalg import MatQ
 
@@ -602,7 +609,7 @@ def test_records_are_read_only_and_round_trip():
     records = [
         (MatQ.from_rows([[1, 0], [0, 1]]), "rows"),
         (build_ring(3), "n"),
-        (fano_pairing(3, 1), "matrix"),
+        (fano_pairings(3)[1], "entries"),
         (extra_relation(3), "poly"),
         (results[0], "status"),
         (parse_args(["--n-min", "1", "--n-max", "2"]), "n_max"),

@@ -199,6 +199,20 @@ def test_x3_diagonal_expansion_refuses_a_dimension_that_is_not_an_int():
             small_diagonal_coh(n)
 
 
+def test_x3_diagonal_expansion_refuses_a_key_outside_the_model():
+    # each once built a class: with h3^-1, a d21 key or a bool exponent, or
+    # died with KeyError: 2 on the pair (1, 1)
+    for args, error in (
+        ((3, 1, 2, -1), ValueError),
+        ((3, 2, 1, 0), ValueError),
+        ((3, 1, 2, True), TypeError),
+        ((3, 1, 1, 0), ValueError),
+    ):
+        with pytest.raises(error):
+            diagonal.x3_diagonal_expansion(*args)
+    assert diagonal.x3_diagonal_expansion(3, 1, 2, 3).num[(diagonal.PRIM, 1, 2, 3)] == 3
+
+
 def test_corrected_small_diagonal_refuses_a_dimension_that_is_not_an_int():
     # corrected_small_diagonal(2.0) held the keys ('D', 1, 2, 2.0), ...
     for n in (2.0, True):

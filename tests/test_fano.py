@@ -9,7 +9,7 @@ from cubicchow.checks import REGISTRY
 from cubicchow.errors import UnsupportedRange
 from cubicchow.fano import (
     extra_relation,
-    fano_pairing,
+    fano_pairings,
     ideal_decomposition,
     taut_rank_F,
 )
@@ -25,28 +25,32 @@ from cubicchow.wpoly import WPoly
 
 
 def test_pairing_examples():
-    assert fano_pairing(3, 0).matrix.entries == ((45, 27),)
-    assert fano_pairing(2, 0).matrix.entries == ((27,),)
-    assert fano_pairing(3, 1).matrix.entries == ((45,),)
+    assert fano_pairings(3)[0].entries == ((45, 27),)
+    assert fano_pairings(2)[0].entries == ((27,),)
+    assert fano_pairings(3)[1].entries == ((45,),)
 
 
 def test_pairing_range_errors():
+    assert len(fano_pairings(3)) == 3  # k = 0..2(n-2)
     with pytest.raises(UnsupportedRange):
-        fano_pairing(3, 3)
+        taut_rank_F(3, 3)
     with pytest.raises(UnsupportedRange):
-        fano_pairing(1, 0)
+        fano_pairings(1)
 
 
 def test_pairing_degree_must_be_an_int():
-    # an untyped lru_cache keys (3, True) as (3, 1): a record built for True
-    # would be handed to every later fano_pairing(3, 1), and a cached (3, 1)
-    # would answer fano_pairing(3, True); the call must get through neither way
-    fano_pairing.cache_clear()
+    # True == 1: a degree-1 pairing must not answer for True, cold or after
+    # one has been built, and a cached n must not answer for True either
+    build_ring.cache_clear()
+    fano_pairings.cache_clear()
     with pytest.raises(TypeError):
-        fano_pairing(3, True)
-    fano_pairing(3, 1)
-    with pytest.raises(TypeError):  # (3, 1) is cached now
-        fano_pairing(3, True)
+        taut_rank_F(3, True)
+    taut_rank_F(3, 1)
+    with pytest.raises(TypeError):
+        taut_rank_F(3, True)
+    fano_pairings(2)
+    with pytest.raises(TypeError):
+        fano_pairings(True)
 
 
 def test_taut_ranks():
@@ -59,13 +63,15 @@ def test_taut_ranks():
 def test_pairing_transpose_symmetry_and_rank_bound():
     for n in range(2, 7):
         top = 2 * (n - 2)
+        bases = build_ring(n).bases
+        pairings = fano_pairings(n)
         for k in range(top + 1):
-            a = fano_pairing(n, k)
-            b = fano_pairing(n, top - k)
-            assert a.matrix == b.matrix.transpose()
-            rank = a.matrix.rank()
-            assert rank <= min(len(a.left_basis), len(a.right_basis))
-            assert rank == b.matrix.rank()
+            a, b = pairings[k], pairings[top - k]
+            assert (a.rows, a.cols) == (len(bases[k]), len(bases[top - k]))
+            assert a == b.transpose()
+            rank = a.rank()
+            assert rank <= min(len(bases[k]), len(bases[top - k]))
+            assert rank == b.rank()
 
 
 def test_extra_relation_n3_forced_value(monkeypatch):
