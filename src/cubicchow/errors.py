@@ -8,10 +8,11 @@ checks report on.  ``TypeError`` marks a coefficient that is not an ``int``
 or ``Fraction``: the value constructors pass every coefficient through
 ``exact``, so no float enters the engine.  It also marks an integer
 argument (an exponent or key entry, a codimension, a dimension n, a degree
-k, a column count) that is not an ``int``, at the entry points that build a
-value or a cache on it.  A ``bool`` is refused everywhere, as a coefficient
-or moment too, though ``isinstance(True, int)`` holds: ``True`` is never
-read as 1.
+k) that is not an ``int``, at the entry points that build a value or a
+cache on it.  A ``bool`` is refused at each of these, as a coefficient or
+moment too, though ``isinstance(True, int)`` holds: ``True`` is never read
+as 1.  A matrix is built by the package from integers, and ``linalg``
+refuses a ``float`` or ``Fraction`` entry with ``TypeError``.
 """
 
 from fractions import Fraction

@@ -3,9 +3,10 @@
 The variety of lines F sits in Gr(2, n+2) with class [F] = 18*c1^2*c2 +
 9*c2^2.  Its numerical tautological ring is probed through pairing
 matrices of intersection numbers deg(x_i * y_j * [F]) on the ambient
-Grassmannian; their ranks are the graded dimensions (``taut_rank_F``).  Each
-entry is read off the top reducer of the quotient ring, one lookup per term
-of [F] (``grassmann.pairing``); no product is formed.  ``fano_pairings(n)``
+Grassmannian, each a tuple of integer rows; their ranks are the graded
+dimensions (``taut_rank_F``).  Each entry is read off the top reducer of the
+quotient ring, one lookup per term of [F] (``grassmann.pairing``); no
+product is formed.  ``fano_pairings(n)``
 holds the matrices of every degree k = 0..2(n-2), indexed by the ring's
 bases of degrees k and 2(n-2)-k.
 
@@ -32,18 +33,18 @@ from .grassmann import (
     pairing,
     weight_monomials,
 )
-from .linalg import MatQ, kernel_basis, solve_linear
+from .linalg import kernel_basis, rank, solve_linear
 from .wpoly import WPoly
 
 
 def taut_rank_F(n: int, k: int) -> int:
     """Rank of the pairing through [F]; the numerical Betti number of R^k(F)."""
-    return pairing(build_ring(n), k, fano_poly()).rank()
+    return rank(pairing(build_ring(n), k, fano_poly()))
 
 
 # the caches keyed by n alone keep one n (maxsize=1): verify runs n by n (cli.run)
 @lru_cache(maxsize=1)
-def fano_pairings(n: int) -> tuple[MatQ, ...]:
+def fano_pairings(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """deg(x_i * y_j * [F]) between A^k and A^(2(n-2)-k), for k = 0..2(n-2)."""
     ring = build_ring(n)  # refuses a non-int n, a bool too
     if n < 2:
@@ -67,8 +68,7 @@ def extra_relation(n: int) -> WPoly:
     # numerators of [F]; its denominator would scale the matrix, not the kernel
     terms = fano_poly().num.items()
     columns = [coords(ring, n + 3, terms, mono) for mono in source]
-    matrix = MatQ.from_rows(zip(*columns), cols=len(source))
-    kernel = kernel_basis(matrix)
+    kernel = kernel_basis(tuple(zip(*columns)), len(source))
     if not kernel:
         raise CheckFailed(f"multiplication by [F] is injective at n={n}")
     lead = source.index((n - 1, 0))
@@ -96,12 +96,9 @@ def ideal_decomposition(n: int, relation: WPoly) -> tuple[WPoly, WPoly] | None:
     shifts = ((g1, 2, 0), (g1, 0, 1), (g2, 1, 0))
     monos = weight_monomials(n + 3)
     den = relation.den
-    matrix = MatQ.from_rows(
-        [[den * gen.num.get((a - da, b - db), 0) for gen, da, db in shifts] for a, b in monos],
-        cols=len(shifts),
-    )
+    rows = [[den * gen.num.get((a - da, b - db), 0) for gen, da, db in shifts] for a, b in monos]
     target = [relation.num.get(m, 0) for m in monos]
-    solution = solve_linear(matrix, target)
+    solution = solve_linear(rows, target, len(shifts))
     if solution is None:
         return None
     m1, m2, m3 = solution

@@ -36,9 +36,11 @@ exponent sums (a1+a2, b1+b2) and splits in two:
 sigma(x^a1) * sigma(x^a2) = sigma(x^(a1+a2)) for a1, a2 <= n, and the
 Giambelli image of the b-shift of sigma(x^a) is the reducer row of x^a y^b.
 ``normal_form``, ``pairing`` and ``poly_schubert`` reject anything but a
-``WPoly`` with ``ValueError``.  ``normal_form`` alone refuses a degree other
-than the stated one (``degree_of_poly`` states the top); ``pairing`` alone
-refuses a k that is not an ``int`` (``TypeError``) or is out of range.
+``WPoly`` with ``ValueError``; ``pairing`` and ``poly_schubert`` also reject
+a polynomial that is not integral, so a pairing is a tuple of integer rows
+and a Schubert sum holds ``int``s.  ``normal_form`` alone refuses a degree
+other than the stated one (``degree_of_poly`` states the top); ``pairing``
+alone refuses a k that is not an ``int`` (``TypeError``) or is out of range.
 
 Also here: Chern classes of symmetric powers of a rank-2 bundle, multiplied
 out from conjugate pairs of roots, and the class of the locus of lines on a
@@ -55,7 +57,6 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import UnsupportedRange
-from .linalg import MatQ
 from .wpoly import Exponents, WPoly
 
 X = WPoly.variable("x")
@@ -233,18 +234,14 @@ def monomial_schubert(n: int, a: int, b: int) -> dict[Exponents, int]:
     }
 
 
-def poly_schubert(n: int, p: WPoly) -> dict[Exponents, int | Fraction]:
-    """Expansion of a polynomial in (c1, c2) in the Schubert basis.
-
-    The sum runs on the numerators of ``p``, so integral input gives an
-    integral sum; its denominator divides the result at the end.
-    """
-    X._check(p)
+def poly_schubert(n: int, p: WPoly) -> dict[Exponents, int]:
+    """Expansion of an integral polynomial in (c1, c2) in the Schubert basis."""
+    _integral(p)
     total: dict[Exponents, int] = {}
     for (a, b), c in p.num.items():
         for key, v in monomial_schubert(n, a, b).items():
             total[key] = total.get(key, 0) + c * v
-    return {key: v if p.den == 1 else Fraction(v, p.den) for key, v in total.items() if v}
+    return {key: v for key, v in total.items() if v}
 
 
 def schubert_degree(n: int, s: SchubertSum) -> int:
@@ -302,20 +299,26 @@ def fano_poly() -> WPoly:
     return sym_power_chern(3)[4]
 
 
-def pairing(ring: GRing, k: int, weight: WPoly | None = None) -> MatQ:
+def _integral(p: WPoly) -> None:
+    X._check(p)
+    if p.den != 1:
+        raise ValueError(f"an integral polynomial is needed, not one with denominator {p.den}")
+
+
+def pairing(ring: GRing, k: int, weight: WPoly | None = None) -> tuple[tuple[int, ...], ...]:
     """deg(x_i * y_j * weight) between degree k and 2n - k - deg(weight).
 
-    No weight means 1.  Each entry is sum c * reducers[2n][m_i + m_j + e][0]
-    over the numerators c * x^e of the weight: one read of the top reducer
-    per term, and any representative of the weight in the quotient will do.
-    The entries are integers, divided by the weight's denominator when it is
-    not 1.  The basis of degree d is x^(d-2b) y^b for consecutive b, so an
-    entry depends only on b_i + b_j: each value is computed once, and row i
-    is the window of ``len(right)`` values starting at the i-th.
+    No weight means 1; the weight must be integral.  Each entry is
+    sum c * reducers[2n][m_i + m_j + e][0] over the terms c * x^e of the
+    weight: one read of the top reducer per term, and any representative of
+    the weight in the quotient will do.  The basis of degree d is
+    x^(d-2b) y^b for consecutive b, so an entry depends only on b_i + b_j:
+    each value is computed once, and row i is the window of ``len(right)``
+    values starting at the i-th.
     """
     weight = WPoly.constant(1) if weight is None else weight
-    X._check(weight)
-    terms, den = list(weight.num.items()), weight.den
+    _integral(weight)
+    terms = weight.num.items()
     top = 2 * ring.n - weight.homogeneous_degree()
     if type(k) is not int:  # a bool too
         raise TypeError(f"k must be an int, not {k!r}")
@@ -323,9 +326,9 @@ def pairing(ring: GRing, k: int, weight: WPoly | None = None) -> MatQ:
         raise UnsupportedRange(f"k must lie in 0..{top}")
     point = ring.reducers[2 * ring.n]
     left, right = ring.bases[k], ring.bases[top - k]
-    values = []
-    for b in range(left[0][1] + right[0][1], left[-1][1] + right[-1][1] + 1):
-        value = sum(c * point[(top - 2 * b + e1, b + e2)][0] for (e1, e2), c in terms)
-        values.append(value if den == 1 else Fraction(value, den))
+    values = [
+        sum(c * point[(top - 2 * b + e1, b + e2)][0] for (e1, e2), c in terms)
+        for b in range(left[0][1] + right[0][1], left[-1][1] + right[-1][1] + 1)
+    ]
     cols = len(right)
-    return MatQ.from_rows((values[i : i + cols] for i in range(len(left))), cols=cols)
+    return tuple(tuple(values[i : i + cols]) for i in range(len(left)))

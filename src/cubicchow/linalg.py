@@ -1,13 +1,14 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact dense linear algebra on integer matrices.
 
-Matrices are small here (graded pieces of quotient rings, pairing tables)
-and hold their entries as given, ``int`` or ``Fraction``: the pairings of
-the package are integer matrices.  Row reduction is fraction-free: rows are
-scaled to primitive integer rows and eliminated over the integers, and
-``rref`` returns them so; only ``kernel_basis`` and ``solve_linear`` divide
-by the pivots, at the edge.  Every result is exact.  Kernel bases and
-solutions are deterministic: pivots are chosen as the first nonzero entry
-in column order.
+A matrix is a tuple of integer rows, as the package builds them: graded
+pieces of quotient rings and pairing tables are small and integral.  Row
+reduction is fraction-free: rows are kept primitive and eliminated over the
+integers, and ``rref`` returns them so; only ``kernel_basis`` and
+``solve_linear`` divide by the pivots, at the edge, into ``Fraction``
+vectors.  A ``Fraction`` or ``float`` entry raises ``TypeError`` (``math.gcd``
+takes integers only).  Every result is exact.  Kernel bases and solutions
+are deterministic: pivots are chosen as the first nonzero entry in column
+order.  The column count is an argument where a matrix may have no rows.
 
 ``rref`` is the one elimination.  The Grassmannian's Poincare pairings need
 none: they are Catalan Hankel blocks [C_(e+i+j)], whose leading minors are 1.
@@ -16,50 +17,11 @@ none: they are Catalan Hankel blocks [C_(e+i+j)], whose leading minors are 1.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Iterable, NamedTuple, Sequence
-
-from .errors import exact
+from math import gcd
+from typing import Sequence
 
 Vector = tuple[Fraction, ...]
-
-
-class MatQ(NamedTuple):
-    """Immutable rational matrix of ``int`` or ``Fraction`` entries, kept as given."""
-
-    rows: int
-    cols: int
-    entries: tuple[tuple[int | Fraction, ...], ...]
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[Fraction | int]], cols: int | None = None) -> "MatQ":
-        if cols is not None and type(cols) is not int:  # a bool too
-            raise TypeError(f"cols must be int, not {cols!r}")
-        data = tuple(tuple(exact(x) for x in row) for row in rows)
-        if data:
-            if cols is None:
-                cols = len(data[0])
-            if any(len(row) != cols for row in data):
-                raise ValueError(f"rows must all have length cols={cols}")
-        elif cols is None:
-            raise ValueError("empty matrix needs an explicit column count")
-        return cls(len(data), cols, data)
-
-    def transpose(self) -> "MatQ":
-        return MatQ.from_rows(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
-
-    def mat_vec(self, v: Sequence[Fraction | int]) -> tuple[int | Fraction, ...]:
-        if len(v) != self.cols:
-            raise ValueError("dimension mismatch")
-        v = [exact(x) for x in v]
-        return tuple(sum(a * x for a, x in zip(row, v)) for row in self.entries)
-
-    def rank(self) -> int:
-        _, pivots = rref(self.entries)
-        return len(pivots)
+Rows = Sequence[Sequence[int]]
 
 
 def _primitive(row: list[int]) -> list[int]:
@@ -67,19 +29,15 @@ def _primitive(row: list[int]) -> list[int]:
     return row if g <= 1 else [x // g for x in row]
 
 
-def rref(rows: Sequence[Sequence[int | Fraction]]) -> tuple[list[list[int]], list[int]]:
+def rref(rows: Rows) -> tuple[list[list[int]], list[int]]:
     """Reduced row echelon form over the integers; returns (rows, pivot columns).
 
-    Each row is cleared of denominators and eliminated over the integers,
-    kept primitive by dividing out its content.  Each returned row is a
-    primitive integer multiple of the row of the reduced echelon form over
-    ``Fraction`` (which is unique): dividing it by its pivot entry gives
-    that row.
+    Each row is eliminated over the integers, kept primitive by dividing out
+    its content.  Each returned row is a primitive integer multiple of the
+    row of the reduced echelon form over ``Fraction`` (which is unique):
+    dividing it by its pivot entry gives that row.
     """
-    m: list[list[int]] = []
-    for row in rows:
-        den = lcm(*(x.denominator for x in row))
-        m.append(_primitive([x.numerator * (den // x.denominator) for x in row]))
+    m = [_primitive(list(row)) for row in rows]
     if not m:
         return [], []
     n_rows, n_cols = len(m), len(m[0])
@@ -103,14 +61,19 @@ def rref(rows: Sequence[Sequence[int | Fraction]]) -> tuple[list[list[int]], lis
     return m[:r], pivots
 
 
-def kernel_basis(matrix: MatQ) -> list[Vector]:
+def rank(rows: Rows) -> int:
+    """Number of pivots of ``rref``: the rank over the rationals."""
+    return len(rref(rows)[1])
+
+
+def kernel_basis(rows: Rows, cols: int) -> list[Vector]:
     """Deterministic basis of the right kernel; empty when injective."""
-    reduced, pivots = rref(matrix.entries)
+    reduced, pivots = rref(rows)
     pivot_set = set(pivots)
-    free = [c for c in range(matrix.cols) if c not in pivot_set]
+    free = [c for c in range(cols) if c not in pivot_set]
     basis: list[Vector] = []
     for f in free:
-        v = [Fraction(0)] * matrix.cols
+        v = [Fraction(0)] * cols
         v[f] = Fraction(1)
         for row, p in zip(reduced, pivots):
             v[p] = Fraction(-row[f], row[p])
@@ -118,15 +81,14 @@ def kernel_basis(matrix: MatQ) -> list[Vector]:
     return basis
 
 
-def solve_linear(matrix: MatQ, b: Sequence[Fraction | int]) -> Vector | None:
+def solve_linear(rows: Rows, b: Sequence[int], cols: int) -> Vector | None:
     """Some exact solution of M*x = b, or ``None`` when inconsistent."""
-    if len(b) != matrix.rows:
+    if len(b) != len(rows):
         raise ValueError("dimension mismatch")
-    augmented = [list(row) + [exact(bi)] for row, bi in zip(matrix.entries, b)]
-    reduced, pivots = rref(augmented)
-    if matrix.cols in pivots:
+    reduced, pivots = rref([[*row, bi] for row, bi in zip(rows, b)])
+    if cols in pivots:
         return None
-    x = [Fraction(0)] * matrix.cols
+    x = [Fraction(0)] * cols
     for row, p in zip(reduced, pivots):
         x[p] = Fraction(row[-1], row[p])
     return tuple(x)

@@ -603,13 +603,15 @@ def test_checks_make_no_reference_cycles(n_max, suite):
 def test_records_are_read_only_and_round_trip():
     from cubicchow.fano import extra_relation, fano_pairings
     from cubicchow.grassmann import build_ring
-    from cubicchow.linalg import MatQ
 
     results = run(RunConfig(2, 3, ("fano", "grassmann")))
+    # the cached [F]-pairings are tuples of int rows: nothing in them can be written
+    pairings = fano_pairings(3)
+    assert type(pairings) is tuple and all(type(m) is tuple for m in pairings)
+    assert all(type(row) is tuple for m in pairings for row in m)
+    assert all(type(x) is int for m in pairings for row in m for x in row)
     records = [
-        (MatQ.from_rows([[1, 0], [0, 1]]), "rows"),
         (build_ring(3), "n"),
-        (fano_pairings(3)[1], "entries"),
         (extra_relation(3), "poly"),
         (results[0], "status"),
         (parse_args(["--n-min", "1", "--n-max", "2"]), "n_max"),
@@ -625,7 +627,8 @@ def test_records_are_read_only_and_round_trip():
 
 @pytest.mark.parametrize(
     "args, bound",
-    [((1, 24, "diagonal"), 2046), ((1, 10, "all"), 715), ((16, 16, "all"), 139)],
+    # measured 582 / 385 / 64 on Python 3.11.7; each bound about 10 % above
+    [((1, 24, "diagonal"), 640), ((1, 10, "all"), 423), ((16, 16, "all"), 70)],
 )
 def test_fresh_verify_runs_build_few_fractions(args, bound):
     # a count, not a timing: every Fraction a fresh process builds for one run;

@@ -214,8 +214,8 @@ def test_poincare_pairing_invertible():
         ring = build_ring(n)
         for k in range(2 * n + 1):
             matrix = pairing(ring, k)
-            assert matrix.rows == matrix.cols
-            assert matrix.rank() == matrix.rows
+            assert all(len(row) == len(matrix) for row in matrix)
+            assert linalg.rank(matrix) == len(matrix)
 
 
 def test_degree_is_linear_and_normalized():
@@ -320,7 +320,7 @@ def test_schubert_route_is_independent_of_the_quotient_ring(monkeypatch):
         for k, matrix in enumerate(fano_pairings(n)):
             for i, ml in enumerate(bases[k]):
                 for j, mr in enumerate(bases[2 * (n - 2) - k]):
-                    assert entries[(n, ml, mr)] == matrix.entries[i][j]
+                    assert entries[(n, ml, mr)] == matrix[i][j]
 
 
 def test_schubert_sums_have_int_coefficients():
@@ -337,8 +337,9 @@ def test_schubert_sums_have_int_coefficients():
                 assert all(type(c) is int for c in schubert_mul(n, s1, s2).values())
         f_sch = poly_schubert(n, fano_poly())
         assert all(type(c) is int for c in f_sch.values())
-    half = poly_schubert(3, WPoly({(1, 0): Fraction(1, 2)}))
-    assert half == {(1, 0): Fraction(1, 2)}
+    # a non-integral polynomial is refused, as by ``pairing``
+    with pytest.raises(ValueError, match="integral"):
+        poly_schubert(3, WPoly({(1, 0): Fraction(1, 2)}))
 
 
 def test_cached_ring_reducers_are_read_only():
@@ -376,7 +377,7 @@ def _eliminated_reducers(n):
     for k in range(2 * n + 1):
         monos = weight_monomials(k)
         rows = [
-            [(WPoly.monomial(cof) * gen).coefficient(m) for m in monos]
+            [(WPoly.monomial(cof) * gen).num.get(m, 0) for m in monos]  # den 1
             for gen, gdeg in ((g1, n + 1), (g2, n + 2))
             if k >= gdeg
             for cof in weight_monomials(k - gdeg)
@@ -429,17 +430,19 @@ def test_pairing_matches_triple_products():
         ring = build_ring(n)
         one = WPoly.constant(1)
         for k in range(2 * n + 1):
-            assert pairing(ring, k).entries == pairing(ring, k, one).entries
-            assert [list(r) for r in pairing(ring, k).entries] == _product_pairing(ring, k, one)
+            assert pairing(ring, k) == pairing(ring, k, one)
+            assert [list(r) for r in pairing(ring, k)] == _product_pairing(ring, k, one)
         if n < 2:
             continue
         # [F] also through its reduced representative on the degree-4 basis
         reduced = WPoly(dict(zip(ring.bases[4], normal_form(ring, fano_poly()))))
-        weights = (fano_poly(), reduced, WPoly({(1, 0): Fraction(1, 2)}))
-        for weight in weights:
+        for weight in (fano_poly(), reduced, WPoly({(1, 0): 3})):
             for k in range(2 * ring.n - weight.homogeneous_degree() + 1):
                 expected = _product_pairing(ring, k, weight)
-                assert [list(r) for r in pairing(ring, k, weight).entries] == expected
+                assert [list(r) for r in pairing(ring, k, weight)] == expected
+        # a non-integral weight is refused
+        with pytest.raises(ValueError, match="integral"):
+            pairing(ring, 0, WPoly({(1, 0): Fraction(1, 2)}))
 
 
 def test_pairing_reads_the_top_reducer_for_every_cell():
@@ -460,7 +463,7 @@ def test_pairing_reads_the_top_reducer_for_every_cell():
                     ]
                     for a1, b1 in ring.bases[k]
                 ]
-                assert [list(r) for r in pairing(ring, k, weight).entries] == expected
+                assert [list(r) for r in pairing(ring, k, weight)] == expected
 
 
 def test_build_ring_needs_an_int():
@@ -508,9 +511,9 @@ def test_quotient_route_is_independent_of_the_schubert_oracle(monkeypatch):
         for n in range(1, 9):
             ring = build_ring(n)
             for k in range(2 * n + 1):
-                assert pairing(ring, k).rank() == ring.dim(k)
+                assert linalg.rank(pairing(ring, k)) == ring.dim(k)
             if n >= 2:
-                assert [m.rows for m in fano_pairings(n)] == list(map(ring.dim, range(2 * n - 3)))
+                assert list(map(len, fano_pairings(n))) == list(map(ring.dim, range(2 * n - 3)))
     # the same numbers by the Schubert oracle
     for n in range(2, 9):
         f_sch = poly_schubert(n, fano_poly())
@@ -521,7 +524,7 @@ def test_quotient_route_is_independent_of_the_schubert_oracle(monkeypatch):
                 for j, mr in enumerate(bases[2 * (n - 2) - k]):
                     right = dict(monomial_schubert(n, *mr))
                     product = schubert_mul(n, left, right)
-                    assert schubert_degree(n, product) == matrix.entries[i][j]
+                    assert schubert_degree(n, product) == matrix[i][j]
 
 
 # -- the integer Giambelli table and tuple-keyed Schubert products --------------
@@ -697,9 +700,9 @@ def _perturb_pairing(k, i, j, delta):
         matrix = honest(ring, degree, weight)
         if degree != k:
             return matrix
-        rows = [list(row) for row in matrix.entries]
+        rows = [list(row) for row in matrix]
         rows[i][j] += delta
-        return linalg.MatQ.from_rows(rows, cols=matrix.cols)
+        return tuple(map(tuple, rows))
 
     return perturbed
 
@@ -710,7 +713,7 @@ def test_poincare_pairing_catches_a_perturbed_entry(monkeypatch, k):
     # so only the Catalan entries see the change
     perturbed = _perturb_pairing(k, 0, 0, 1)
     monkeypatch.setattr(grassmann, "pairing", perturbed)
-    assert perturbed(build_ring(4), k).rank() == build_ring(4).dim(k)
+    assert linalg.rank(perturbed(build_ring(4), k)) == build_ring(4).dim(k)
     computed, expected = _poincare_check().fn(4)
     assert computed == f"degenerate pairing at k={k}" != expected
 
@@ -759,7 +762,7 @@ def test_poincare_pairing_is_the_reversed_catalan_hankel_block():
                 [comb(2 * t, t) // (t + 1) for t in range(m % 2 + i, m % 2 + i + m // 2 + 1)]
                 for i in range(m // 2 + 1)
             ]
-            rows = [list(row[::-1]) for row in pairing(ring, k).entries[::-1]]
+            rows = [list(row[::-1]) for row in pairing(ring, k)[::-1]]
             assert rows == hankel, (n, k)
 
 
