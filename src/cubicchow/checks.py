@@ -361,11 +361,8 @@ def _defect_vanishes(n: int):
 
 @_register("diagonal.defect_pairing", 1)
 def _defect_pairing(n: int):
-    defect = diagonal.small_diagonal_defect(n)
-    duals = [(a, b, n - a - b) for a in range(n + 1) for b in range(n + 1 - a)]
-    # deg(defect * dual) over defect.den, one reader call; no class per dual
-    values = diagonal._x3_pair_keys(defect, [(diagonal.MONO, *e) for e in duals])
-    return _ok([f"monomial dual ({a},{b},{c})" for (a, b, c), v in zip(duals, values) if v])
+    values = diagonal.defect_pairings(n)  # deg(defect * dual), one per monomial dual
+    return _ok([f"monomial dual ({a},{b},{c})" for (a, b, c), v in values.items() if v])
 
 
 @_register("diagonal.symmetry", 1)
@@ -424,32 +421,8 @@ def _product_rank_one(n: int):
 
 @_register("diagonal.model_compatibility", 1, 6)
 def _model_compatibility(n: int):
-    # both models are associative and xx_to_coh is linear and unital, so
-    # f(g * b) = f(g) * f(b) for the generators g = h1, h2, D and every basis
-    # class b makes it a ring map (induct on words in the generators).  Both
-    # sides are read term by term, through the models' one product loop and
-    # one cycle-class-map loop, as numerators over one denominator each, and
-    # compared cross-multiplied: no class is built per pair
-    images = {
-        k: diagonal.xx_to_coh(diagonal.XXClass(n, {k: 1})) for k in diagonal.xx_basis(n)
-    }
-    image = images.__getitem__
-    xx_mul = diagonal.XXClass(n)._term_mul
-    coh_mul = diagonal.CohXXClass(n)._term_mul
-    lhs_den = diagonal.XXClass._DEN * 3  # every image's denominator divides 3
-    failures = []
-    for g in ((diagonal.MONO, 1, 0), (diagonal.MONO, 0, 1), (diagonal.DIAG,)):
-        fg = images[g]
-        for k, fb in images.items():
-            lhs = diagonal._coh_num(xx_mul(g, k), image, 3)  # f(g * b), over lhs_den
-            rhs = diagonal._product_num(fg.num, fb.num, coh_mul)  # f(g) * f(b)
-            rhs_den = fg.den * fb.den * diagonal.CohXXClass._DEN
-            if any(
-                lhs.get(key, 0) * rhs_den != rhs.get(key, 0) * lhs_den
-                for key in lhs.keys() | rhs.keys()
-            ):
-                failures.append(f"not a ring map at {g} * {k}")
-    return _ok(failures)
+    # f(g * b) against f(g) * f(b) for g = h1, h2, D and every basis class b
+    return _ok([f"not a ring map at {g} * {k}" for g, k in diagonal.ring_map_failures(n)])
 
 
 def checks_for(suites: set[str]) -> list[Check]:

@@ -38,11 +38,9 @@ only at the edge: coefficients, degrees and text.
 
 ``degree(a)`` integrates a class of any model: the coefficient of the top
 monomial times its degree, 3^s on X^s.  On X^3 the one integration is
-``degree(a * b)``.  A caller that pairs a class against many monomials (the
-``defect_pairing`` check) calls the many-key reader ``_x3_pair_keys(a,
-keys)`` instead, once: the integer numerators of deg(a * key) over
-``a.den``, in key order, with the partners of the monomial keys of one
-degree looked up once, and no class built per key.
+``degree(a * b)``, or ``_x3_pair_keys(a, keys)`` for many monomial keys at
+once.  The checks read this integer format through two readers by n:
+``ring_map_failures`` and ``defect_pairings``.
 
 On top of the models: the decomposable coefficients of the small diagonal
 after removing its axis corrections, the vanishing of the resulting
@@ -295,6 +293,34 @@ def xx_to_coh(a: XXClass) -> CohXXClass:
     return CohXXClass._reduced(a.n, out, 3 * a.den)
 
 
+def ring_map_failures(n: int) -> list[tuple[Key, Key]]:
+    """The pairs (g, b) with f(g * b) != f(g) * f(b), f = ``xx_to_coh``, in order.
+
+    g runs over the generators h1, h2, D and b over ``xx_basis(n)``: both
+    models are associative and f is linear and unital, so f is a ring map
+    exactly when the list is empty.  Both sides are read term by term, over
+    one denominator each, and compared cross-multiplied: no class per pair.
+    """
+    images = {k: xx_to_coh(XXClass(n, {k: 1})) for k in xx_basis(n)}
+    image = images.__getitem__
+    xx_mul = XXClass(n)._term_mul
+    coh_mul = CohXXClass(n)._term_mul
+    lhs_den = XXClass._DEN * 3  # every image's denominator divides 3
+    failures = []
+    for g in ((MONO, 1, 0), (MONO, 0, 1), (DIAG,)):
+        fg = images[g]
+        for k, fb in images.items():
+            lhs = _coh_num(xx_mul(g, k), image, 3)  # f(g * b), over lhs_den
+            rhs = _product_num(fg.num, fb.num, coh_mul)  # f(g) * f(b)
+            rhs_den = fg.den * fb.den * CohXXClass._DEN
+            if any(
+                lhs.get(key, 0) * rhs_den != rhs.get(key, 0) * lhs_den
+                for key in lhs.keys() | rhs.keys()
+            ):
+                failures.append((g, k))
+    return failures
+
+
 # -- X^3: Chow model and cohomological twin --------------------------------------
 
 
@@ -367,35 +393,21 @@ def x3_small_diagonal(n: int, coeff=1) -> X3Class:
 def _x3_pair_keys(a: X3Class, keys) -> list[int]:
     """The numerators of deg(a * key) over ``a.den``, in the order of ``keys``.
 
-    The keys are monomial keys ("m", i, j, k), unchecked.  The model is
-    graded (a key has codimension i + j + k, n + m or 2n) and only the
-    (n, n, n) entry of a product is read, so a monomial of degree d meets
-    its complementary monomial (one lookup, degree one), the decorated
-    diagonals D_ab * h_c^(2n - d) and, for d = n, D3; those partners are
-    looked up in ``a`` once per degree and shared by every key of that
-    degree.  The diagonal pairs go through ``X3Class._term_mul``, so the
-    product rules stay in one place; its numerators are over
-    27 = deg(h1^n h2^n h3^n), so they are the degrees.  No class is built
-    for a key.
+    The keys are monomial keys ("m", i, j, k), unchecked.  A key meets its
+    complementary monomial (one lookup) and the diagonal terms of ``a``,
+    collected once, through ``X3Class._term_mul``, whose (n, n, n) entry over
+    27 = deg(h1^n h2^n h3^n) is the degree.  No class is built for a key.
     """
     n = a.n
-    big = a.num
-    get = big.get
+    get = a.num.get
     term_mul = a._term_mul
     top = (MONO, n, n, n)
-    by_degree: dict[int, list] = {}  # 2n - d -> the diagonal terms of a it meets
+    diagonals = [(k1, c1) for k1, c1 in a.num.items() if k1[0] != MONO]
     out = []
     for key in keys:
         _, i, j, k = key
         total = 27 * get((MONO, n - i, n - j, n - k), 0)
-        m = 2 * n - i - j - k
-        partners = by_degree.get(m)
-        if partners is None:
-            candidates = [(DIAG, p, q, m) for p, q in PAIRS] if 0 <= m <= n else []
-            if m == n:
-                candidates.append((SMALL,))
-            partners = by_degree[m] = [(k1, big[k1]) for k1 in candidates if k1 in big]
-        for k1, c1 in partners:
+        for k1, c1 in diagonals:
             v = term_mul(k1, key).get(top)
             if v is not None:
                 total += c1 * v
@@ -538,6 +550,15 @@ def defect_vanishes_cohomologically(n: int) -> bool:
     if not image.is_zero():
         raise CheckFailed(f"defect cycle has nonzero image at n={n}: {image}")
     return True
+
+
+def defect_pairings(n: int) -> dict[tuple[int, int, int], int]:
+    """deg(defect * h1^a h2^b h3^c) over the defect's ``den``, keyed (a, b, c), a + b + c = n.
+
+    One ``_x3_pair_keys`` call reads every dual; no class is built per dual.
+    """
+    duals = [(a, b, n - a - b) for a in range(n + 1) for b in range(n + 1 - a)]
+    return dict(zip(duals, _x3_pair_keys(small_diagonal_defect(n), [(MONO, *e) for e in duals])))
 
 
 # -- the symbolic product evaluator ----------------------------------------------

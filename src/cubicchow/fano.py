@@ -60,6 +60,8 @@ def extra_relation(n: int) -> WPoly:
     polynomial is the first kernel basis vector with nonzero c1^(n-1)
     coordinate, rescaled so that coordinate is 1 (deterministic output).
     """
+    if type(n) is not int:  # a bool too
+        raise TypeError(f"extra_relation needs an int n, not {n!r}")
     if n < 3:
         raise UnsupportedRange("extra_relation needs n >= 3 (A^(n+3) empty below)")
     ring = build_ring(n)
@@ -86,6 +88,8 @@ def ideal_decomposition(n: int, relation: WPoly) -> tuple[WPoly, WPoly] | None:
     is exactly membership of R in the degree-(n+3) piece of the relation
     ideal.  Returns (A, B) or ``None`` when inconsistent.
     """
+    if type(n) is not int:  # a bool too
+        raise TypeError(f"ideal_decomposition needs an int n, not {n!r}")
     if relation.is_zero():
         return WPoly.zero(), WPoly.zero()
     if relation.homogeneous_degree() != n + 3:

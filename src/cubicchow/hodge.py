@@ -80,6 +80,8 @@ class HodgeDiamond(SparseSum):
 
     def shift(self, t: int) -> "HodgeDiamond":
         """Tate-type shift: type (p, q) -> (p+t, q+t), degree up by 2t."""
+        if type(t) is not int:  # a bool too
+            raise TypeError(f"shift needs an int t, not {t!r}")
         return self._reduced(None, {(p + t, q + t): m for (p, q), m in self.entries.items()}, 1)
 
     @staticmethod
@@ -122,6 +124,8 @@ def hodge_cubic(n: int) -> HodgeDiamond:
 
 def primitive_middle(n: int) -> HodgeDiamond:
     """Primitive middle cohomology with a (1,1) twist; pure of degree n-2."""
+    if type(n) is not int:  # a bool too
+        raise TypeError(f"primitive_middle needs an int n, not {n!r}")
     if n < 2:
         raise UnsupportedRange("primitive_middle needs n >= 2")
     return HodgeDiamond({(p - 1, q - 1): m for (p, q), m in primitive_hodge_numbers(n).items()})
@@ -168,6 +172,8 @@ def times_projective(d: HodgeDiamond, m: int) -> HodgeDiamond:
 
     Every shifted entry is added into one table, in one pass.
     """
+    if type(m) is not int:  # a bool too
+        raise TypeError(f"times_projective needs an int m, not {m!r}")
     out: dict[Entry, int] = {}
     for (p, q), c in d.entries.items():
         for t in range(m + 1):
@@ -195,6 +201,8 @@ def fano_diamond(n: int) -> HodgeDiamond:
     ``hodge.decomposition_closes`` row's fact.  The top entry (27 at n = 2,
     one per point of F, and 1 above) is ``hodge.fano_dimension``'s.
     """
+    if type(n) is not int:  # a bool too
+        raise TypeError(f"fano_diamond needs an int n, not {n!r}")
     if n < 2:
         raise UnsupportedRange("fano_diamond needs n >= 2")
     return (hilb2_diamond(n) - times_projective(hodge_cubic(n), n)).shift(-2)

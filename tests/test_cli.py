@@ -480,27 +480,33 @@ def test_errors_defines_exactly_the_named_types():
     assert exception_names(errors, errors.__name__) == ERROR_TYPES
 
 
-# the private names that checks.py reads off diagonal and its classes: reaching
-# for another internal is a deliberate edit here
-CHECKS_READS_OF_DIAGONAL = {"_x3_pair_keys", "_product_num", "_coh_num", "_term_mul", "_DEN"}
-
-
 def _root_name(node):
     while isinstance(node, (ast.Attribute, ast.Call, ast.Subscript)):
         node = node.func if isinstance(node, ast.Call) else node.value
     return node.id if isinstance(node, ast.Name) else None
 
 
-def test_checks_reads_only_the_named_diagonal_internals():
+def test_checks_reads_no_private_name_of_an_engine_module():
+    # each engine module owns its internals: checks.py reads the modules it
+    # imports (diagonal, fano, grassmann, hodge) through public names only
     tree = ast.parse((ROOT / "src" / "cubicchow" / "checks.py").read_text(encoding="utf-8"))
+    engine = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
+        for alias in node.names
+    }
+    assert engine == {"diagonal", "fano", "grassmann", "hodge"}
     read = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
-            if _root_name(node.value) == "diagonal":
-                read.add(node.attr)
-        elif isinstance(node, ast.ImportFrom) and node.module == "diagonal":
-            read |= {alias.name for alias in node.names if alias.name.startswith("_")}
-    assert read == CHECKS_READS_OF_DIAGONAL
+            root = _root_name(node.value)
+            if root in engine:
+                read.add(f"{root}.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module in engine:
+            names = (alias.name for alias in node.names)
+            read |= {f"{node.module}.{name}" for name in names if name.startswith("_")}
+    assert read == set()
 
 
 # -- start-up: records without dataclasses -------------------------------------

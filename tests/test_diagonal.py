@@ -974,6 +974,30 @@ def test_defect_pairing_catches_a_perturbed_defect(monkeypatch):
     assert _run_check("diagonal.defect_vanishes", n) == ("ok", "ok")
 
 
+def test_defect_vanishes_fails_only_with_primitive_cancellation(monkeypatch, row_at):
+    # + 1/3 of each basis key of codimension 2n on the small diagonal: a
+    # d_ab * h_c^n key survives in the image and fails both rows; a monomial
+    # key moves the decomposable table and the defect with it, and neither
+    # row sees it.  defect_vanishes never fails alone.
+    rows = ("diagonal.defect_vanishes", "diagonal.primitive_cancellation")
+    caches = (small_diagonal_coh, decomposable_coefficients, small_diagonal_defect)
+    caught = {(True, True): 0, (True, False): 0, (False, True): 0, (False, False): 0}
+    for n in range(1, 7):
+        honest = small_diagonal_coh(n)
+        keys = [("m", i, j, 2 * n - i - j) for i in range(n + 1) for j in range(n - i, n + 1)]
+        for key in keys + [(PRIM, a, b, n) for a, b in PAIRS]:
+            perturbed = honest + CohX3Class(n, {key: Fraction(1, 3)})
+            monkeypatch.setattr(diagonal, "small_diagonal_coh", lambda n: perturbed)
+            for cache in caches:
+                cache.cache_clear()
+            caught[tuple(row_at(row, n).status == "fail" for row in rows)] += 1
+            monkeypatch.undo()
+            for cache in caches:
+                cache.cache_clear()
+    assert caught == {(True, True): 18, (True, False): 0, (False, True): 0, (False, False): 83}
+    assert _run_check("diagonal.defect_vanishes", 4) == ("ok", "ok")
+
+
 # -- flip tests: one named fault per row that has no flip test above ------------
 
 

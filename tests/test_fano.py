@@ -53,6 +53,16 @@ def test_pairing_degree_must_be_an_int():
         fano_pairings(True)
 
 
+def test_n_is_type_checked_before_its_range():
+    # ideal_decomposition(True, x^4) once returned the n = 1 answer, and
+    # extra_relation raised UnsupportedRange for True and 1.0
+    for n in (True, 1.0):
+        with pytest.raises(TypeError):
+            extra_relation(n)
+        with pytest.raises(TypeError):
+            ideal_decomposition(n, WPoly.monomial((4, 0)))
+
+
 def test_taut_ranks():
     assert [taut_rank_F(3, k) for k in range(3)] == [1, 1, 1]
     for n in range(2, 8):

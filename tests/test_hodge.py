@@ -319,6 +319,25 @@ def test_entry_keys_are_ints():
         hodge_cubic(True)
 
 
+def test_shifts_take_an_int():
+    # shift(0.5) once returned a diamond with exponent 2.5, which the
+    # constructor refuses as a key; shift(True) read True as 1
+    d = hodge_cubic(2)
+    for t in (0.5, 1.0, True, False):
+        with pytest.raises(TypeError):
+            d.shift(t)
+        with pytest.raises(TypeError):
+            times_projective(d, t)
+
+
+def test_n_is_type_checked_before_its_range():
+    # True and 1.0 are below every range here: they once raised UnsupportedRange
+    for fn in (primitive_middle, fano_diamond, fano_hodge_decomposition):
+        for n in (True, 1.0):
+            with pytest.raises(TypeError):
+                fn(n)
+
+
 def test_euler_cubic_needs_an_int():
     # euler_cubic(True) once returned 0, while hodge_cubic(True) raised: the
     # two sides of hodge.euler_consistency disagreed on what an n is
