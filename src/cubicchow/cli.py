@@ -24,20 +24,29 @@ caches and rings, which costs more than a single-n run's largest check.  The
 engine makes no reference cycles, so reference counting frees all it
 allocates, and the collector passes its many short-lived objects trigger
 would find nothing.  ``main`` leaves the collector as it finds it.  An
-exception from ``main`` or from a flush (argparse's
-``SystemExit`` included) still leaves through the ordinary exit.
+exception from ``main`` or from a flush (a usage error's ``SystemExit``
+included) still leaves through the ordinary exit.
+
+``parse_args`` is a small parser of its own, so a run loads neither argparse
+nor gettext nor locale.  It takes exactly the five long options, each as
+``--opt value`` or ``--opt=value`` (the last of a repeated option wins),
+and ``-h``/``--help``, which prints the help text and exits 0.
+Abbreviations (``--for json``) are refused.  A usage
+error writes the two-line ``usage: verify ...`` block and ``verify: error:
+<message>`` to standard error, with argparse's messages, and raises
+``SystemExit(2)``.  The report path loads no ``json`` package either:
+``emit`` escapes with ``_json``'s C escaper, the function that
+``json.encoder`` binds on CPython.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
-import json
 import os
 import sys
 import time
-from json.encoder import encode_basestring_ascii
-from typing import NamedTuple
+from _json import encode_basestring_ascii
+from typing import NamedTuple, NoReturn
 
 from .checks import SUITES, Check, checks_for
 
@@ -146,6 +155,8 @@ def results_from_json(text: str) -> list[CheckResult]:
     ``CheckResult``, each of its type (an ``int`` field refuses a ``bool``),
     and a status of pass, fail or skipped.
     """
+    import json  # tests read reports; a verify run does not load json
+
     rows = json.loads(text)
     if type(rows) is not list:
         raise ValueError("a report is a JSON list of rows")
@@ -164,33 +175,96 @@ def exit_code(results: list[CheckResult]) -> int:
     return 1 if any(r.status == "fail" for r in results) else 0
 
 
+_USAGE = (
+    "usage: verify [-h] --n-min N_MIN --n-max N_MAX [--suite SUITE]\n"
+    "              [--format {text,json}] [--out OUT]\n"
+)
+_HELP = _USAGE + """
+Run the exact verification suites over a range of dimensions.
+
+options:
+  -h, --help            show this help message and exit
+  --n-min N_MIN         smallest dimension n
+  --n-max N_MAX         largest dimension n
+  --suite SUITE         comma-separated subset of
+                        grassmann,fano,hodge,diagonal or all
+  --format {text,json}
+  --out OUT             write the report to this path
+"""
+_REQUIRED = ("--n-min", "--n-max")  # the two int options
+_DEFAULTS = {"--suite": "all", "--format": "text", "--out": None}
+_FORMATS = ("text", "json")
+
+
+def _usage_error(message: str) -> NoReturn:
+    sys.stderr.write(f"{_USAGE}verify: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _is_option(token: str) -> bool:
+    """argparse's rule for the token after an option: it names an option, not
+    the value, if it starts with ``-`` and is not ``-`` alone, a negative
+    number or a string holding a space."""
+    if not token.startswith("-") or token == "-" or " " in token:
+        return False
+    whole, dot, frac = token[1:].partition(".")
+    if dot:
+        return not (frac.isdecimal() and (not whole or whole.isdecimal()))
+    return not whole.isdecimal()
+
+
 def parse_args(argv: list[str] | None = None) -> RunConfig:
-    parser = argparse.ArgumentParser(
-        prog="verify",
-        description="Run the exact verification suites over a range of dimensions.",
-    )
-    parser.add_argument("--n-min", type=int, required=True, help="smallest dimension n")
-    parser.add_argument("--n-max", type=int, required=True, help="largest dimension n")
-    parser.add_argument(
-        "--suite",
-        default="all",
-        help="comma-separated subset of grassmann,fano,hodge,diagonal or all",
-    )
-    parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--out", default=None, help="write the report to this path")
-    args = parser.parse_args(argv)
-    suites = tuple(s.strip() for s in args.suite.split(",") if s.strip())
+    """The run's configuration from ``argv`` (default ``sys.argv[1:]``)."""
+    tokens = sys.argv[1:] if argv is None else list(argv)
+    values = dict(_DEFAULTS)
+    unknown = []
+    i = 0
+    while i < len(tokens):
+        token = tokens[i]
+        i += 1
+        if token in ("-h", "--help"):
+            sys.stdout.write(_HELP)
+            raise SystemExit(0)
+        if token == "--":  # argparse's end of options: the rest is positional
+            unknown += tokens[i - 1 :]
+            break
+        name, eq, value = token.partition("=")
+        if name not in _REQUIRED and name not in _DEFAULTS:
+            unknown.append(token)
+            continue
+        if not eq:
+            if i == len(tokens) or _is_option(tokens[i]):
+                _usage_error(f"argument {name}: expected one argument")
+            value = tokens[i]
+            i += 1
+        if name in _REQUIRED:
+            try:
+                values[name] = int(value)
+            except ValueError:
+                _usage_error(f"argument {name}: invalid int value: {value!r}")
+            continue
+        if name == "--format" and value not in _FORMATS:
+            choices = ", ".join(map(repr, _FORMATS))
+            _usage_error(f"argument --format: invalid choice: {value!r} (choose from {choices})")
+        values[name] = value
+    missing = [name for name in _REQUIRED if name not in values]
+    if missing:
+        _usage_error(f"the following arguments are required: {', '.join(missing)}")
+    if unknown:
+        _usage_error(f"unrecognized arguments: {' '.join(unknown)}")
+    n_min, n_max = values["--n-min"], values["--n-max"]
+    suites = tuple(s.strip() for s in values["--suite"].split(",") if s.strip())
     known = set(SUITES) | {"all"}
     for s in suites:
         if s not in known:
-            parser.error(f"unknown suite {s!r}; choose from {', '.join(sorted(known))}")
+            _usage_error(f"unknown suite {s!r}; choose from {', '.join(sorted(known))}")
     if not suites:
-        parser.error("no suite selected")
-    if args.n_min < 1:
-        parser.error("--n-min must be at least 1")
-    if args.n_min > args.n_max:
-        parser.error("--n-min must not exceed --n-max")
-    return RunConfig(args.n_min, args.n_max, suites, args.format, args.out)
+        _usage_error("no suite selected")
+    if n_min < 1:
+        _usage_error("--n-min must be at least 1")
+    if n_min > n_max:
+        _usage_error("--n-min must not exceed --n-max")
+    return RunConfig(n_min, n_max, suites, values["--format"], values["--out"])
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -301,6 +301,9 @@ def ring_map_failures(n: int) -> list[tuple[Key, Key]]:
     exactly when the list is empty.  Both sides are read term by term, over
     one denominator each, and compared cross-multiplied: no class per pair.
     """
+    _check_dim(n)
+    if n < 1:
+        raise UnsupportedRange("ring_map_failures needs n >= 1")
     images = {k: xx_to_coh(XXClass(n, {k: 1})) for k in xx_basis(n)}
     image = images.__getitem__
     xx_mul = XXClass(n)._term_mul
@@ -637,6 +640,7 @@ def cycle_products(n: int, alphas, betas) -> list[list[tuple[int, int, int]]]:
     codimension; no object but the triple is built per product.  The first
     pair out of range, in row order, raises ``UnsupportedRange``.
     """
+    _check_dim(n)
     # no pair of positive codimensions is in range below n = 3, and the
     # table needs n >= 1: the range check below raises first
     table, den = decomposable_coefficients(n) if n >= 3 else (None, 1)

@@ -180,18 +180,40 @@ def test_text_report_shape():
     assert lines[-1].endswith("skipped")
 
 
-def test_parse_args_validation():
+USAGE = (
+    "usage: verify [-h] --n-min N_MIN --n-max N_MAX [--suite SUITE]\n"
+    "              [--format {text,json}] [--out OUT]\n"
+)
+
+
+def test_parse_args_validation(capsys):
     config = parse_args(["--n-min", "2", "--n-max", "5", "--suite", "fano,hodge"])
     assert config == RunConfig(2, 5, ("fano", "hodge"), "text", None)
-    with pytest.raises(SystemExit) as exc:
-        parse_args(["--n-min", "3", "--n-max", "2"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        parse_args(["--n-min", "1", "--n-max", "2", "--suite", "nonsense"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        parse_args(["--n-min", "0", "--n-max", "2"])
-    assert exc.value.code == 2
+    # the = form, and a repeated option whose last value wins, as in argparse
+    config = parse_args(["--n-min=2", "--n-max", "3", "--n-max=5", "--format=json", "--out=r"])
+    assert config == RunConfig(2, 5, ("all",), "json", "r")
+    for argv, message in [
+        (["--n-min", "3", "--n-max", "2"], "--n-min must not exceed --n-max"),
+        (["--n-min", "1", "--n-max", "2", "--suite", "nonsense"], "unknown suite 'nonsense'"),
+        (["--n-min", "0", "--n-max", "2"], "--n-min must be at least 1"),
+        (["--n-min", "1", "--n-max"], "argument --n-max: expected one argument"),
+        (["--n-min", "--n-max", "2"], "argument --n-min: expected one argument"),
+        (["--n-min", "x", "--n-max", "2"], "argument --n-min: invalid int value: 'x'"),
+        (["--n-min", "1", "--n-max", "2", "--format", "xml"],
+         "argument --format: invalid choice: 'xml' (choose from 'text', 'json')"),
+        ([], "the following arguments are required: --n-min, --n-max"),
+        (["--n-max", "2"], "the following arguments are required: --n-min"),
+        (["--n-min", "1"], "the following arguments are required: --n-max"),
+        (["--n-min", "1", "--n-max", "2", "--bogus", "3"], "unrecognized arguments: --bogus 3"),
+        # argparse took an abbreviation; this parser refuses it
+        (["--n-min", "1", "--n-max", "2", "--for", "json"], "unrecognized arguments: --for json"),
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            parse_args(argv)
+        assert exc.value.code == 2
+        # argparse's two-line usage block, then its error line
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"{USAGE}verify: error: {message}"), argv
 
 
 def test_main_writes_report_file(tmp_path):
@@ -320,6 +342,15 @@ def test_entry_point_exits_2_on_an_unwritable_report(tmp_path):
     assert proc.returncode == 2
     assert f"cannot write report to {tmp_path}" in proc.stderr
     assert proc.stdout == ""
+
+
+def test_entry_point_help_exits_0_with_the_help_text():
+    proc = _entry_point("-h")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith(USAGE + "\nRun the exact verification suites")
+    for option in ("--n-min N_MIN", "--n-max N_MAX", "--suite SUITE", "--format {text,json}",
+                   "--out OUT"):
+        assert f"\n  {option}" in proc.stdout
 
 
 def test_entry_point_exits_2_with_the_usage_line_on_a_bad_range():
@@ -509,7 +540,7 @@ def test_checks_reads_no_private_name_of_an_engine_module():
     assert read == set()
 
 
-# -- start-up: records without dataclasses -------------------------------------
+# -- start-up: records without dataclasses, a run without argparse or json ----
 
 
 def _fresh_python(code):
@@ -560,6 +591,20 @@ def test_package_import_compiles_no_regex():
         "print(len(calls))\n"
     )
     assert _fresh_python(code).strip() == "0"
+
+
+def test_verify_run_loads_neither_argparse_nor_json():
+    # the parser is cli's own and the escaper is _json's, json.encoder's own
+    code = (
+        "import os, sys\n"
+        "from cubicchow import cli\n"
+        "cli.main(['--n-min', '2', '--n-max', '2', '--format', 'json', '--out', os.devnull])\n"
+        "print(sorted({'argparse', 'gettext', 'locale', 'json'} & set(sys.modules)))\n"
+    )
+    assert _fresh_python(code).strip() == "[]"
+    from cubicchow import cli
+
+    assert cli.encode_basestring_ascii is json.encoder.encode_basestring_ascii
 
 
 # -- the collector: off in console_main only, and nothing left for it ----------

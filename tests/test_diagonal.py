@@ -27,6 +27,7 @@ from cubicchow.diagonal import (
     defect_vanishes_cohomologically,
     primitive_self_pairing,
     push13,
+    ring_map_failures,
     small_diagonal_coh,
     small_diagonal_defect,
     x3_diagonal,
@@ -475,6 +476,22 @@ def test_cycle_product_preconditions():
         cycle_products(5, [FormalCycle(3, 3)], [FormalCycle(3, 3)])
     with pytest.raises(ValueError):
         FormalCycle(0, 3)
+
+
+def test_n_is_type_checked_before_its_range():
+    # ring_map_failures(0) once raised KeyError and ring_map_failures(1.0)
+    # range()'s TypeError; cycle_products(2.5, ...) failed on its missing
+    # table and cycle_products(True, ...) raised UnsupportedRange
+    one = [FormalCycle(1, 3)]
+    for n in (True, 1.0, 2.5):
+        with pytest.raises(TypeError, match="dimension n must be int"):
+            ring_map_failures(n)
+        with pytest.raises(TypeError, match="dimension n must be int"):
+            cycle_products(n, one, one)
+    for n in (0, -1):
+        with pytest.raises(UnsupportedRange, match="ring_map_failures needs n >= 1"):
+            ring_map_failures(n)
+    assert ring_map_failures(1) == []
 
 
 def test_model_constructors_validate_keys():
